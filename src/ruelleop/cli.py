@@ -19,7 +19,6 @@ top-level scalars.  Keys:
     tol         power iteration tolerance (default 1e-12)
     max_iters   power iteration cap (default 100000)
     n_max       bracket / entropy horizon (default 8)
-    threads     scan worker threads (default 1)
     seed        seed for the perturbation controls in verify (default 0)
     cylinder_cap  override for the table-size guard
 
@@ -35,7 +34,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._kernels import BACKEND
 from .config import set_cylinder_cap
 from .errors import ConfigError, NumericError, ResourceCapError
 from .measures import (
@@ -72,7 +70,6 @@ DEFAULTS = {
     "tol": 1e-12,
     "max_iters": 100_000,
     "n_max": 8,
-    "threads": 1,
     "seed": 0,
     "grid": {"start": 0.0, "stop": 2.0, "count": 101},
 }
@@ -161,7 +158,7 @@ def _merged_params(cfg, args):
     for key in params:
         if key in cfg:
             params[key] = cfg[key]
-    for key in ("beta", "depth", "tol", "max_iters", "n_max", "threads", "seed"):
+    for key in ("beta", "depth", "tol", "max_iters", "n_max", "seed"):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
@@ -172,7 +169,6 @@ def _merged_params(cfg, args):
         params["tol"] = float(params["tol"])
         params["max_iters"] = int(params["max_iters"])
         params["n_max"] = int(params["n_max"])
-        params["threads"] = int(params["threads"])
         params["seed"] = int(params["seed"])
         if params["depth"] is not None:
             params["depth"] = int(params["depth"])
@@ -249,7 +245,6 @@ def _header_lines(command, cfg, params):
     spc = json.dumps(cfg["space"], sort_keys=True)
     return [
         f"# ruelleop {__version__} {command}",
-        f"# backend {BACKEND}",
         f"# space {spc}",
         f"# potential {pot}",
         "# params beta={!r} depth={} tol={!r} max_iters={}".format(
@@ -381,7 +376,6 @@ def cmd_scan(cfg, f, params, fmt):
         params["depth"],
         tol=params["tol"],
         max_iters=params["max_iters"],
-        threads=params["threads"],
     )
     lines = _header_lines("scan", cfg, params)
     lines += _scalar_lines(
@@ -389,7 +383,6 @@ def cmd_scan(cfg, f, params, fmt):
             ("grid_start", grid["start"]),
             ("grid_stop", grid["stop"]),
             ("grid_count", grid["count"]),
-            ("threads", params["threads"]),
             ("noise_floor", float(curve.noise_floor[1])),
             ("n_flagged", int(curve.kink_flags.sum())),
             ("n_nonconverged", int(np.sum(~curve.converged))),
@@ -539,7 +532,6 @@ def make_parser():
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     parser.add_argument("--n-max", dest="n_max", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     return parser
 

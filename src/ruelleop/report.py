@@ -55,17 +55,3 @@ def json_text(obj, indent=0):
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{out}"'
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON text")
-
-
-def render_rows(header, rows, digits=MACHINE_DIGITS):
-    """Render CSV lines: a header tuple and rows of str/int/float cells."""
-    def cell(v):
-        if isinstance(v, bool):
-            return "1" if v else "0"
-        if isinstance(v, float):
-            return format_float(v, digits)
-        return str(v)
-
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"

@@ -10,7 +10,6 @@ against the mismatch level of the scan as a whole.  Non-converged
 points are surfaced as candidates too, never silently dropped.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +49,21 @@ class PressureCurve:
     candidates: list = field(default_factory=list)
 
 
-def _solve_range(f, betas, depth, tol, max_iters):
-    """Sequential warm-started eigensolves over one contiguous beta range."""
+def pressure_curve(
+    f,
+    betas,
+    depth,
+    tol=1e-12,
+    max_iters=DEFAULT_MAX_ITERS,
+    kink_factor=KINK_FACTOR,
+):
+    """Pressure log(lam) over a beta grid, with kink-candidate detection."""
+    betas = np.asarray(betas, dtype=float)
+    if betas.ndim != 1 or len(betas) < 2:
+        raise ValueError("need a one-dimensional grid of at least two beta values")
+    if np.any(np.diff(betas) <= 0):
+        raise ValueError("beta grid must be strictly increasing")
+
     lams = np.empty(len(betas))
     converged = np.zeros(len(betas), dtype=bool)
     iters = np.zeros(len(betas), dtype=np.int64)
@@ -63,39 +75,6 @@ def _solve_range(f, betas, depth, tol, max_iters):
         converged[i] = res.converged
         iters[i] = res.iterations
         left, right = res.left, res.right
-    return lams, converged, iters
-
-
-def pressure_curve(
-    f,
-    betas,
-    depth,
-    tol=1e-12,
-    max_iters=DEFAULT_MAX_ITERS,
-    threads=1,
-    kink_factor=KINK_FACTOR,
-):
-    """Pressure log(lam) over a beta grid, with kink-candidate detection."""
-    betas = np.asarray(betas, dtype=float)
-    if betas.ndim != 1 or len(betas) < 2:
-        raise ValueError("need a one-dimensional grid of at least two beta values")
-    if np.any(np.diff(betas) <= 0):
-        raise ValueError("beta grid must be strictly increasing")
-
-    threads = max(1, int(threads))
-    if threads == 1 or len(betas) < 2 * threads:
-        lams, converged, iters = _solve_range(f, betas, depth, tol, max_iters)
-    else:
-        chunks = np.array_split(np.arange(len(betas)), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda idx: _solve_range(f, betas[idx], depth, tol, max_iters), chunks
-                )
-            )
-        lams = np.concatenate([p[0] for p in parts])
-        converged = np.concatenate([p[1] for p in parts])
-        iters = np.concatenate([p[2] for p in parts])
 
     pressures = np.log(lams)
     m = len(betas)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericError
 from .measures import CylinderMeasure
-from .transfer import LOG_SPACE_THRESHOLD, CylinderFunction, build_kernel
+from .transfer import CylinderFunction, _iterate_ones, build_kernel
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITERS = 100_000
@@ -56,25 +56,10 @@ def pressure_bracket(f, depth, n_max):
     """Bracket the pressure by iterating the constant function 1 n_max times."""
     if n_max < 1:
         raise ValueError("need at least one application")
-    kernel = build_kernel(f, depth)
-    p_sup = np.empty(n_max)
-    p_inf = np.empty(n_max)
-    if n_max * f.sup_norm > LOG_SPACE_THRESHOLD:
-        lv = np.zeros(kernel.size)
-        for n in range(1, n_max + 1):
-            lv = kernel.log_matvec(lv)
-            p_sup[n - 1] = lv.max() / n
-            p_inf[n - 1] = lv.min() / n
-    else:
-        v = np.ones(kernel.size)
-        log_scale = 0.0
-        for n in range(1, n_max + 1):
-            v = kernel.matvec(v)
-            peak = v.max()
-            v /= peak
-            log_scale += math.log(peak)
-            p_sup[n - 1] = log_scale / n
-            p_inf[n - 1] = (log_scale + math.log(v.min())) / n
+    tops, bottoms, _ = _iterate_ones(f, depth, n_max)
+    steps = np.arange(1, n_max + 1)
+    p_sup = tops / steps
+    p_inf = bottoms / steps
     return PressureEstimate(
         n_max=n_max,
         p_sup=p_sup,

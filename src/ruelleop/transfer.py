@@ -9,7 +9,7 @@ depth-k potential.  At a fixed working depth d the operator is a sparse
 square matrix with exactly one entry per symbol per row: the
 predecessors of a word u are the words a u_1..u_{d-1}.  The kernel
 stores that structure in factored form (per-symbol weight tables plus
-index strides) rather than as explicit coordinates; the coordinate list
+block shapes) rather than as explicit coordinates; the coordinate list
 and the dense matrix are materialized on demand for export and for
 small-instance cross-checks.
 """
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .config import check_cylinder_count, cylinder_cap
 from .errors import NumericError, ResourceCapError
 from .potential import Potential
@@ -84,11 +83,27 @@ class TransferKernel:
 
     The matrix M satisfies M[u, v] = w_{v_1} * exp(f(v_1 u)) when
     v_2..v_d = u_1..u_{d-1} and is zero otherwise: exactly one entry
-    per symbol per row.  Stored factored:
+    per symbol per row.  It is never stored; each product is one
+    broadcast numpy expression over the per-symbol weight tables.
 
-      * ``ew``     (n_sym, n_sym**(k-1)): row-side weights by prefix
-      * ``ew_col`` (n_sym**k,): the same numbers keyed by depth-k word
-      * ``s_pot``, ``n_rep``: index strides (see _kernels)
+    Index conventions (canonical word order, n symbols, working depth
+    d, potential depth k):
+
+      * ``ew[a, m]`` = w_a * exp(f(a m)) over depth-(k-1) prefixes m,
+        and ``log_ew`` its logarithm.
+      * A row u splits as (q, r): its first d-1 symbols and its last
+        symbol.  Its predecessor by symbol a is the word a q, at index
+        a * n**(d-1) + q, so a vector reshaped to (n, n**(d-1)) holds
+        the predecessors of every row along the leading symbol axis.
+      * ``blocks`` = (p0, p1, rw) splits q as (q // p1, q % p1) so that
+        the weight of row (q, r) is ``ew.reshape(n, p0, rw)[a, q // p1,
+        r % rw]``.  Deep kernels (d >= k) have (n**(k-1), n**(d-k), 1):
+        the weight reads the first k-1 symbols of q and not r, so a
+        forward product is computed once per q and copied to every r.
+        The edge depth d = k-1 has (n**(d-1), 1, n): the weight reads
+        the whole row.
+      * ``ew_adj`` (edge depth only) is ``ew`` in (r, a, q) order, so
+        that the adjoint reduces over its leading r axis.
     """
 
     space: SymbolSpace
@@ -96,9 +111,8 @@ class TransferKernel:
     depth: int
     ew: np.ndarray
     log_ew: np.ndarray
-    ew_col: np.ndarray
-    s_pot: int
-    n_rep: int
+    blocks: tuple
+    ew_adj: np.ndarray
 
     @property
     def size(self):
@@ -108,20 +122,42 @@ class TransferKernel:
     def nnz(self):
         return self.space.size ** (self.depth + 1)
 
+    def _by_predecessor(self, table, x):
+        """Row weights and predecessor values, broadcast to (n, p0, p1, rw)."""
+        n = self.space.size
+        p0, p1, rw = self.blocks
+        return table.reshape(n, p0, 1, rw), np.asarray(x, dtype=float).reshape(n, p0, p1, 1)
+
+    def _spread(self, total):
+        """Copy a (p0, p1, rw) result to all n last symbols of each row."""
+        return np.repeat(total.reshape(-1), self.space.size // self.blocks[2])
+
     def matvec(self, x):
-        return _kernels.matvec(np.asarray(x, dtype=float), self.ew, self.space.size, self.s_pot)
+        weights, pred = self._by_predecessor(self.ew, x)
+        return self._spread((weights * pred).sum(axis=0))
 
     def log_matvec(self, lx):
-        return _kernels.log_matvec(
-            np.asarray(lx, dtype=float), self.log_ew, self.space.size, self.s_pot
-        )
+        log_weights, log_pred = self._by_predecessor(self.log_ew, lx)
+        terms = log_weights + log_pred
+        peak = terms.max(axis=0)
+        with np.errstate(invalid="ignore"):
+            total = peak + np.log(np.exp(terms - peak).sum(axis=0))
+        # a row whose largest term is not finite (all terms -inf) is -inf
+        return self._spread(np.where(np.isfinite(peak), total, -np.inf))
 
     def tmatvec(self, x):
         """Adjoint product: (M^T x)[v] = sum_u M[u, v] x[u]."""
-        x = np.asarray(x, dtype=float)
-        if self.depth >= self.potential.depth:
-            return _kernels.tmatvec_deep(x, self.ew_col, self.space.size, self.n_rep)
-        return _kernels.tmatvec_edge(x, self.ew_col, self.space.size)
+        n = self.space.size
+        rows = np.asarray(x, dtype=float).reshape(-1, n)
+        if self.ew_adj is None:
+            # the weight of row (q, r) does not depend on r: sum over r first
+            p0, p1, _ = self.blocks
+            return (self.ew.reshape(n, p0, 1) * rows.sum(axis=1).reshape(p0, p1)).reshape(-1)
+        return (self.ew_adj * rows.T[:, None, :]).sum(axis=0).reshape(-1)
+
+    def _prefix(self, rows):
+        """Column of ``ew`` (the depth-(k-1) prefix) for each row index."""
+        return rows // self.space.size ** (self.depth - self.potential.depth + 1)
 
     def to_dense(self):
         """Materialize M as a dense array (small instances only)."""
@@ -133,7 +169,7 @@ class TransferKernel:
         rows = np.arange(nd)
         dense = np.zeros((nd, nd))
         for a in range(n):
-            dense[rows, a * npred + rows // n] = self.ew[a, rows // self.s_pot]
+            dense[rows, a * npred + rows // n] = self.ew[a, self._prefix(rows)]
         return dense
 
     def export_coo(self, stream):
@@ -147,9 +183,10 @@ class TransferKernel:
         npred = nd // n
         for i in range(nd):
             u = ".".join(map(str, index_word(i, n, self.depth)))
+            m = self._prefix(i)
             for a in range(n):
                 v = ".".join(map(str, index_word(a * npred + i // n, n, self.depth)))
-                stream.write(f"{u} {v} {self.ew[a, i // self.s_pot]:.17g}\n")
+                stream.write(f"{u} {v} {self.ew[a, m]:.17g}\n")
 
 
 def build_kernel(f, depth):
@@ -167,17 +204,23 @@ def build_kernel(f, depth):
     table = f.table.reshape(n, n ** (k - 1))
     ew = f.space.weights[:, None] * np.exp(table)
     log_ew = np.log(f.space.weights)[:, None] + table
-    for arr in (ew, log_ew):
-        arr.flags.writeable = False
+    if depth >= k:
+        blocks = (n ** (k - 1), n ** (depth - k), 1)
+        ew_adj = None
+    else:
+        blocks = (n ** (depth - 1), 1, n)
+        ew_adj = np.ascontiguousarray(ew.reshape(n, -1, n).transpose(2, 0, 1))
+    for arr in (ew, log_ew, ew_adj):
+        if arr is not None:
+            arr.flags.writeable = False
     return TransferKernel(
         space=f.space,
         potential=f,
         depth=depth,
         ew=ew,
         log_ew=log_ew,
-        ew_col=ew.reshape(-1),
-        s_pot=n ** (depth - k + 1),
-        n_rep=n ** max(depth - k, 0),
+        blocks=blocks,
+        ew_adj=ew_adj,
     )
 
 
@@ -208,6 +251,36 @@ def apply_transfer(f, phi):
     return CylinderFunction(f.space, d_out, out)
 
 
+def _iterate_ones(f, depth, steps, log_space=False):
+    """Apply the depth-d kernel of f `steps` times to the constant function 1.
+
+    Returns (tops, bottoms, lv): the largest and smallest entries of
+    log(L^n 1) for n = 1..steps, and log(L^steps 1).  The products run
+    in log space when asked to or when steps * sup_norm(f) exceeds 300;
+    otherwise they run linearly, rescaled by the peak at every step.
+    """
+    kernel = build_kernel(f, depth)
+    tops = np.empty(steps)
+    bottoms = np.empty(steps)
+    if log_space or steps * f.sup_norm > LOG_SPACE_THRESHOLD:
+        lv = np.zeros(kernel.size)
+        for n in range(steps):
+            lv = kernel.log_matvec(lv)
+            tops[n] = lv.max()
+            bottoms[n] = lv.min()
+        return tops, bottoms, lv
+    v = np.ones(kernel.size)
+    log_scale = 0.0
+    for n in range(steps):
+        v = kernel.matvec(v)
+        peak = v.max()
+        v /= peak
+        log_scale += math.log(peak)
+        tops[n] = log_scale
+        bottoms[n] = log_scale + math.log(v.min())
+    return tops, bottoms, log_scale + np.log(v)
+
+
 def iterate_one(f, n, depth, return_log=False):
     """n applications of the operator to the constant function 1, at a fixed depth.
 
@@ -218,23 +291,12 @@ def iterate_one(f, n, depth, return_log=False):
     """
     if n < 0:
         raise ValueError("iteration count must be non-negative")
-    kernel = build_kernel(f, depth)
-    use_log = return_log or n * f.sup_norm > LOG_SPACE_THRESHOLD
-    if use_log:
-        lv = np.zeros(kernel.size)
-        for _ in range(n):
-            lv = kernel.log_matvec(lv)
-        if return_log:
-            return CylinderFunction(f.space, depth, lv)
-        if np.max(lv) > LINEAR_VALUE_CEILING:
-            raise NumericError(
-                "iterate values overflow double precision; request return_log=True"
-            )
-        return CylinderFunction(f.space, depth, np.exp(lv))
-    v = np.ones(kernel.size)
-    for _ in range(n):
-        v = kernel.matvec(v)
-    return CylinderFunction(f.space, depth, v)
+    _, _, lv = _iterate_ones(f, depth, n, log_space=return_log)
+    if return_log:
+        return CylinderFunction(f.space, depth, lv)
+    if np.max(lv) > LINEAR_VALUE_CEILING:
+        raise NumericError("iterate values overflow double precision; request return_log=True")
+    return CylinderFunction(f.space, depth, np.exp(lv))
 
 
 def brute_force_iterate(f, n, word):

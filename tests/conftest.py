@@ -1,22 +1,6 @@
-import numpy as np
 import pytest
 
 import ruelleop as ro
-
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """Compile every jit kernel once so timed tests measure numerics, not the JIT."""
-    sp = ro.uniform_space(2)
-    f = ro.builtin_ising(sp, 0.5, 0.1)
-    deep = ro.build_kernel(f, 2)
-    deep.matvec(np.ones(deep.size))
-    deep.log_matvec(np.zeros(deep.size))
-    deep.tmatvec(np.full(deep.size, 1.0 / deep.size))
-    edge = ro.build_kernel(f, 1)
-    edge.tmatvec(np.full(edge.size, 0.5))
-    ro.iterate_one(f, 600, 1, return_log=True)  # exercises the log-space path
-    return True
 
 
 @pytest.fixture

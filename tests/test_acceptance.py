@@ -2,8 +2,7 @@
 
 Every expected value here comes from a closed form, an independent
 enumeration, or a self-consistency property; none is read back from the
-implementation under test.  Runtime budgets are asserted after the
-session-scoped JIT warmup so they measure numerics, not compilation.
+implementation under test.
 """
 
 import itertools
@@ -58,7 +57,7 @@ def markov_weights(pi, P, depth):
     return w / w.sum()
 
 
-def test_criterion_01_constant_potentials(warm_kernels):
+def test_criterion_01_constant_potentials():
     t0 = time.perf_counter()
     worst = 0.0
     for c in (-2.0, 0.0, 0.7, 3.0):
@@ -77,7 +76,7 @@ def test_criterion_01_constant_potentials(warm_kernels):
     _report(1, worst <= 1e-12 and elapsed < 1.0, f"worst dev {worst:.2e}, {elapsed:.2f}s")
 
 
-def test_criterion_02_perron_oracle_agreement(warm_kernels):
+def test_criterion_02_perron_oracle_agreement():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260819)
     sp = ro.uniform_space(2)
@@ -97,7 +96,7 @@ def test_criterion_02_perron_oracle_agreement(warm_kernels):
     _report(2, ok, f"lam dev {worst_lam:.2e}, vec dev {worst_vec:.2e}, {elapsed:.2f}s")
 
 
-def test_criterion_03_brute_force_oracle(warm_kernels):
+def test_criterion_03_brute_force_oracle():
     t0 = time.perf_counter()
     sp = ro.uniform_space(3)
     rng = np.random.default_rng(30303)
@@ -112,7 +111,7 @@ def test_criterion_03_brute_force_oracle(warm_kernels):
     _report(3, worst <= 1e-12 and elapsed < 30.0, f"worst rel dev {worst:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_04_bracket_approaches_eigenvalue(warm_kernels):
+def test_criterion_04_bracket_approaches_eigenvalue():
     f = ro.builtin_ising(ro.uniform_space(2), 1.0)
     p = math.log(ro.perron_eigendata(f, 2).lam)
     est = ro.pressure_bracket(f, 2, 1000)  # runs in log space at this length
@@ -142,7 +141,7 @@ def _spectral_census():
     return runs
 
 
-def test_criterion_05_eigenmeasure_relation(warm_kernels):
+def test_criterion_05_eigenmeasure_relation():
     worst = 0.0
     band_ok = True
     for f, sd in _spectral_census():
@@ -152,7 +151,7 @@ def test_criterion_05_eigenmeasure_relation(warm_kernels):
     _report(5, worst <= 1e-10 and band_ok, f"worst residual {worst:.2e}, bands {band_ok}")
 
 
-def test_criterion_06_shift_invariance(warm_kernels):
+def test_criterion_06_shift_invariance():
     sp = ro.uniform_space(2)
     cases = [ro.builtin_ising(sp, 1.0)]
     rng = np.random.default_rng(60606)
@@ -171,7 +170,7 @@ def test_criterion_06_shift_invariance(warm_kernels):
     _report(6, ok, f"worst residual {worst:.2e}, control {control:.2e}")
 
 
-def test_criterion_07_intertwine_identity(warm_kernels):
+def test_criterion_07_intertwine_identity():
     sp = ro.uniform_space(2)
     rng = np.random.default_rng(70707)
     cases = [ro.builtin_ising(sp, 1.0, 0.3)]
@@ -193,7 +192,7 @@ def test_criterion_07_intertwine_identity(warm_kernels):
     _report(7, ok, f"worst residual {worst:.2e}, weakest control {weakest_control:.2e}")
 
 
-def test_criterion_08_variational_principle(warm_kernels):
+def test_criterion_08_variational_principle():
     t0 = time.perf_counter()
     sp = ro.uniform_space(2)
     f = ro.builtin_ising(sp, 1.0)
@@ -219,7 +218,7 @@ def test_criterion_08_variational_principle(warm_kernels):
     )
 
 
-def test_criterion_09_quadrature_convergence(warm_kernels):
+def test_criterion_09_quadrature_convergence():
     t0 = time.perf_counter()
     lams = []
     for count in (8, 16, 32):
@@ -233,7 +232,7 @@ def test_criterion_09_quadrature_convergence(warm_kernels):
     _report(9, ok, f"gaps {g1:.2e} -> {g2:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_10_phase_transition_scan(warm_kernels):
+def test_criterion_10_phase_transition_scan():
     t0 = time.perf_counter()
     sp = ro.uniform_space(2)
     head = -math.log(1.0 / sum(j ** -2.7 for j in range(1, 400_000))) / 0.9
