@@ -20,7 +20,7 @@ top-level scalars.  Keys:
     max_iters   power iteration cap (default 100000)
     n_max       bracket / entropy horizon (default 8)
     seed        seed for the perturbation controls in verify (default 0)
-    cylinder_cap  override for the table-size guard
+    cylinder_cap  override for the table-size guard, for this run only
 
 Exit codes: 0 success, 1 failed verification, 2 bad config, 3 resource
 cap exceeded, 4 numeric failure.  Output contains no timestamps, so a
@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import set_cylinder_cap
+from .config import cylinder_cap, set_cylinder_cap
 from .errors import ConfigError, NumericError, ResourceCapError
 from .measures import (
     CylinderMeasure,
@@ -162,9 +162,9 @@ def _merged_params(cfg, args):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
-    if "cylinder_cap" in cfg:
-        set_cylinder_cap(int(cfg["cylinder_cap"]))
     try:
+        if "cylinder_cap" in cfg:
+            set_cylinder_cap(int(cfg["cylinder_cap"]))
         params["beta"] = float(params["beta"])
         params["tol"] = float(params["tol"])
         params["max_iters"] = int(params["max_iters"])
@@ -537,6 +537,15 @@ def make_parser():
 
 
 def run(args):
+    """Run one command; a config's ``cylinder_cap`` holds only for this run."""
+    saved_cap = cylinder_cap()
+    try:
+        return _run(args)
+    finally:
+        set_cylinder_cap(saved_cap)
+
+
+def _run(args):
     cfg = load_config(args.config)
     _, f, params = assemble(cfg, args)
     ok = True
@@ -568,6 +577,10 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a numeric failure, not a config fault
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -224,6 +224,77 @@ def build_kernel(f, depth):
     )
 
 
+@dataclass(frozen=True, eq=False)
+class Lumping:
+    """An exactly lumpable partition of the depth-d words of a kernel.
+
+    Words in one class have the same row weights and, for every symbol
+    a, predecessors in the same class.  So the class-indicator matrix V
+    satisfies M V = V Q for a small c x c matrix Q, every eigenpair
+    (lam, g) of Q lifts to the eigenpair (lam, g[labels]) of M, and the
+    Perron root of Q is that of M.  ``labels`` is the class of each
+    word, ``reps`` the first word of each class.
+    """
+
+    depth: int
+    labels: np.ndarray
+    reps: np.ndarray
+
+    @property
+    def size(self):
+        return len(self.reps)
+
+    def quotient(self, kernel):
+        """The quotient Q of a kernel over this partition: M V = V Q."""
+        if kernel.depth != self.depth:
+            raise ValueError(f"depth-{kernel.depth} kernel, depth-{self.depth} partition")
+        n = kernel.space.size
+        c = self.size
+        rows = np.broadcast_to(np.arange(c), (n, c))
+        preds = np.arange(n)[:, None] * (kernel.size // n) + self.reps // n
+        q = np.zeros((c, c))
+        np.add.at(q, (rows, self.labels[preds]), kernel.ew[:, kernel._prefix(self.reps)])
+        return q
+
+
+def _compress(keys):
+    """Renumber integer keys as 0..m-1 in sorted order; return (labels, m)."""
+    values, labels = np.unique(keys, return_inverse=True)
+    return labels.reshape(-1), len(values)
+
+
+def lumpable_partition(f, depth):
+    """The exactly lumpable partition of the depth-d kernel of f.
+
+    Words first split by their column ``f.table[:, prefix]`` of row
+    weights; each round then splits every class by the classes of the
+    n predecessors a q(u).  The rounds stop when the class count is
+    stable or equals the word count.  The partition uses only equality
+    of table entries, which scaling f by any beta preserves, so one
+    partition serves the kernels of beta * f for every beta.
+    """
+    k = f.depth
+    n = f.space.size
+    if depth < max(k - 1, 1):
+        raise ValueError(f"kernel depth {depth} below the minimum {max(k - 1, 1)} for k={k}")
+    nd = check_cylinder_count(n, depth)
+    words = np.arange(nd)
+    _, columns = np.unique(f.table.reshape(n, -1).T, axis=0, return_inverse=True)
+    labels, count = _compress(columns.reshape(-1)[words // n ** (depth - k + 1)])
+    preds = np.arange(n)[:, None] * (nd // n) + words // n
+    while count < nd:
+        keys, size = labels, count
+        for a in range(n):
+            keys, size = _compress(keys * count + labels[preds[a]])
+        if size == count:
+            break
+        labels, count = keys, size
+    reps = np.unique(labels, return_index=True)[1]
+    for arr in (labels, reps):
+        arr.flags.writeable = False
+    return Lumping(depth=depth, labels=labels, reps=reps)
+
+
 def apply_transfer(f, phi):
     """One application of the operator: a depth-max(k-1, m-1, 0) function.
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ruelleop as ro
@@ -172,6 +173,29 @@ def test_numeric_refusal_exits_4(tmp_path, capsys):
     cfg = write_cfg(tmp_path, ISING)
     assert main(["equilibrium", "--config", cfg, "--tol", "1.0"]) == 4
     capsys.readouterr()
+
+
+def test_config_cylinder_cap_holds_for_one_run(tmp_path, capsys):
+    capped = dict(CONST)
+    capped["cylinder_cap"] = 5
+    assert main(["pressure", "--config", write_cfg(tmp_path, capped, "capped.json")]) == 0
+    deep = dict(ISING)
+    deep["depth"] = 4  # 2^4 = 16 cylinders, over the previous run's cap
+    assert main(["spectral", "--config", write_cfg(tmp_path, deep, "deep.json")]) == 0
+    assert ro.cylinder_cap() == ro.config.DEFAULT_CYLINDER_CAP
+    capsys.readouterr()
+
+
+def test_eigensolver_failure_exits_4(tmp_path, monkeypatch, capsys):
+    # LinAlgError is a ValueError, but it is a numeric failure, not a config fault
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    cfg = dict(ISING)
+    cfg["grid"] = {"start": 0.0, "stop": 1.0, "count": 3}
+    assert main(["scan", "--config", write_cfg(tmp_path, cfg)]) == 4
+    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_module_and_console_entry_points(tmp_path):
