@@ -1,15 +1,16 @@
 """Pressure curves over an inverse-temperature grid, with kink candidates.
 
 Each grid point solves for the leading eigenvalue of the operator for
-beta * f.  Kernels with few distinguishable words are solved exactly on
-their lumped quotient: the partition of the depth-d words into exactly
-lumpable classes (``transfer.lumpable_partition``) does not depend on
-beta, so it is computed once per scan, and each point takes the Perron
-root of the small quotient from a dense eigensolve.  The lifted
-eigenvector is certified by one product with the full-depth kernel;
-a point whose certificate fails is reported as non-converged.  Kernels
-whose quotient has more than ``QUOTIENT_MAX_CLASSES`` classes are solved
-by power iteration, each point starting from the previous eigenvectors.
+beta * f, from the kernel of beta * f minus its largest table entry so
+that large potentials cannot overflow.  The partition of the depth-d
+words into exactly lumpable classes (``transfer.lumpable_partition``)
+does not depend on beta, so it is computed once per scan.  When a dense
+eigensolve of the quotient is cheaper than about 25 power iterations on
+the full kernel (``_quotient_pays``), each point takes the Perron root
+of the small quotient and certifies the lifted eigenvector by one
+product with the full-depth kernel; a point whose certificate fails is
+reported as non-converged.  Otherwise each point is solved by power
+iteration, starting from the previous point's eigenvectors.
 
 A genuine first-order transition would put a slope discontinuity into
 the limiting curve; at finite truncation the curve is analytic, so the
@@ -23,17 +24,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potential import Potential, scale
+from .potential import Potential
 from .spectral import DEFAULT_MAX_ITERS, power_iterate
 from .transfer import build_kernel, lumpable_partition
 
 KINK_FACTOR = 5.0
 KINK_ABS_FLOOR = 1e-8
 
-# largest quotient solved by a dense eigensolve: on a 2-vCPU Xeon, eig
-# takes about 3 ms at 64 classes and 20 ms at 128, while a warm-started
-# power iteration on a 256-word kernel takes about 3 ms per point
-QUOTIENT_MAX_CLASSES = 64
+# Routing between the two solvers.  Measured on a 2-vCPU Xeon with one
+# BLAS thread: np.linalg.eig costs about 10 ns * c**3 on c = 64-128
+# classes (less per c**3 above), and one power iteration about 25 ns
+# per entry of the kernel's product broadcast plus a fixed 50 us (about
+# 2,000 entries).  The quotient is used when its eigensolve costs at
+# most about 25 iterations.  Warm-started points took 2 (rotor on
+# Gauss-Legendre nodes) to 122 (random binary depth-8 table) iterations
+# on average; at this ratio no measured scan routed to the slower path
+# by more than 4x, and none is slower than on power iteration alone.
+QUOTIENT_WORK_RATIO = 64
+ITERATION_OVERHEAD = 2_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,22 +94,20 @@ def pressure_curve(
     converged = np.zeros(len(betas), dtype=bool)
     iters = np.zeros(len(betas), dtype=np.int64)
     lumping = lumpable_partition(f, depth)
-    lumped = lumping.size <= QUOTIENT_MAX_CLASSES
     left = right = None
     for i, beta in enumerate(betas):
-        if lumped:
-            lam, offset, converged[i] = _solve_lumped(f, float(beta), lumping, tol)
-            pressures[i] = offset + np.log(lam)
-            with np.errstate(over="ignore"):
-                lams[i] = lam * np.exp(offset)
+        table = beta * f.table
+        offset = float(table.max())
+        kernel = build_kernel(Potential(f.space, f.depth, table - offset), depth)
+        if _quotient_pays(lumping.size, kernel.product_size):
+            lam, converged[i] = _solve_lumped(kernel, lumping, tol)
         else:
-            kernel = build_kernel(scale(f, float(beta)), depth)
             res = power_iterate(kernel, tol=tol, max_iters=max_iters, left0=left, right0=right)
-            lams[i] = res.lam
-            pressures[i] = np.log(res.lam)
-            converged[i] = res.converged
-            iters[i] = res.iterations
+            lam, converged[i], iters[i] = res.lam, res.converged, res.iterations
             left, right = res.left, res.right
+        pressures[i] = offset + np.log(lam)
+        with np.errstate(over="ignore"):
+            lams[i] = lam * np.exp(offset)
 
     m = len(betas)
     slope_left = np.full(m, np.nan)
@@ -142,18 +148,18 @@ def pressure_curve(
     )
 
 
-def _solve_lumped(f, beta, lumping, tol):
-    """(lam, offset, certified): the Perron root of beta * f is lam * exp(offset).
+def _quotient_pays(classes, product_size):
+    """Whether a dense eigensolve on the quotient beats about 25 power iterations."""
+    return classes**3 <= QUOTIENT_WORK_RATIO * (product_size + ITERATION_OVERHEAD)
 
-    The kernel is built for beta * f minus its largest table entry
-    (the offset), so no weight exceeds one and large beta * f cannot
-    overflow.  The Perron vector of the quotient, lifted to the words,
-    is certified at full depth: h >= 0, max h > 0 and the scale-free
+
+def _solve_lumped(kernel, lumping, tol):
+    """(lam, certified): the Perron root of a kernel from its lumped quotient.
+
+    The Perron vector of the quotient, lifted to the words, is
+    certified at full depth: h >= 0, max h > 0 and the scale-free
     residual max|M h - lam h| / (lam max h) within tol.
     """
-    table = beta * f.table
-    offset = float(table.max())
-    kernel = build_kernel(Potential(f.space, f.depth, table - offset), lumping.depth)
     vals, vecs = np.linalg.eig(lumping.quotient(kernel))
     top = int(np.argmax(vals.real))
     lam = float(vals[top].real)
@@ -161,6 +167,6 @@ def _solve_lumped(f, beta, lumping, tol):
     h = (g / g[np.argmax(np.abs(g))])[lumping.labels]
     peak = float(h.max())
     if not (lam > 0 and peak > 0 and np.all(h >= 0)):
-        return lam, offset, False
+        return lam, False
     residual = float(np.max(np.abs(kernel.matvec(h) - lam * h))) / (lam * peak)
-    return lam, offset, residual <= tol
+    return lam, residual <= tol

@@ -28,6 +28,17 @@ LOG_SPACE_THRESHOLD = 300.0
 LINEAR_VALUE_CEILING = 700.0
 
 
+def _check_depth(k, depth):
+    """Reject working depths too shallow for a depth-k potential."""
+    if depth < max(k - 1, 1):
+        raise ValueError(f"kernel depth {depth} below the minimum {max(k - 1, 1)} for k={k}")
+
+
+def _prefix(n, depth, k, rows):
+    """Column of the weight table (the depth-(k-1) prefix) of each depth-d row index."""
+    return rows // n ** (depth - k + 1)
+
+
 def _same_space(a, b):
     return a is b or (
         a.size == b.size
@@ -122,6 +133,11 @@ class TransferKernel:
     def nnz(self):
         return self.space.size ** (self.depth + 1)
 
+    @property
+    def product_size(self):
+        """Entries in the broadcast of one product: n**d, or n**(d+1) at the edge depth."""
+        return self.space.size * math.prod(self.blocks)
+
     def _by_predecessor(self, table, x):
         """Row weights and predecessor values, broadcast to (n, p0, p1, rw)."""
         n = self.space.size
@@ -157,7 +173,7 @@ class TransferKernel:
 
     def _prefix(self, rows):
         """Column of ``ew`` (the depth-(k-1) prefix) for each row index."""
-        return rows // self.space.size ** (self.depth - self.potential.depth + 1)
+        return _prefix(self.space.size, self.depth, self.potential.depth, rows)
 
     def to_dense(self):
         """Materialize M as a dense array (small instances only)."""
@@ -197,8 +213,7 @@ def build_kernel(f, depth):
     """
     k = f.depth
     n = f.space.size
-    if depth < max(k - 1, 1):
-        raise ValueError(f"kernel depth {depth} below the minimum {max(k - 1, 1)} for k={k}")
+    _check_depth(k, depth)
     check_cylinder_count(n, depth)
     check_cylinder_count(n, k)
     table = f.table.reshape(n, n ** (k - 1))
@@ -258,9 +273,21 @@ class Lumping:
 
 
 def _compress(keys):
-    """Renumber integer keys as 0..m-1 in sorted order; return (labels, m)."""
+    """Renumber keys as 0..m-1 in sorted order; return (labels, m)."""
     values, labels = np.unique(keys, return_inverse=True)
     return labels.reshape(-1), len(values)
+
+
+def _column_classes(labels, count):
+    """Classes of the columns of a 2-d array of labels below count; return (classes, m).
+
+    Equal columns share a class; classes are numbered in the
+    lexicographic order of the columns.
+    """
+    classes, m = np.zeros(labels.shape[1], dtype=np.int64), 1
+    for row in labels:
+        classes, m = _compress(classes * count + row)
+    return classes, m
 
 
 def lumpable_partition(f, depth):
@@ -275,17 +302,18 @@ def lumpable_partition(f, depth):
     """
     k = f.depth
     n = f.space.size
-    if depth < max(k - 1, 1):
-        raise ValueError(f"kernel depth {depth} below the minimum {max(k - 1, 1)} for k={k}")
+    _check_depth(k, depth)
     nd = check_cylinder_count(n, depth)
     words = np.arange(nd)
-    _, columns = np.unique(f.table.reshape(n, -1).T, axis=0, return_inverse=True)
-    labels, count = _compress(columns.reshape(-1)[words // n ** (depth - k + 1)])
-    preds = np.arange(n)[:, None] * (nd // n) + words // n
+    values, count = _compress(f.table)
+    columns, count = _column_classes(values.reshape(n, -1), count)
+    labels = columns[_prefix(n, depth, k, words)]
+    # the predecessors a q(u) depend only on q(u), the first d-1 symbols
+    # of u: column q of labels.reshape(n, -1) holds their classes
+    q = words // n
     while count < nd:
-        keys, size = labels, count
-        for a in range(n):
-            keys, size = _compress(keys * count + labels[preds[a]])
+        preds, m = _column_classes(labels.reshape(n, -1), count)
+        keys, size = _compress(labels * m + preds[q])
         if size == count:
             break
         labels, count = keys, size

@@ -1,5 +1,7 @@
 """The lumped quotient of the kernel, and the scan that solves on it."""
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,17 +96,58 @@ def test_large_potentials_do_not_overflow(two_space):
     np.testing.assert_allclose(curve.pressures, 400.0 * betas, rtol=1e-14)
 
 
-def test_scan_falls_back_to_power_iteration_beyond_the_class_limit(two_space, monkeypatch):
+def test_scan_falls_back_to_power_iteration_on_costly_quotients(two_space, monkeypatch):
     f = ro.Potential(two_space, 8, np.random.default_rng(3).uniform(-1.0, 1.0, 256))
     betas = np.linspace(0.0, 2.0, 21)
-    assert ro.lumpable_partition(f, 7).size > scan.QUOTIENT_MAX_CLASSES
+    # 128 classes of 128 words: the eigensolve costs more than the iterations
+    assert ro.lumpable_partition(f, 7).size == 128
+    assert not scan._quotient_pays(128, ro.build_kernel(f, 7).product_size)
     power = ro.pressure_curve(f, betas, 7)
     assert np.all(power.iterations > 0)
     # the same table through the quotient path gives the same curve and kinks
-    monkeypatch.setattr(scan, "QUOTIENT_MAX_CLASSES", 256)
+    monkeypatch.setattr(scan, "QUOTIENT_WORK_RATIO", 10**9)
     lumped = ro.pressure_curve(f, betas, 7)
     assert np.all(lumped.iterations == 0)
     assert power.converged.all() and lumped.converged.all()
     np.testing.assert_allclose(lumped.lams, power.lams, rtol=1e-10)
     assert np.array_equal(lumped.kink_flags, power.kink_flags)
     assert lumped.candidates == power.candidates
+
+
+def test_scan_uses_the_quotient_when_the_kernel_is_much_larger(two_space, monkeypatch):
+    # the same 128 classes over 32,768 words: one eigensolve replaces
+    # products with the full kernel
+    f = ro.Potential(two_space, 8, np.random.default_rng(3).uniform(-1.0, 1.0, 256))
+    betas = np.array([0.0, 0.5, 1.0])
+    assert ro.lumpable_partition(f, 15).size == 128
+    lumped = ro.pressure_curve(f, betas, 15)
+    assert lumped.converged.all() and np.all(lumped.iterations == 0)
+    monkeypatch.setattr(scan, "QUOTIENT_WORK_RATIO", 0)
+    power = ro.pressure_curve(f, betas, 15)
+    assert np.all(power.iterations > 0)
+    np.testing.assert_allclose(lumped.lams, power.lams, rtol=1e-10)
+
+
+def test_wide_alphabet_scan_stays_within_vector_memory():
+    # 400 symbols at working depth 2: 160,000 words of 1.3 MB per
+    # vector; a (symbols x words) index array would take 512 MB
+    f = ro.builtin_xy(ro.gauss_legendre_space(400), 8.0)
+    tracemalloc.start()
+    try:
+        lumping = ro.lumpable_partition(f, 2)
+        curve = ro.pressure_curve(f, np.array([0.0, 1.0]), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lumping.size == 400
+    assert curve.converged.all() and np.all(curve.iterations > 0)
+    assert peak < 64e6
+
+
+def test_large_scans_do_not_overflow_on_the_power_iteration_path(two_space):
+    # beta * f reaches past 709, where exp overflows; the gauge shift holds on both paths
+    f = ro.Potential(two_space, 8, 400.0 * np.random.default_rng(3).uniform(-1.0, 1.0, 256))
+    assert 2.0 * f.table.max() > 709.0
+    curve = ro.pressure_curve(f, np.linspace(0.0, 2.0, 5), 7)
+    assert np.all(curve.iterations > 0) and curve.converged.all()
+    assert np.all(np.isfinite(curve.pressures))
