@@ -59,7 +59,7 @@ from .potential import (
 )
 from .report import HUMAN_DIGITS, MACHINE_DIGITS, format_float
 from .scan import pressure_curve
-from .space import index_word, uniform_space, finite_space, gauss_legendre_space
+from .space import _word_labels, index_word, uniform_space, finite_space, gauss_legendre_space
 from .spectral import perron_eigendata, pressure_bracket
 
 COMMANDS = ("pressure", "spectral", "equilibrium", "entropy", "scan", "verify")
@@ -200,10 +200,6 @@ def assemble(cfg, args):
     return space, f, params
 
 
-def _word_label(idx, size, depth):
-    return ".".join(str(s) for s in index_word(idx, size, depth))
-
-
 def _digits(fmt):
     return MACHINE_DIGITS if fmt == "csv" else HUMAN_DIGITS
 
@@ -216,19 +212,26 @@ def _cell(v, digits):
     return str(v)
 
 
-def _table_lines(header, rows, fmt):
-    digits = _digits(fmt)
-    cells = [[_cell(v, digits) for v in row] for row in rows]
+def _column_cells(column, digits):
+    """Text of one table column: word labels as given, flags as 1/0, floats at `digits`."""
+    if isinstance(column, list):
+        return column
+    if column.dtype == bool:
+        return ["1" if v else "0" for v in column.tolist()]
+    if column.dtype.kind == "f":
+        return [format_float(v, digits) for v in column.tolist()]
+    return list(map(str, column.tolist()))
+
+
+def _table_lines(header, columns, fmt):
+    """One line per row of equal-length columns: comma-separated, or right-aligned."""
+    cols = [_column_cells(c, _digits(fmt)) for c in columns]
     if fmt == "csv":
-        return [",".join(header)] + [",".join(row) for row in cells]
-    widths = [
-        max(len(h), max((len(r[i]) for r in cells), default=0))
-        for i, h in enumerate(header)
-    ]
+        return [",".join(header)] + list(map(",".join, zip(*cols)))
+    widths = [max(len(h), *map(len, c)) for h, c in zip(header, cols)]
+    cols = [[c.rjust(w) for c in col] for col, w in zip(cols, widths)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    lines.extend(
-        "  ".join(c.rjust(w) for c, w in zip(row, widths)).rstrip() for row in cells
-    )
+    lines.extend("  ".join(row).rstrip() for row in zip(*cols))
     return lines
 
 
@@ -265,11 +268,11 @@ def cmd_pressure(cfg, f, params, fmt):
     g = _scaled(f, params)
     est = pressure_bracket(g, params["depth"], params["n_max"])
     lines = _header_lines("pressure", cfg, params)
-    rows = [
-        (n + 1, float(est.p_inf[n]), float(est.p_sup[n]), float(est.p_sup[n] - est.p_inf[n]))
-        for n in range(est.n_max)
-    ]
-    lines += _table_lines(("n", "p_inf", "p_sup", "width"), rows, fmt)
+    lines += _table_lines(
+        ("n", "p_inf", "p_sup", "width"),
+        (np.arange(1, est.n_max + 1), est.p_inf, est.p_sup, est.p_sup - est.p_inf),
+        fmt,
+    )
     lines += _scalar_lines(
         [
             ("estimate", est.estimate),
@@ -302,12 +305,8 @@ def cmd_spectral(cfg, f, params, fmt):
     sd = perron_eigendata(g, params["depth"], params["tol"], params["max_iters"])
     lines = _header_lines("spectral", cfg, params)
     lines += _scalar_lines(_spectral_scalars(sd), fmt)
-    n = g.space.size
-    rows = [
-        (_word_label(i, n, sd.nu.depth), float(sd.nu.weights[i]), float(sd.h.values[i]))
-        for i in range(len(sd.nu.weights))
-    ]
-    lines += _table_lines((WORD_COL, "nu", "h"), rows, fmt)
+    words = _word_labels(g.space, sd.nu.depth)
+    lines += _table_lines((WORD_COL, "nu", "h"), (words, sd.nu.weights, sd.h.values), fmt)
     return lines
 
 
@@ -327,12 +326,8 @@ def cmd_equilibrium(cfg, f, params, fmt):
         ],
         fmt,
     )
-    n = g.space.size
-    rows = [
-        (_word_label(i, n, mu.depth), float(mu.weights[i]))
-        for i in range(len(mu.weights))
-    ]
-    lines += _table_lines((WORD_COL, "mu"), rows, fmt)
+    words = _word_labels(g.space, mu.depth)
+    lines += _table_lines((WORD_COL, "mu"), (words, mu.weights), fmt)
     return lines
 
 
@@ -354,16 +349,9 @@ def cmd_entropy(cfg, f, params, fmt):
         ],
         fmt,
     )
-    rows = [
-        (
-            int(rep.n[j]),
-            float(rep.H[j]),
-            float(rep.entropy_rate[j]) if j < len(rep.entropy_rate) else float("nan"),
-            float(rep.gaps[j]) if j < len(rep.gaps) else float("nan"),
-        )
-        for j in range(len(rep.n))
-    ]
-    lines += _table_lines(("n", "H", "rate", "gap"), rows, fmt)
+    lines += _table_lines(
+        ("n", "H", "rate", "gap"), (rep.n, rep.H, rep.entropy_rate, rep.gaps), fmt
+    )
     return lines
 
 
@@ -389,21 +377,17 @@ def cmd_scan(cfg, f, params, fmt):
         ],
         fmt,
     )
-    rows = [
-        (
-            float(curve.betas[i]),
-            float(curve.lams[i]),
-            float(curve.pressures[i]),
-            float(curve.mismatch[i]),
-            bool(curve.kink_flags[i]),
-            bool(curve.converged[i]),
-            int(curve.iterations[i]),
-        )
-        for i in range(len(betas))
-    ]
     lines += _table_lines(
         ("beta", "lam", "pressure", "mismatch", "kink", "converged", "iterations"),
-        rows,
+        (
+            curve.betas,
+            curve.lams,
+            curve.pressures,
+            curve.mismatch,
+            curve.kink_flags,
+            curve.converged,
+            curve.iterations,
+        ),
         fmt,
     )
     digits = _digits(fmt)

@@ -92,7 +92,7 @@ def _extend_raw(f, lam, weights, depth):
 
 
 def check_eigenmeasure(f, lam, nu, test_depth):
-    """Worst deviation of <L 1_[u], nu> from lam * nu([u]) over depth-t cylinders."""
+    """Worst |<L 1_[u], nu> - lam * nu([u])| / lam over depth-t cylinders [u]."""
     if not 0 <= test_depth <= nu.depth:
         raise ValueError(f"test depth {test_depth} outside 0..{nu.depth}")
     kernel = build_kernel(f, nu.depth)
@@ -100,7 +100,7 @@ def check_eigenmeasure(f, lam, nu, test_depth):
     blocks = nu.space.size**test_depth
     lhs = t.reshape(blocks, -1).sum(axis=1)
     rhs = lam * nu.weights.reshape(blocks, -1).sum(axis=1)
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(lhs - rhs))) / lam
 
 
 def extend_eigenmeasure(f, lam, nu):
@@ -198,7 +198,8 @@ def check_intertwine(f, lam, nu, word):
     own shifted marginals and vanishes only when nu satisfies the eigen
     relation with eigenvalue lam.  Rebuilding the deep level from the
     closed-form extension instead would make both sides multiples of
-    nu([word]) with identical coefficients for every input.
+    nu([word]) with identical coefficients for every input.  The
+    residual is divided by lam, so it does not grow with the scale of f.
     """
     d = len(word)
     k = f.depth
@@ -221,7 +222,7 @@ def check_intertwine(f, lam, nu, word):
     pointed[sel] = deep[sel]
     rhs = kernel.tmatvec(kernel.tmatvec(pointed)) / lam
     rhs = rhs.reshape(n ** (d - 1), -1).sum(axis=1)
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(lhs - rhs))) / lam
 
 
 def relative_entropy(mu, rho, depth=None):

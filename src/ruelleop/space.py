@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import check_cylinder_count
-from .report import json_text
 
 WEIGHT_SUM_TOL = 1e-14
 
@@ -154,16 +153,29 @@ def index_word(idx, size, depth):
     return tuple(reversed(out))
 
 
+def _words(symbols, depth):
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    check_cylinder_count(len(symbols), depth)
+    return itertools.product(symbols, repeat=depth)
+
+
 def enumerate_cylinders(space, depth):
     """Iterate all depth-d words in canonical order (index order).
 
     Depth 0 yields the single empty word.  Refuses depths whose cylinder
     count exceeds the package cap.
     """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    check_cylinder_count(space.size, depth)
-    return itertools.product(range(space.size), repeat=depth)
+    return _words(range(space.size), depth)
+
+
+def _word_labels(space, depth):
+    """Text labels of all depth-d words in canonical order, symbols joined by ".".
+
+    The label of word (0, 1, 1) is "0.1.1"; depth 0 gives [""].  Same cap
+    and order as enumerate_cylinders.
+    """
+    return list(map(".".join, _words([str(s) for s in range(space.size)], depth)))
 
 
 def space_to_json(space):
@@ -173,7 +185,7 @@ def space_to_json(space):
         doc["nodes"] = list(map(float, space.nodes))
     if space.metadata:
         doc["metadata"] = space.metadata
-    return json_text(doc)
+    return json.dumps(doc, allow_nan=False)
 
 
 def space_from_json(text):

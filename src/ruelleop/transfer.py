@@ -22,7 +22,7 @@ import numpy as np
 from .config import check_cylinder_count, cylinder_cap
 from .errors import NumericError, ResourceCapError
 from .potential import Potential
-from .space import SymbolSpace, index_word
+from .space import SymbolSpace, _word_labels
 
 LOG_SPACE_THRESHOLD = 300.0
 LINEAR_VALUE_CEILING = 700.0
@@ -195,13 +195,12 @@ class TransferKernel:
         symbol order; values carry 17 significant digits.
         """
         n = self.space.size
-        nd = self.size
-        npred = nd // n
-        for i in range(nd):
-            u = ".".join(map(str, index_word(i, n, self.depth)))
+        npred = self.size // n
+        labels = _word_labels(self.space, self.depth)
+        for i, u in enumerate(labels):
             m = self._prefix(i)
             for a in range(n):
-                v = ".".join(map(str, index_word(a * npred + i // n, n, self.depth)))
+                v = labels[a * npred + i // n]
                 stream.write(f"{u} {v} {self.ew[a, m]:.17g}\n")
 
 

@@ -1,5 +1,6 @@
 import importlib.metadata
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import ruelleop as ro
 from ruelleop.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 CONST = {
     "space": {"kind": "uniform", "size": 2},
     "potential": {"kind": "constant", "value": 0.7},
@@ -100,6 +102,61 @@ def test_csv_and_report_formats(tmp_path):
     body = [l for l in csv.splitlines() if l and not l.startswith("#")]
     assert all("," in l for l in body)  # csv rows are comma separated
     assert rep.startswith("# ruelleop")
+
+
+# a float at or below 1e-9 in magnitude: a residual or gap at solver noise level
+NOISE = re.compile(r"\s+-?\d(?:\.\d+)?e-(?:09|[1-9]\d)\b")
+
+
+def test_report_layout_matches_golden_texts(tmp_path):
+    # the aligned layout: left-justified keys and column headers, right-aligned
+    # cells, two spaces between columns, 6 significant digits.  Noise-level
+    # values are compared as "~0": their digits (and, in the last column,
+    # their widths) follow the arithmetic of the solver, not the layout.
+    cfg = dict(ISING, depth=3, grid={"start": 0.0, "stop": 2.0, "count": 5})
+    path = write_cfg(tmp_path, cfg)
+    for command in ("pressure", "spectral", "entropy", "scan"):
+        code, text = run_to_file(
+            tmp_path, [command, "--config", path], f"{command}.txt"
+        )
+        assert code == 0
+        want = (GOLDEN / f"ising-{command}.txt").read_text()
+        assert NOISE.sub("  ~0", text) == NOISE.sub("  ~0", want), command
+
+
+def test_word_column_lists_words_in_canonical_order(tmp_path):
+    n, depth = 3, 3
+    values = np.random.default_rng(5).uniform(-1.0, 1.0, n ** (depth + 1))
+    cfg = {
+        "space": {"kind": "uniform", "size": n},
+        "potential": {"kind": "table", "depth": depth + 1, "values": values.tolist()},
+        "depth": depth,
+    }
+    path = write_cfg(tmp_path, cfg)
+    want = [".".join(map(str, ro.index_word(i, n, depth))) for i in range(n**depth)]
+    for command in ("spectral", "equilibrium"):
+        for fmt in ("csv", "report"):
+            code, text = run_to_file(
+                tmp_path, [command, "--config", path, "--format", fmt], "out.txt"
+            )
+            assert code == 0
+            lines = text.splitlines()
+            start = next(i for i, l in enumerate(lines) if l.startswith("word")) + 1
+            sep = "," if fmt == "csv" else None
+            assert [l.split(sep)[0] for l in lines[start:]] == want, (command, fmt)
+
+
+def test_verify_residuals_are_relative_to_lam(tmp_path):
+    # lam is about 7e12 here; absolute residuals of 3.4 are 5e-13 relative
+    cfg = {
+        "space": {"kind": "uniform", "size": 2},
+        "potential": {"kind": "ising", "coupling": 30.0, "external_field": 0.3},
+        "depth": 3,
+    }
+    _, text = run_to_file(tmp_path, ["verify", "--config", write_cfg(tmp_path, cfg)])
+    for check in ("eigenmeasure-fixed-point", "adjoint-intertwine"):
+        line = next(l for l in text.splitlines() if f" {check} " in l)
+        assert line.startswith("ok "), line
 
 
 def test_flags_override_config(tmp_path):

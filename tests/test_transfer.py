@@ -162,18 +162,23 @@ def test_kernel_respects_cylinder_cap(two_space):
         ro.set_cylinder_cap(old)
 
 
-def test_coo_export_rebuilds_dense(two_space):
-    f = ro.builtin_ising(two_space, 0.75, 0.25)
-    kern = ro.build_kernel(f, 2)
-    buf = io.StringIO()
-    kern.export_coo(buf)
-    dense = np.zeros((kern.size, kern.size))
-    for line in buf.getvalue().strip().splitlines():
-        row_word, col_word, val = line.split()
-        r = ro.word_index(tuple(int(s) for s in row_word.split(".")), 2)
-        c = ro.word_index(tuple(int(s) for s in col_word.split(".")), 2)
-        dense[r, c] += float(val)
-    assert np.allclose(dense, kern.to_dense(), rtol=0, atol=1e-16)
+def test_coo_export_rebuilds_dense():
+    cases = [
+        (ro.builtin_ising(ro.uniform_space(2), 0.75, 0.25), 2),
+        (ro.Potential(ro.uniform_space(3), 4, np.linspace(-1.0, 1.0, 81)), 3),
+    ]
+    for f, depth in cases:
+        n = f.space.size
+        kern = ro.build_kernel(f, depth)
+        buf = io.StringIO()
+        kern.export_coo(buf)
+        dense = np.zeros((kern.size, kern.size))
+        for line in buf.getvalue().strip().splitlines():
+            row_word, col_word, val = line.split()
+            r = ro.word_index(tuple(int(s) for s in row_word.split(".")), n)
+            c = ro.word_index(tuple(int(s) for s in col_word.split(".")), n)
+            dense[r, c] += float(val)
+        assert np.allclose(dense, kern.to_dense(), rtol=0, atol=1e-16)
 
 
 def test_cylinder_function_validation(two_space):
