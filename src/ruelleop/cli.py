@@ -24,10 +24,13 @@ top-level scalars.  Keys:
 
 Exit codes: 0 success, 1 failed verification, 2 bad config, 3 resource
 cap exceeded, 4 numeric failure.  Output contains no timestamps, so a
-fixed config and environment reproduce reports byte for byte.
+fixed config and environment reproduce reports byte for byte.  The
+report header echoes the space and potential configs; a table
+potential's values appear there as their count and sha256 digest.
 """
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -212,22 +215,35 @@ def _cell(v, digits):
     return str(v)
 
 
+def _cell_format(column, digits):
+    """The %-format of one column's cells.
+
+    Word labels print as given, flags and counts as integers, floats at
+    `digits` significant digits (the text of ``format_float``).
+    """
+    if isinstance(column, list):
+        return "%s"
+    return f"%.{digits}g" if column.dtype.kind == "f" else "%d"
+
+
 def _column_cells(column, digits):
-    """Text of one table column: word labels as given, flags as 1/0, floats at `digits`."""
+    """Text of each cell of one table column, from one %-format over the column."""
     if isinstance(column, list):
         return column
-    if column.dtype == bool:
-        return ["1" if v else "0" for v in column.tolist()]
-    if column.dtype.kind == "f":
-        return [format_float(v, digits) for v in column.tolist()]
-    return list(map(str, column.tolist()))
+    return ((_cell_format(column, digits) + "\n") * len(column) % tuple(column.tolist())).splitlines()
 
 
 def _table_lines(header, columns, fmt):
-    """One line per row of equal-length columns: comma-separated, or right-aligned."""
-    cols = [_column_cells(c, _digits(fmt)) for c in columns]
+    """One line per row of equal-length columns: comma-separated, or right-aligned.
+
+    The csv rows come from one %-format over the whole table, returned
+    as a single newline-separated block after the header line.
+    """
     if fmt == "csv":
-        return [",".join(header)] + list(map(",".join, zip(*cols)))
+        row = "\n" + ",".join(_cell_format(c, MACHINE_DIGITS) for c in columns)
+        rows = zip(*(c if isinstance(c, list) else c.tolist() for c in columns))
+        return [",".join(header) + row * len(columns[0]) % tuple(itertools.chain.from_iterable(rows))]
+    cols = [_column_cells(c, HUMAN_DIGITS) for c in columns]
     widths = [max(len(h), *map(len, c)) for h, c in zip(header, cols)]
     cols = [[c.rjust(w) for c in col] for col, w in zip(cols, widths)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
@@ -243,8 +259,27 @@ def _scalar_lines(pairs, fmt):
     return [f"{k.ljust(width)}  {_cell(v, digits)}" for k, v in pairs]
 
 
+def _potential_echo(cfg):
+    """The potential config for the report header.
+
+    A ``table`` potential is echoed without its values, which can run to
+    millions of characters: their ``count`` and the ``sha256`` of their
+    little-endian float64 bytes stand in for them.
+    """
+    if cfg.get("kind") != "table":
+        return cfg
+    # imported here: hashlib loads OpenSSL (about 3.5 MB and 5 ms), which no other report needs
+    import hashlib
+
+    values = np.asarray(cfg["values"], dtype="<f8")
+    echo = {key: val for key, val in cfg.items() if key != "values"}
+    echo["count"] = values.size
+    echo["sha256"] = hashlib.sha256(values.tobytes()).hexdigest()
+    return echo
+
+
 def _header_lines(command, cfg, params):
-    pot = json.dumps(cfg["potential"], sort_keys=True)
+    pot = json.dumps(_potential_echo(cfg["potential"]), sort_keys=True)
     spc = json.dumps(cfg["space"], sort_keys=True)
     return [
         f"# ruelleop {__version__} {command}",

@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potential import Potential
 from .spectral import DEFAULT_MAX_ITERS, power_iterate
-from .transfer import build_kernel, lumpable_partition
+from .transfer import gauge_shifted_kernel, lumpable_partition
 
 KINK_FACTOR = 5.0
 KINK_ABS_FLOOR = 1e-8
@@ -96,9 +95,7 @@ def pressure_curve(
     lumping = lumpable_partition(f, depth)
     left = right = None
     for i, beta in enumerate(betas):
-        table = beta * f.table
-        offset = float(table.max())
-        kernel = build_kernel(Potential(f.space, f.depth, table - offset), depth)
+        kernel, offset = gauge_shifted_kernel(f, depth, beta)
         if _quotient_pays(lumping.size, kernel.product_size):
             lam, converged[i] = _solve_lumped(kernel, lumping, tol)
         else:

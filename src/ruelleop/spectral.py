@@ -5,8 +5,10 @@ The pressure is bracketed from the iterates of the constant function 1:
     p_inf[n] = min log(L^n 1)/n  <=  log(radius)  <=  max log(L^n 1)/n = p_sup[n]
 
 (the two sides are the extreme row sums of the n-th kernel power, which
-pinch the Perron root of a non-negative matrix).  Long products run in
-log space once n * sup|f| crosses 300.
+pinch the Perron root of a non-negative matrix).  The products run on
+the kernel of f - max f, linearly and rescaled at every step, unless
+(k-1) * (max f - min f) exceeds ``LINEAR_VALUE_CEILING``; then they run
+in log space.
 
 Eigendata come from simultaneous power iteration: the adjoint iteration
 renormalizes by total mass, whose limit is the leading eigenvalue, and
@@ -115,9 +117,12 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
         if not (np.isfinite(mass) and mass > 0):
             raise NumericError(f"adjoint iteration produced mass {mass!r}")
         t_right = kernel.matvec(right)
-        resid_l = float(np.max(np.abs(t_left - mass * left))) / mass
-        resid_r = float(np.max(np.abs(t_right - mass * right))) / mass
         dlam = abs(mass - lam) / mass if not math.isnan(lam) else math.inf
+        if dlam < tol or it == max_iters:
+            # the residuals matter only once the eigenvalue step is below tol;
+            # the last iteration computes them for the result
+            resid_l = float(np.max(np.abs(t_left - mass * left))) / mass
+            resid_r = float(np.max(np.abs(t_right - mass * right))) / mass
         lam = mass
         left_prev, left = left, t_left / mass
         right_prev, right = right, t_right / mass

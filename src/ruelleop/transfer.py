@@ -24,7 +24,7 @@ from .errors import NumericError, ResourceCapError
 from .potential import Potential
 from .space import SymbolSpace, _word_labels
 
-LOG_SPACE_THRESHOLD = 300.0
+# largest log-magnitude kept in linear doubles (exp overflows past 709)
 LINEAR_VALUE_CEILING = 700.0
 
 
@@ -100,30 +100,29 @@ class TransferKernel:
     Index conventions (canonical word order, n symbols, working depth
     d, potential depth k):
 
-      * ``ew[a, m]`` = w_a * exp(f(a m)) over depth-(k-1) prefixes m,
-        and ``log_ew`` its logarithm.
+      * ``ew[a, m]`` = w_a * exp(f(a m)) over depth-(k-1) prefixes m.
       * A row u splits as (q, r): its first d-1 symbols and its last
         symbol.  Its predecessor by symbol a is the word a q, at index
         a * n**(d-1) + q, so a vector reshaped to (n, n**(d-1)) holds
         the predecessors of every row along the leading symbol axis.
-      * ``blocks`` = (p0, p1, rw) splits q as (q // p1, q % p1) so that
-        the weight of row (q, r) is ``ew.reshape(n, p0, rw)[a, q // p1,
-        r % rw]``.  Deep kernels (d >= k) have (n**(k-1), n**(d-k), 1):
-        the weight reads the first k-1 symbols of q and not r, so a
-        forward product is computed once per q and copied to every r.
-        The edge depth d = k-1 has (n**(d-1), 1, n): the weight reads
-        the whole row.
-      * ``ew_adj`` (edge depth only) is ``ew`` in (r, a, q) order, so
-        that the adjoint reduces over its leading r axis.
+      * ``blocks`` = (p0, p1, rw) splits q as (q // p1, q % p1).  Deep
+        kernels (d >= k) have (n**(k-1), n**(d-k), 1): the weight reads
+        the first k-1 symbols of q and not r, so a forward product is
+        computed once per q and copied to every r.  The edge depth
+        d = k-1 has (n**(d-1), 1, n): the weight reads the whole row.
+      * ``ew_arq`` is ``ew`` in (a, r, q) order, shape (n, rw, p0): the
+        weight of row (q, r) is ``ew_arq[a, r % rw, q // p1]``, so every
+        product broadcasts over a contiguous q axis; ``log_ew_arq`` is
+        its logarithm.
     """
 
     space: SymbolSpace
     potential: Potential
     depth: int
     ew: np.ndarray
-    log_ew: np.ndarray
+    ew_arq: np.ndarray
+    log_ew_arq: np.ndarray
     blocks: tuple
-    ew_adj: np.ndarray
 
     @property
     def size(self):
@@ -139,21 +138,25 @@ class TransferKernel:
         return self.space.size * math.prod(self.blocks)
 
     def _by_predecessor(self, table, x):
-        """Row weights and predecessor values, broadcast to (n, p0, p1, rw)."""
+        """Row weights and predecessor values, broadcast to (n, rw, p0, p1)."""
         n = self.space.size
         p0, p1, rw = self.blocks
-        return table.reshape(n, p0, 1, rw), np.asarray(x, dtype=float).reshape(n, p0, p1, 1)
+        return table.reshape(n, rw, p0, 1), np.asarray(x, dtype=float).reshape(n, 1, p0, p1)
 
     def _spread(self, total):
-        """Copy a (p0, p1, rw) result to all n last symbols of each row."""
-        return np.repeat(total.reshape(-1), self.space.size // self.blocks[2])
+        """The (rw, p0, p1) result of a forward product as a vector in row order."""
+        rw = self.blocks[2]
+        if rw == 1:
+            # deep kernel: copy each q to all n last symbols of its rows
+            return np.repeat(total.reshape(-1), self.space.size)
+        return total.reshape(rw, -1).T.reshape(-1)
 
     def matvec(self, x):
-        weights, pred = self._by_predecessor(self.ew, x)
+        weights, pred = self._by_predecessor(self.ew_arq, x)
         return self._spread((weights * pred).sum(axis=0))
 
     def log_matvec(self, lx):
-        log_weights, log_pred = self._by_predecessor(self.log_ew, lx)
+        log_weights, log_pred = self._by_predecessor(self.log_ew_arq, lx)
         terms = log_weights + log_pred
         peak = terms.max(axis=0)
         with np.errstate(invalid="ignore"):
@@ -164,12 +167,12 @@ class TransferKernel:
     def tmatvec(self, x):
         """Adjoint product: (M^T x)[v] = sum_u M[u, v] x[u]."""
         n = self.space.size
+        p0, p1, rw = self.blocks
         rows = np.asarray(x, dtype=float).reshape(-1, n)
-        if self.ew_adj is None:
+        if rw == 1:
             # the weight of row (q, r) does not depend on r: sum over r first
-            p0, p1, _ = self.blocks
-            return (self.ew.reshape(n, p0, 1) * rows.sum(axis=1).reshape(p0, p1)).reshape(-1)
-        return (self.ew_adj * rows.T[:, None, :]).sum(axis=0).reshape(-1)
+            return (self.ew_arq.reshape(n, p0, 1) * rows.sum(axis=1).reshape(p0, p1)).reshape(-1)
+        return (self.ew_arq * rows.T).sum(axis=1).reshape(-1)
 
     def _prefix(self, rows):
         """Column of ``ew`` (the depth-(k-1) prefix) for each row index."""
@@ -215,26 +218,27 @@ def build_kernel(f, depth):
     _check_depth(k, depth)
     check_cylinder_count(n, depth)
     check_cylinder_count(n, k)
-    table = f.table.reshape(n, n ** (k - 1))
-    ew = f.space.weights[:, None] * np.exp(table)
-    log_ew = np.log(f.space.weights)[:, None] + table
     if depth >= k:
         blocks = (n ** (k - 1), n ** (depth - k), 1)
-        ew_adj = None
+        table_arq = f.table.reshape(n, 1, -1)
     else:
         blocks = (n ** (depth - 1), 1, n)
-        ew_adj = np.ascontiguousarray(ew.reshape(n, -1, n).transpose(2, 0, 1))
-    for arr in (ew, log_ew, ew_adj):
-        if arr is not None:
-            arr.flags.writeable = False
+        table_arq = f.table.reshape(n, -1, n).transpose(0, 2, 1)
+    w = f.space.weights[:, None, None]
+    ew_arq = np.multiply(w, np.exp(table_arq), order="C")
+    log_ew_arq = np.add(np.log(w), table_arq, order="C")
+    # canonical order: a view of ew_arq for deep kernels, a copy at the edge depth
+    ew = ew_arq.transpose(0, 2, 1).reshape(n, -1)
+    for arr in (ew, ew_arq, log_ew_arq):
+        arr.flags.writeable = False
     return TransferKernel(
         space=f.space,
         potential=f,
         depth=depth,
         ew=ew,
-        log_ew=log_ew,
+        ew_arq=ew_arq,
+        log_ew_arq=log_ew_arq,
         blocks=blocks,
-        ew_adj=ew_adj,
     )
 
 
@@ -349,24 +353,41 @@ def apply_transfer(f, phi):
     return CylinderFunction(f.space, d_out, out)
 
 
+def gauge_shifted_kernel(f, depth, beta=1.0):
+    """(kernel, offset): the depth-d kernel of beta * f - offset, with offset = max(beta * f).
+
+    Every entry of the shifted kernel is at most its symbol weight, so
+    no potential overflows it.  Its Perron root and its n-th iterates
+    are those of beta * f times exp(-offset) and exp(-n * offset).
+    """
+    table = beta * f.table
+    offset = float(table.max())
+    return build_kernel(Potential(f.space, f.depth, table - offset), depth), offset
+
+
 def _iterate_ones(f, depth, steps, log_space=False):
     """Apply the depth-d kernel of f `steps` times to the constant function 1.
 
     Returns (tops, bottoms, lv): the largest and smallest entries of
-    log(L^n 1) for n = 1..steps, and log(L^steps 1).  The products run
-    in log space when asked to or when steps * sup_norm(f) exceeds 300;
-    otherwise they run linearly, rescaled by the peak at every step.
+    log(L^n 1) for n = 1..steps, and log(L^steps 1).  The products use
+    the gauge-shifted kernel of f - max f, and n * max f is added back
+    in log space.  By bounded distortion, max/min of L^n 1 is at most
+    exp((k-1) * (max f - min f)) for every n, so while that exponent is
+    within LINEAR_VALUE_CEILING the products run linearly, rescaled by
+    the peak at every step.  Past it, or when asked to, they run in log
+    space.
     """
-    kernel = build_kernel(f, depth)
+    kernel, offset = gauge_shifted_kernel(f, depth)
+    shifts = offset * np.arange(1, steps + 1)
     tops = np.empty(steps)
     bottoms = np.empty(steps)
-    if log_space or steps * f.sup_norm > LOG_SPACE_THRESHOLD:
+    if log_space or (f.depth - 1) * float(np.ptp(f.table)) > LINEAR_VALUE_CEILING:
         lv = np.zeros(kernel.size)
         for n in range(steps):
             lv = kernel.log_matvec(lv)
             tops[n] = lv.max()
             bottoms[n] = lv.min()
-        return tops, bottoms, lv
+        return tops + shifts, bottoms + shifts, lv + steps * offset
     v = np.ones(kernel.size)
     log_scale = 0.0
     for n in range(steps):
@@ -376,16 +397,17 @@ def _iterate_ones(f, depth, steps, log_space=False):
         log_scale += math.log(peak)
         tops[n] = log_scale
         bottoms[n] = log_scale + math.log(v.min())
-    return tops, bottoms, log_scale + np.log(v)
+    return tops + shifts, bottoms + shifts, log_scale + np.log(v) + steps * offset
 
 
 def iterate_one(f, n, depth, return_log=False):
     """n applications of the operator to the constant function 1, at a fixed depth.
 
-    Computed by n sparse products.  When n * sup_norm(f) exceeds 300 the
-    whole iteration runs in log space; if the result then has entries
-    too large for a double, linear values cannot be returned and the
-    caller should ask for logs (``return_log=True``).
+    Computed by n sparse products on the gauge-shifted kernel, in log
+    space when (k-1) * (max f - min f) exceeds LINEAR_VALUE_CEILING or
+    when logs are asked for (``return_log=True``).  If the result has
+    entries too large for a double, linear values cannot be returned
+    and the caller should ask for logs.
     """
     if n < 0:
         raise ValueError("iteration count must be non-negative")

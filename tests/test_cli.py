@@ -1,3 +1,4 @@
+import hashlib
 import importlib.metadata
 import json
 import re
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import ruelleop as ro
+from ruelleop import cli
 from ruelleop.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -157,6 +159,80 @@ def test_verify_residuals_are_relative_to_lam(tmp_path):
     for check in ("eigenmeasure-fixed-point", "adjoint-intertwine"):
         line = next(l for l in text.splitlines() if f" {check} " in l)
         assert line.startswith("ok "), line
+
+
+def header_potential(text):
+    line = next(l for l in text.splitlines() if l.startswith("# potential "))
+    return json.loads(line[len("# potential "):])
+
+
+def test_table_header_echoes_a_digest_instead_of_the_values(tmp_path):
+    values = np.random.default_rng(9).uniform(-1.0, 1.0, 16)
+    cfg = {
+        "space": {"kind": "uniform", "size": 2},
+        "potential": {"kind": "table", "depth": 4, "values": values.tolist(), "var_bound": 0.0},
+    }
+    code, text = run_to_file(tmp_path, ["pressure", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0
+    echo = header_potential(text)
+    digest = hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()
+    assert echo == {"count": 16, "depth": 4, "kind": "table", "sha256": digest, "var_bound": 0.0}
+    # one changed value changes the digest
+    cfg["potential"]["values"][7] = np.nextafter(values[7], 2.0)
+    _, text = run_to_file(tmp_path, ["pressure", "--config", write_cfg(tmp_path, cfg, "b.json")])
+    assert header_potential(text)["sha256"] != digest
+    # other kinds echo their config unchanged, as in the golden texts
+    ising_line = (GOLDEN / "ising-pressure.txt").read_text().splitlines()[2]
+    assert ising_line == "# potential " + json.dumps(ISING["potential"], sort_keys=True)
+    renewal = {"kind": "renewal", "payoffs": [-1.5, -0.25, 0.0], "tail": {"limit": 0.0}}
+    cfg = {"space": {"kind": "uniform", "size": 2}, "potential": renewal}
+    _, text = run_to_file(tmp_path, ["spectral", "--config", write_cfg(tmp_path, cfg, "r.json")])
+    assert header_potential(text) == renewal
+    assert "# potential " + json.dumps(renewal, sort_keys=True) in text.splitlines()
+
+
+def test_float_columns_format_like_format_float():
+    values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.7e308, -1.7e308, 1 / 3, 1e16, 123456.5])
+    for digits in (ro.report.MACHINE_DIGITS, ro.report.HUMAN_DIGITS):
+        want = [ro.report.format_float(v, digits) for v in values]
+        assert cli._column_cells(values, digits) == want
+    assert cli._column_cells(np.array([]), 17) == []
+    # the csv table is one %-format over all columns: the same cells, comma-joined
+    words = [f"w{i}" for i in range(len(values))]
+    flags = np.arange(len(values)) % 3 == 0
+    counts = np.arange(len(values)) * 10**12
+    text = "\n".join(cli._table_lines(("word", "x", "flag", "count"), (words, values, flags, counts), "csv"))
+    want = ["word,x,flag,count"] + [
+        f"{w},{ro.report.format_float(v, 17)},{int(b)},{c}" for w, v, b, c in zip(words, values, flags, counts)
+    ]
+    assert text.splitlines() == want
+    assert cli._table_lines(("x",), (np.array([]),), "csv") == ["x"]
+
+
+def test_pressure_of_a_huge_constant_is_exact(tmp_path):
+    # exp(800) overflows a double; the gauge-shifted kernel never forms it
+    cfg = {"space": {"kind": "uniform", "size": 2}, "potential": {"kind": "constant", "value": 800}}
+    code, text = run_to_file(tmp_path, ["pressure", "--config", write_cfg(tmp_path, cfg), "--format", "csv"])
+    assert code == 0
+    assert scalar_from(text, "estimate") == 800.0
+    rows = [l.split(",") for l in text.splitlines() if l[:1].isdigit()]
+    assert len(rows) == 8 and all(r[1:] == ["800", "800", "0"] for r in rows)
+
+
+def test_scan_past_double_range_prints_lam_inf_and_exact_pressure(tmp_path):
+    # lam = exp(800) at beta 2 is past double range: it prints inf, the pressure stays exact
+    cfg = {
+        "space": {"kind": "uniform", "size": 2},
+        "potential": {"kind": "constant", "value": 400},
+        "grid": {"start": 0.0, "stop": 2.0, "count": 5},
+    }
+    code, text = run_to_file(tmp_path, ["scan", "--config", write_cfg(tmp_path, cfg), "--format", "csv"])
+    assert code == 0
+    assert scalar_from(text, "n_nonconverged") == 0
+    rows = [l.split(",") for l in text.splitlines() if l[:1].isdigit()]
+    assert [r[2] for r in rows] == ["0", "200", "400", "600", "800"]
+    assert rows[-1][1] == "inf"
+    assert all(r[5] == "1" for r in rows)
 
 
 def test_flags_override_config(tmp_path):

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import ruelleop as ro
+from ruelleop.transfer import _iterate_ones
 
 
 def dense_pair_eigendata(f):
@@ -106,12 +108,76 @@ def test_bracket_width_zero_for_constant(two_space):
 
 def test_bracket_log_path_matches_linear_path(two_space):
     f = ro.builtin_ising(two_space, 0.9, 0.4)
-    lin = ro.pressure_bracket(f, 2, 8)  # 8 * 1.3 < 300: linear path
-    # forcing many more applications pushes through the log-space path;
-    # the early entries must agree between the two routes
-    logd = ro.pressure_bracket(f, 2, 300)  # 300 * 1.3 > 300: log path
-    assert np.allclose(lin.p_sup, logd.p_sup[:8], rtol=1e-12, atol=1e-12)
-    assert np.allclose(lin.p_inf, logd.p_inf[:8], rtol=1e-12, atol=1e-12)
+    lin = ro.pressure_bracket(f, 2, 8)  # (k-1) * osc f = 2.6: linear path
+    # the same iterates forced through log space over many more
+    # applications: the early entries must agree between the two routes
+    tops, bottoms, _ = _iterate_ones(f, 2, 300, log_space=True)
+    steps = np.arange(1, 9)
+    assert np.allclose(lin.p_sup, tops[:8] / steps, rtol=1e-12, atol=1e-12)
+    assert np.allclose(lin.p_inf, bottoms[:8] / steps, rtol=1e-12, atol=1e-12)
+
+
+def _forbidden(*args):
+    raise AssertionError("this product must not run")
+
+
+@pytest.mark.parametrize(
+    "f,depth",
+    [
+        # (k-1) * osc f is about 18 and 60.6, below the ceiling: the bracket runs linearly
+        (ro.Potential(ro.uniform_space(2), 10, np.random.default_rng(10).uniform(-1, 1, 1024)), 9),
+        (ro.builtin_ising(ro.uniform_space(2), 30.0, 0.3), 1),
+    ],
+)
+def test_linear_bracket_matches_log_path(f, depth, monkeypatch):
+    n_max = 200
+    with monkeypatch.context() as m:
+        m.setattr(ro.TransferKernel, "log_matvec", _forbidden)
+        est = ro.pressure_bracket(f, depth, n_max)
+    tops, bottoms, _ = _iterate_ones(f, depth, n_max, log_space=True)
+    steps = np.arange(1, n_max + 1)
+    np.testing.assert_allclose(est.p_sup, tops / steps, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(est.p_inf, bottoms / steps, rtol=0, atol=1e-13)
+
+
+def dense_log_iterates(f, depth, steps):
+    """Extreme entries of log(M^n 1), n = 1..steps, from a dense log-weight matrix.
+
+    Built from the definition (word enumeration and Potential.evaluate):
+    row u, column a u_1..u_{d-1} holds log w_a + f(a u); each step is a
+    row-wise log-sum-exp, so no value leaves double range.
+    """
+    n = f.space.size
+    size = n**depth
+    log_m = np.full((size, size), -np.inf)
+    for j, u in enumerate(itertools.product(range(n), repeat=depth)):
+        for a in range(n):
+            hist = (a,) + u
+            log_m[j, ro.word_index(hist[:depth], n)] = math.log(f.space.weights[a]) + f.evaluate(hist)
+    lv = np.zeros(size)
+    tops, bottoms = [], []
+    for _ in range(steps):
+        terms = log_m + lv[None, :]
+        peak = terms.max(axis=1)
+        lv = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
+        tops.append(lv.max())
+        bottoms.append(lv.min())
+    return np.array(tops), np.array(bottoms), log_m
+
+
+def test_bracket_takes_log_path_past_the_ceiling(two_space, monkeypatch):
+    # (k-1) * osc f = 2 * 800 exceeds the ceiling: a rescaled linear vector could underflow
+    f = ro.Potential(two_space, 3, 400.0 * np.array([1, -1, -1, 1, -1, 1, 1, -1], dtype=float))
+    n_max = 40
+    monkeypatch.setattr(ro.TransferKernel, "matvec", _forbidden)
+    est = ro.pressure_bracket(f, 2, n_max)
+    tops, bottoms, log_m = dense_log_iterates(f, 2, n_max)
+    steps = np.arange(1, n_max + 1)
+    np.testing.assert_allclose(est.p_sup, tops / steps, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(est.p_inf, bottoms / steps, rtol=1e-14, atol=0)
+    # the dense Perron root (entries up to exp(400) are still doubles) lies in the bracket
+    p = math.log(np.max(np.abs(np.linalg.eigvals(np.exp(log_m)))))
+    assert est.p_inf[-1] - 1e-12 * p <= p <= est.p_sup[-1] + 1e-12 * p
 
 
 def test_gelfand_radius_matches_bracket(two_space):
@@ -166,6 +232,18 @@ def test_power_iteration_surfaces_true_oscillation():
     # both accumulation points are surfaced for inspection
     assert np.allclose(np.sort(res.left), [0.2, 0.8], rtol=0, atol=1e-15)
     assert np.allclose(res.left_prev, res.left[::-1], rtol=0, atol=1e-15)
+
+
+def test_power_iteration_reports_the_residuals_of_its_last_step(two_space):
+    # residuals are computed only on steps that could converge, and always on the last one
+    kernel = ro.build_kernel(ro.builtin_ising(two_space, 1.0, 0.3), 3)
+    for max_iters in (1, 5, ro.spectral.DEFAULT_MAX_ITERS):
+        res = ro.power_iterate(kernel, max_iters=max_iters)
+        assert res.converged == (max_iters > 5)
+        right = np.max(np.abs(kernel.matvec(res.right_prev) - res.lam * res.right_prev))
+        left = np.max(np.abs(kernel.tmatvec(res.left_prev) - res.lam * res.left_prev))
+        assert res.residual_right == right / res.lam
+        assert res.residual_left == left / res.lam
 
 
 def test_nonconverged_eigendata_carries_alternates(two_space):
