@@ -322,7 +322,7 @@ def cmd_pressure(cfg, f, params, fmt):
 def _spectral_scalars(sd):
     return [
         ("lam", sd.lam),
-        ("pressure", float(np.log(sd.lam))),
+        ("pressure", sd.log_lam),
         ("converged", bool(sd.converged)),
         ("iterations", sd.iterations),
         ("residual_right", sd.residual_right),
@@ -349,7 +349,7 @@ def cmd_equilibrium(cfg, f, params, fmt):
     g = _scaled(f, params)
     sd = perron_eigendata(g, params["depth"], params["tol"], params["max_iters"])
     mu = extend_equilibrium(sd, g, params["depth"])
-    inv = check_invariance(equilibrium_measure(sd), g, sd.lam, sd.nu)
+    inv = check_invariance(equilibrium_measure(sd), g, sd.log_lam, sd.nu)
     lines = _header_lines("equilibrium", cfg, params)
     lines += _scalar_lines(
         _spectral_scalars(sd)
@@ -376,7 +376,7 @@ def cmd_entropy(cfg, f, params, fmt):
     lines += _scalar_lines(
         [
             ("lam", sd.lam),
-            ("pressure", float(np.log(sd.lam))),
+            ("pressure", sd.log_lam),
             ("integral", rep.integral),
             ("integral_err", rep.integral_err),
             ("invariance_defect", rep.flags["invariance_defect"]),
@@ -394,11 +394,7 @@ def cmd_scan(cfg, f, params, fmt):
     grid = params["grid"]
     betas = np.linspace(grid["start"], grid["stop"], grid["count"])
     curve = pressure_curve(
-        f,
-        betas,
-        params["depth"],
-        tol=params["tol"],
-        max_iters=params["max_iters"],
+        f, betas, params["depth"], tol=params["tol"], max_iters=params["max_iters"]
     )
     lines = _header_lines("scan", cfg, params)
     lines += _scalar_lines(
@@ -446,23 +442,21 @@ def _verify_checks(f, params):
     checks.append(("mass-normalized", sd.mass_dev <= 1e-10, sd.mass_dev, 1e-10))
     checks.append(("pairing-normalized", sd.hnu_dev <= 1e-10, sd.hnu_dev, 1e-10))
 
-    sup = f.sup_norm
-    lo, hi = float(np.exp(-sup)), float(np.exp(sup))
-    slack = 1e-12 * max(1.0, hi)
-    in_band = (lo - slack <= sd.lam <= hi + slack)
-    checks.append(("eigenvalue-band", in_band, sd.lam, hi))
+    # |log lam| <= sup f; lam and its bound exp(sup f) print inf past double range
+    in_band = abs(sd.log_lam) <= f.sup_norm + 1e-12 * max(1.0, f.sup_norm)
+    with np.errstate(over="ignore"):
+        checks.append(("eigenvalue-band", in_band, sd.lam, float(np.exp(f.sup_norm))))
 
     est = pressure_bracket(f, params["depth"], params["n_max"])
-    p = float(np.log(sd.lam))
-    pad = 1e-10 * max(1.0, abs(p))
-    bracketed = (est.p_inf[-1] - pad <= p <= est.p_sup[-1] + pad)
-    checks.append(("bracket-contains-pressure", bracketed, p, float(est.p_sup[-1])))
+    pad = 1e-10 * max(1.0, abs(sd.log_lam))
+    bracketed = (est.p_inf[-1] - pad <= sd.log_lam <= est.p_sup[-1] + pad)
+    checks.append(("bracket-contains-pressure", bracketed, sd.log_lam, float(est.p_sup[-1])))
 
-    adj = check_eigenmeasure(f, sd.lam, sd.nu, sd.nu.depth)
+    adj = check_eigenmeasure(f, sd.log_lam, sd.nu, sd.nu.depth)
     checks.append(("eigenmeasure-fixed-point", adj <= res_tol, adj, res_tol))
 
     try:
-        nu_ext = extend_eigenmeasure(f, sd.lam, sd.nu)
+        nu_ext = extend_eigenmeasure(f, sd.log_lam, sd.nu)
         checks.append(("extension-mass", nu_ext.mass_dev <= 1e-10, nu_ext.mass_dev, 1e-10))
     except NumericError:
         # the extension refused outright; that is a failed check, not a crash
@@ -479,7 +473,7 @@ def _verify_checks(f, params):
     if mu is None:
         return checks, sd
 
-    inv = check_invariance(mu, f, sd.lam, sd.nu)
+    inv = check_invariance(mu, f, sd.log_lam, sd.nu)
     checks.append(("equilibrium-invariance", inv <= res_tol, inv, res_tol))
 
     h = sd.h.values
@@ -487,7 +481,7 @@ def _verify_checks(f, params):
         # constant eigenfunction: the eigenmeasure IS invariant, no control
         checks.append(("negative-control-eigenmeasure", True, 0.0, 0.0))
     else:
-        bad = check_invariance(sd.nu, f, sd.lam, sd.nu)
+        bad = check_invariance(sd.nu, f, sd.log_lam, sd.nu)
         checks.append(("negative-control-eigenmeasure", bad > 1e-3, bad, 1e-3))
 
     rng = np.random.default_rng(params["seed"])
@@ -496,7 +490,7 @@ def _verify_checks(f, params):
         noise = 1.0 + 0.5 * rng.uniform(-1.0, 1.0, size=len(mu.weights))
         w = mu.weights * noise
         pert = CylinderMeasure(mu.space, mu.depth, w / w.sum())
-        seen = max(seen, check_invariance(pert, f, sd.lam, sd.nu))
+        seen = max(seen, check_invariance(pert, f, sd.log_lam, sd.nu))
         if seen > 1e-3:
             break
     checks.append(("negative-control-perturbed", seen > 1e-3, seen, 1e-3))
@@ -507,7 +501,7 @@ def _verify_checks(f, params):
         n_words = f.space.size ** (nu_ext.depth - 1)
         for i in range(min(n_words, 16)):
             word = tuple(index_word(i, f.space.size, nu_ext.depth - 1))
-            worst = max(worst, check_intertwine(f, sd.lam, nu_ext, word))
+            worst = max(worst, check_intertwine(f, sd.log_lam, nu_ext, word))
         checks.append(("adjoint-intertwine", worst <= res_tol, worst, res_tol))
 
     try:

@@ -5,7 +5,7 @@ transfer operator acts on these weight vectors through the same sparse
 kernels as the forward operator; an eigenmeasure extends to deeper
 cylinders by one closed-form step per level,
 
-    nu[a u] = (1/lam) * w_a * exp(f(a u)) * nu[u],
+    nu[a u] = w_a * exp(f(a u) - log lam) * nu[u],
 
 and the equilibrium state is the eigenmeasure reweighted by the
 eigenfunction.  Entropy here is always relative to the product of the
@@ -23,7 +23,6 @@ import numpy as np
 
 from .config import check_cylinder_count
 from .errors import NumericError
-from .potential import Potential
 from .space import SymbolSpace, word_index
 from .transfer import build_kernel
 
@@ -80,22 +79,32 @@ def marginalize(mu, depth):
     return CylinderMeasure(mu.space, depth, w, mass_dev=mu.mass_dev)
 
 
-def _extend_raw(f, lam, weights, depth):
+def _extend_raw(f, log_lam, weights, depth):
     """One eigen-extension step without renormalization (length n**(depth+1))."""
     n = f.space.size
     k = f.depth
     if depth < k - 1:
         raise ValueError(f"measure depth {depth} too shallow for a depth-{k} potential")
     check_cylinder_count(n, depth + 1)
-    ew_col = np.repeat(f.space.weights, n ** (k - 1)) * np.exp(f.table)
-    return np.repeat(ew_col, n ** (depth + 1 - k)) * np.tile(weights, n) / lam
+    ew_col = np.repeat(f.space.weights, n ** (k - 1)) * np.exp(f.table - log_lam)
+    return np.repeat(ew_col, n ** (depth + 1 - k)) * np.tile(weights, n)
 
 
-def check_eigenmeasure(f, lam, nu, test_depth):
-    """Worst |<L 1_[u], nu> - lam * nu([u])| / lam over depth-t cylinders [u]."""
+def _unit_mass(space, depth, w, what):
+    """The measure w / sum(w), recording how far sum(w) is from 1; refused past 1e-6."""
+    mass = w.sum()
+    dev = abs(mass - 1.0)
+    if dev > EXTENSION_MASS_ABORT:
+        raise NumericError(f"{what} mass deviates from 1 by {dev:.3e}")
+    return CylinderMeasure(space, depth, w / mass, mass_dev=dev)
+
+
+def check_eigenmeasure(f, log_lam, nu, test_depth):
+    """Worst |<L 1_[u], nu> - lam nu([u])| / lam over depth-t cylinders [u], lam = e^log_lam."""
     if not 0 <= test_depth <= nu.depth:
         raise ValueError(f"test depth {test_depth} outside 0..{nu.depth}")
     kernel = build_kernel(f, nu.depth)
+    lam = math.exp(log_lam - kernel.offset)  # the eigenvalue on the kernel's scale
     t = kernel.tmatvec(nu.weights)
     blocks = nu.space.size**test_depth
     lhs = t.reshape(blocks, -1).sum(axis=1)
@@ -103,7 +112,7 @@ def check_eigenmeasure(f, lam, nu, test_depth):
     return float(np.max(np.abs(lhs - rhs))) / lam
 
 
-def extend_eigenmeasure(f, lam, nu):
+def extend_eigenmeasure(f, log_lam, nu):
     """Extend an eigenmeasure by one cylinder depth via the closed-form step.
 
     The extension of a true eigenmeasure has unit mass; the observed
@@ -111,15 +120,8 @@ def extend_eigenmeasure(f, lam, nu):
     A deviation above 1e-6 means the input does not satisfy the eigen
     relation and the extension is refused.
     """
-    w = _extend_raw(f, lam, nu.weights, nu.depth)
-    mass = w.sum()
-    dev = abs(mass - 1.0)
-    if dev > EXTENSION_MASS_ABORT:
-        raise NumericError(
-            f"extension mass deviates from 1 by {dev:.3e}; "
-            "the input does not satisfy the eigenmeasure relation at this depth"
-        )
-    return CylinderMeasure(nu.space, nu.depth + 1, w / mass, mass_dev=dev)
+    w = _extend_raw(f, log_lam, nu.weights, nu.depth)
+    return _unit_mass(nu.space, nu.depth + 1, w, "eigenmeasure extension")
 
 
 def equilibrium_measure(spec, residual_tol=1e-8):
@@ -134,12 +136,7 @@ def equilibrium_measure(spec, residual_tol=1e-8):
             f"(right {spec.residual_right:.3e}, left {spec.residual_left:.3e}) "
             f"are not certified below {residual_tol:.1e}"
         )
-    w = spec.h.values * spec.nu.weights
-    mass = w.sum()
-    dev = abs(mass - 1.0)
-    if dev > EXTENSION_MASS_ABORT:
-        raise NumericError(f"h*nu mass deviates from 1 by {dev:.3e}")
-    return CylinderMeasure(spec.nu.space, spec.nu.depth, w / mass, mass_dev=dev)
+    return _unit_mass(spec.nu.space, spec.nu.depth, spec.h.values * spec.nu.weights, "h*nu")
 
 
 def extend_equilibrium(spec, f, depth):
@@ -154,18 +151,13 @@ def extend_equilibrium(spec, f, depth):
     nu_w = spec.nu.weights
     d = spec.nu.depth
     while d < depth:
-        nu_w = _extend_raw(f, spec.lam, nu_w, d)
+        nu_w = _extend_raw(f, spec.log_lam, nu_w, d)
         d += 1
     reps = f.space.size ** (depth - spec.h.depth)
-    w = np.repeat(spec.h.values, reps) * nu_w
-    mass = w.sum()
-    dev = abs(mass - 1.0)
-    if dev > EXTENSION_MASS_ABORT:
-        raise NumericError(f"extended equilibrium mass deviates from 1 by {dev:.3e}")
-    return CylinderMeasure(f.space, depth, w / mass, mass_dev=dev)
+    return _unit_mass(f.space, depth, np.repeat(spec.h.values, reps) * nu_w, "equilibrium")
 
 
-def check_invariance(mu, f, lam, nu):
+def check_invariance(mu, f, log_lam, nu):
     """Worst deviation of mu(preimage of [u]) from mu([u]) at the stored depth.
 
     The preimage weights come from the eigen-extension of nu reweighted
@@ -180,13 +172,13 @@ def check_invariance(mu, f, lam, nu):
         raise ValueError("nu must be strictly positive on cylinders")
     n = mu.space.size
     h = mu.weights / nu.weights
-    nu_ext = _extend_raw(f, lam, nu.weights, nu.depth)
+    nu_ext = _extend_raw(f, log_lam, nu.weights, nu.depth)
     mu_ext = np.repeat(h, n) * nu_ext  # h of the first d symbols of each word
     preimage = mu_ext.reshape(n, -1).sum(axis=0)
     return float(np.max(np.abs(preimage - mu.weights)))
 
 
-def check_intertwine(f, lam, nu, word):
+def check_intertwine(f, log_lam, nu, word):
     """Residual of the adjoint intertwining identity on one cylinder word.
 
     Pairs, against every indicator of depth len(word)-1, the adjoint
@@ -196,10 +188,12 @@ def check_intertwine(f, lam, nu, word):
     word: the first reads nu on the prepended cylinders, the second on
     the appended ones, so the comparison ties the deep weights to their
     own shifted marginals and vanishes only when nu satisfies the eigen
-    relation with eigenvalue lam.  Rebuilding the deep level from the
-    closed-form extension instead would make both sides multiples of
-    nu([word]) with identical coefficients for every input.  The
-    residual is divided by lam, so it does not grow with the scale of f.
+    relation with eigenvalue lam = exp(log_lam).  Rebuilding the deep
+    level from the closed-form extension instead would make both sides
+    multiples of nu([word]) with identical coefficients for every
+    input.  Both sides use the kernel of f - offset, the second is
+    divided by lam between its two products and the residual by lam, so
+    it neither overflows nor grows with f's scale.
     """
     d = len(word)
     k = f.depth
@@ -211,6 +205,7 @@ def check_intertwine(f, lam, nu, word):
     deep = nu.weights if nu.depth == d + 1 else marginalize(nu, d + 1).weights
     idx = word_index(word, n)
     kernel = build_kernel(f, d + 1)
+    lam = math.exp(log_lam - kernel.offset)  # the eigenvalue on the kernel's scale
 
     shifted = np.zeros(n ** (d + 1))
     sel = np.arange(n) * n**d + idx  # words r.word for each first symbol r
@@ -220,7 +215,7 @@ def check_intertwine(f, lam, nu, word):
     pointed = np.zeros(n ** (d + 1))
     sel = idx * n + np.arange(n)  # words word.b for each last symbol b
     pointed[sel] = deep[sel]
-    rhs = kernel.tmatvec(kernel.tmatvec(pointed)) / lam
+    rhs = kernel.tmatvec(kernel.tmatvec(pointed) / lam)
     rhs = rhs.reshape(n ** (d - 1), -1).sum(axis=1)
     return float(np.max(np.abs(lhs - rhs))) / lam
 
@@ -254,7 +249,6 @@ class EntropyReport:
 
     n: np.ndarray
     H: np.ndarray
-    h_per_n: np.ndarray
     entropy_rate: np.ndarray
     integral: float = None
     integral_err: float = None
@@ -276,18 +270,17 @@ def specific_entropy(mu, n_max):
         raise ValueError(f"n_max {n_max} outside 1..{mu.depth}")
     rho = product_measure(mu.space, n_max)
     H = np.array([relative_entropy(mu, rho, d) for d in range(1, n_max + 1)])
-    ns = np.arange(1, n_max + 1)
     with np.errstate(invalid="ignore"):
         rate = -(H[1:] - H[:-1])
     flags = {"finite": bool(np.all(np.isfinite(H)))}
-    return EntropyReport(n=ns, H=H, h_per_n=H / ns, entropy_rate=rate, flags=flags)
+    return EntropyReport(n=np.arange(1, n_max + 1), H=H, entropy_rate=rate, flags=flags)
 
 
 def integral_term(f, mu):
     """Integral of f against mu with its truncation-error bound."""
     if mu.depth < f.depth:
         raise ValueError(f"measure depth {mu.depth} below potential depth {f.depth}")
-    val = float(np.dot(f.table, marginalize(mu, f.depth).weights))
+    val = float((f.table * marginalize(mu, f.depth).weights).sum())
     return val, f.var_bound
 
 
@@ -317,7 +310,7 @@ def variational_gap(mu, f, spec, n, invariance_tol=1e-10):
         raise ValueError("measure too shallow to integrate the potential")
     ent = specific_entropy(mu, n + 1)
     integral, err = integral_term(f, mu)
-    gaps = math.log(spec.lam) - (ent.entropy_rate[:n] + integral)
+    gaps = spec.log_lam - (ent.entropy_rate[:n] + integral)
     defect = invariance_defect(mu)
     flags = dict(ent.flags)
     flags.update(
@@ -330,7 +323,6 @@ def variational_gap(mu, f, spec, n, invariance_tol=1e-10):
     return EntropyReport(
         n=ent.n[:n],
         H=ent.H[:n],
-        h_per_n=ent.h_per_n[:n],
         entropy_rate=ent.entropy_rate[:n],
         integral=integral,
         integral_err=err,

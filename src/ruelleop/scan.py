@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .potential import scale
 from .spectral import DEFAULT_MAX_ITERS, power_iterate
-from .transfer import gauge_shifted_kernel, lumpable_partition
+from .transfer import build_kernel, lumpable_partition
 
 KINK_FACTOR = 5.0
 KINK_ABS_FLOOR = 1e-8
@@ -95,16 +96,16 @@ def pressure_curve(
     lumping = lumpable_partition(f, depth)
     left = right = None
     for i, beta in enumerate(betas):
-        kernel, offset = gauge_shifted_kernel(f, depth, beta)
+        kernel = build_kernel(scale(f, beta), depth)
         if _quotient_pays(lumping.size, kernel.product_size):
             lam, converged[i] = _solve_lumped(kernel, lumping, tol)
         else:
             res = power_iterate(kernel, tol=tol, max_iters=max_iters, left0=left, right0=right)
             lam, converged[i], iters[i] = res.lam, res.converged, res.iterations
             left, right = res.left, res.right
-        pressures[i] = offset + np.log(lam)
+        pressures[i] = kernel.offset + np.log(lam)
         with np.errstate(over="ignore"):
-            lams[i] = lam * np.exp(offset)
+            lams[i] = lam * np.exp(kernel.offset)
 
     m = len(betas)
     slope_left = np.full(m, np.nan)

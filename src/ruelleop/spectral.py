@@ -6,13 +6,14 @@ The pressure is bracketed from the iterates of the constant function 1:
 
 (the two sides are the extreme row sums of the n-th kernel power, which
 pinch the Perron root of a non-negative matrix).  The products run on
-the kernel of f - max f, linearly and rescaled at every step, unless
+the kernel of f - offset, linearly and rescaled at every step, unless
 (k-1) * (max f - min f) exceeds ``LINEAR_VALUE_CEILING``; then they run
 in log space.
 
-Eigendata come from simultaneous power iteration: the adjoint iteration
-renormalizes by total mass, whose limit is the leading eigenvalue, and
-the forward iteration rescales by the same estimate.  Near-degenerate
+Eigendata come from simultaneous power iteration on the kernel of
+f - offset: the adjoint iteration renormalizes by total mass, whose limit
+is the kernel's root, and the forward iteration rescales by the same
+estimate; log lam is the log of that root plus the offset.  Near-degenerate
 second eigenvalues of opposite sign show up as a period-2 oscillation
 of the mass sequence; averaging two consecutive iterates removes the
 alternating mode and the iteration then proceeds normally.  A run that
@@ -79,7 +80,7 @@ def gelfand_radius(f, depth, n_max):
 
 @dataclass(frozen=True, eq=False)
 class PowerIterationResult:
-    """Raw output of the simultaneous iteration at the working depth."""
+    """Raw output of the simultaneous iteration; ``lam`` is the root of the kernel of f - offset."""
 
     lam: float
     right: np.ndarray
@@ -165,10 +166,11 @@ class SpectralData:
     adjoint.  ``mass_dev`` and ``hnu_dev`` certify the normalizations;
     the residuals are scale-free sup-norm defects at the stored depth.
     ``work_*`` keep the working-depth vectors; ``alt_*`` hold the other
-    accumulation point when the iteration did not converge.
+    accumulation point when the iteration did not converge.  ``log_lam``
+    is the pressure, the log of the leading eigenvalue of f.
     """
 
-    lam: float
+    log_lam: float
     h: CylinderFunction
     nu: CylinderMeasure
     residual_right: float
@@ -184,6 +186,12 @@ class SpectralData:
     alt_h: np.ndarray = None
     alt_nu: np.ndarray = None
 
+    @property
+    def lam(self):
+        """exp(log_lam): ``inf`` past double range, where log_lam stays exact."""
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.log_lam))
+
 
 def perron_eigendata(f, depth, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
     """Leading eigenvalue, eigenfunction and eigenmeasure of the operator.
@@ -193,12 +201,11 @@ def perron_eigendata(f, depth, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
     eigenfunction by nu-conditional block averages, which keeps h * nu
     consistent across depths.
     """
-    kernel = build_kernel(f, depth)
-    raw = power_iterate(kernel, tol=tol, max_iters=max_iters)
-    return _package_eigendata(f, depth, raw, tol)
+    raw = power_iterate(build_kernel(f, depth), tol=tol, max_iters=max_iters)
+    return _package_eigendata(f, depth, raw)
 
 
-def _package_eigendata(f, depth, raw, tol):
+def _package_eigendata(f, depth, raw):
     n = f.space.size
     d0 = max(f.depth - 1, 1)
     if depth < d0:
@@ -207,22 +214,23 @@ def _package_eigendata(f, depth, raw, tol):
     nu_blocks = raw.left.reshape(-1, reps)
     nu0 = nu_blocks.sum(axis=1)
     hnu_blocks = (raw.right * raw.left).reshape(-1, reps).sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        h0 = np.where(nu0 > 0, hnu_blocks / np.where(nu0 > 0, nu0, 1.0), 0.0)
+    h0 = np.where(nu0 > 0, hnu_blocks / np.where(nu0 > 0, nu0, 1.0), 0.0)
     mass = nu0.sum()
     mass_dev = abs(mass - 1.0)
     nu0 = nu0 / mass
-    scale = float(np.dot(h0, nu0))
+    # pairwise sums, not BLAS dot products, so that no thread count changes the digits
+    scale = float((h0 * nu0).sum())
     if not (np.isfinite(scale) and scale > 0):
         raise NumericError("eigenfunction integral against the eigenmeasure is not positive")
     h0 = h0 / scale
-    hnu_dev = abs(float(np.dot(h0, nu0)) - 1.0)
+    hnu_dev = abs(float((h0 * nu0).sum()) - 1.0)
     kernel0 = build_kernel(f, d0)
     lam = raw.lam
-    resid_r = float(np.max(np.abs(kernel0.matvec(h0) - lam * h0))) / lam
+    peak = float(h0.max())  # products on h0 / peak stay in range when h0 is huge
+    resid_r = float(np.max(np.abs(kernel0.matvec(h0 / peak) - lam * (h0 / peak)))) * peak / lam
     resid_l = float(np.max(np.abs(kernel0.tmatvec(nu0) - lam * nu0))) / lam
     return SpectralData(
-        lam=lam,
+        log_lam=math.log(lam) + kernel0.offset,
         h=CylinderFunction(f.space, d0, h0),
         nu=CylinderMeasure(f.space, d0, nu0),
         residual_right=resid_r,
@@ -240,8 +248,8 @@ def _package_eigendata(f, depth, raw, tol):
     )
 
 
-def xi_sequence(f, depth, n_max, lam):
-    """The rescaled iterates lam^-n L^n(1) and their sup-norm increments.
+def xi_sequence(f, depth, n_max, log_lam):
+    """The rescaled iterates lam^-n L^n(1) and their sup-norm increments, lam = exp(log_lam).
 
     Returns (functions, increments) with increments[j] the sup distance
     between the j-th and (j+1)-th entries of (1, xi_1, .., xi_n_max).
@@ -251,6 +259,7 @@ def xi_sequence(f, depth, n_max, lam):
     if n_max < 1:
         raise ValueError("need at least one term")
     kernel = build_kernel(f, depth)
+    lam = math.exp(log_lam - kernel.offset)
     v = np.ones(kernel.size)
     functions = []
     increments = np.empty(n_max)

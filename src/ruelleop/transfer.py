@@ -92,15 +92,18 @@ def lift(phi, depth):
 class TransferKernel:
     """Square realization of the operator on depth-d cylinder vectors.
 
-    The matrix M satisfies M[u, v] = w_{v_1} * exp(f(v_1 u)) when
-    v_2..v_d = u_1..u_{d-1} and is zero otherwise: exactly one entry
-    per symbol per row.  It is never stored; each product is one
-    broadcast numpy expression over the per-symbol weight tables.
+    The matrix M satisfies M[u, v] = w_{v_1} * exp(f(v_1 u) - offset)
+    when v_2..v_d = u_1..u_{d-1} and is zero otherwise: exactly one
+    entry per symbol per row.  ``offset`` (see :func:`build_kernel`) keeps
+    every entry finite; the operator of f is exp(offset) * M, with the
+    same eigenvectors.  M is never stored; each product is one broadcast
+    numpy expression over the per-symbol weight tables.
 
     Index conventions (canonical word order, n symbols, working depth
     d, potential depth k):
 
-      * ``ew[a, m]`` = w_a * exp(f(a m)) over depth-(k-1) prefixes m.
+      * ``ew[a, m]`` = w_a * exp(f(a m) - offset) over depth-(k-1)
+        prefixes m.
       * A row u splits as (q, r): its first d-1 symbols and its last
         symbol.  Its predecessor by symbol a is the word a q, at index
         a * n**(d-1) + q, so a vector reshaped to (n, n**(d-1)) holds
@@ -123,6 +126,7 @@ class TransferKernel:
     ew_arq: np.ndarray
     log_ew_arq: np.ndarray
     blocks: tuple
+    offset: float
 
     @property
     def size(self):
@@ -194,9 +198,11 @@ class TransferKernel:
     def export_coo(self, stream):
         """Write the coordinate list as text lines: row-word col-word value.
 
-        Rows appear in canonical order, the entries of each row in
-        symbol order; values carry 17 significant digits.
+        A first line ``# offset <offset>`` is followed by the rows in
+        canonical order, each row's entries in symbol order; the values,
+        entries of M (of f - offset), carry 17 significant digits.
         """
+        stream.write(f"# offset {self.offset:.17g}\n")
         n = self.space.size
         npred = self.size // n
         labels = _word_labels(self.space, self.depth)
@@ -208,22 +214,30 @@ class TransferKernel:
 
 
 def build_kernel(f, depth):
-    """Build the depth-d square kernel of the operator for potential f.
+    """Build the depth-d square kernel of the operator for f - offset.
 
     Requires depth >= max(k - 1, 1) so that prepending one symbol to a
-    depth-d word determines the potential value.
+    depth-d word determines the potential value.  Its Perron root and
+    n-th iterates are those of f times exp(-offset) and exp(-n * offset).
+    ``offset`` is max f while k * osc <= LINEAR_VALUE_CEILING (osc = max f - min f):
+    the root of f - max f is then at least exp(-osc) and the eigenfunction spans
+    at most exp((k-1) osc), so a solve's products stay above exp(-k osc).  Past
+    that it is the midpoint of f's range, at least max f - LINEAR_VALUE_CEILING.
     """
     k = f.depth
     n = f.space.size
     _check_depth(k, depth)
     check_cylinder_count(n, depth)
     check_cylinder_count(n, k)
+    lo, hi = float(f.table.min()), float(f.table.max())
+    offset = hi if k * (hi - lo) <= LINEAR_VALUE_CEILING else max((hi + lo) / 2, hi - LINEAR_VALUE_CEILING)
+    table = f.table - offset
     if depth >= k:
         blocks = (n ** (k - 1), n ** (depth - k), 1)
-        table_arq = f.table.reshape(n, 1, -1)
+        table_arq = table.reshape(n, 1, -1)
     else:
         blocks = (n ** (depth - 1), 1, n)
-        table_arq = f.table.reshape(n, -1, n).transpose(0, 2, 1)
+        table_arq = table.reshape(n, -1, n).transpose(0, 2, 1)
     w = f.space.weights[:, None, None]
     ew_arq = np.multiply(w, np.exp(table_arq), order="C")
     log_ew_arq = np.add(np.log(w), table_arq, order="C")
@@ -239,6 +253,7 @@ def build_kernel(f, depth):
         ew_arq=ew_arq,
         log_ew_arq=log_ew_arq,
         blocks=blocks,
+        offset=offset,
     )
 
 
@@ -353,32 +368,20 @@ def apply_transfer(f, phi):
     return CylinderFunction(f.space, d_out, out)
 
 
-def gauge_shifted_kernel(f, depth, beta=1.0):
-    """(kernel, offset): the depth-d kernel of beta * f - offset, with offset = max(beta * f).
-
-    Every entry of the shifted kernel is at most its symbol weight, so
-    no potential overflows it.  Its Perron root and its n-th iterates
-    are those of beta * f times exp(-offset) and exp(-n * offset).
-    """
-    table = beta * f.table
-    offset = float(table.max())
-    return build_kernel(Potential(f.space, f.depth, table - offset), depth), offset
-
-
 def _iterate_ones(f, depth, steps, log_space=False):
     """Apply the depth-d kernel of f `steps` times to the constant function 1.
 
     Returns (tops, bottoms, lv): the largest and smallest entries of
     log(L^n 1) for n = 1..steps, and log(L^steps 1).  The products use
-    the gauge-shifted kernel of f - max f, and n * max f is added back
-    in log space.  By bounded distortion, max/min of L^n 1 is at most
+    the kernel of f - offset, and n * offset is added back in log space.
+    By bounded distortion, max/min of L^n 1 is at most
     exp((k-1) * (max f - min f)) for every n, so while that exponent is
     within LINEAR_VALUE_CEILING the products run linearly, rescaled by
     the peak at every step.  Past it, or when asked to, they run in log
     space.
     """
-    kernel, offset = gauge_shifted_kernel(f, depth)
-    shifts = offset * np.arange(1, steps + 1)
+    kernel = build_kernel(f, depth)
+    shifts = kernel.offset * np.arange(1, steps + 1)
     tops = np.empty(steps)
     bottoms = np.empty(steps)
     if log_space or (f.depth - 1) * float(np.ptp(f.table)) > LINEAR_VALUE_CEILING:
@@ -387,7 +390,7 @@ def _iterate_ones(f, depth, steps, log_space=False):
             lv = kernel.log_matvec(lv)
             tops[n] = lv.max()
             bottoms[n] = lv.min()
-        return tops + shifts, bottoms + shifts, lv + steps * offset
+        return tops + shifts, bottoms + shifts, lv + steps * kernel.offset
     v = np.ones(kernel.size)
     log_scale = 0.0
     for n in range(steps):
@@ -397,13 +400,13 @@ def _iterate_ones(f, depth, steps, log_space=False):
         log_scale += math.log(peak)
         tops[n] = log_scale
         bottoms[n] = log_scale + math.log(v.min())
-    return tops + shifts, bottoms + shifts, log_scale + np.log(v) + steps * offset
+    return tops + shifts, bottoms + shifts, log_scale + np.log(v) + steps * kernel.offset
 
 
 def iterate_one(f, n, depth, return_log=False):
     """n applications of the operator to the constant function 1, at a fixed depth.
 
-    Computed by n sparse products on the gauge-shifted kernel, in log
+    Computed by n sparse products on the kernel of f - offset, in log
     space when (k-1) * (max f - min f) exceeds LINEAR_VALUE_CEILING or
     when logs are asked for (``return_log=True``).  If the result has
     entries too large for a double, linear values cannot be returned

@@ -146,7 +146,7 @@ def test_criterion_05_eigenmeasure_relation():
     band_ok = True
     for f, sd in _spectral_census():
         assert sd.converged
-        worst = max(worst, ro.check_eigenmeasure(f, sd.lam, sd.nu, sd.nu.depth))
+        worst = max(worst, ro.check_eigenmeasure(f, sd.log_lam, sd.nu, sd.nu.depth))
         band_ok = band_ok and math.exp(-f.sup_norm) - 1e-12 <= sd.lam <= math.exp(f.sup_norm) + 1e-12
     _report(5, worst <= 1e-10 and band_ok, f"worst residual {worst:.2e}, bands {band_ok}")
 
@@ -160,12 +160,12 @@ def test_criterion_06_shift_invariance():
     for f in cases:
         sd = ro.perron_eigendata(f, 2)
         mu = ro.equilibrium_measure(sd)
-        worst = max(worst, ro.check_invariance(mu, f, sd.lam, sd.nu))
+        worst = max(worst, ro.check_invariance(mu, f, sd.log_lam, sd.nu))
     # negative control: the eigenmeasure without the eigenfunction
     # reweighting; needs a symmetry-breaking field so h is not constant
     g = ro.builtin_ising(sp, 1.0, 0.3)
     sg = ro.perron_eigendata(g, 2)
-    control = ro.check_invariance(sg.nu, g, sg.lam, sg.nu)
+    control = ro.check_invariance(sg.nu, g, sg.log_lam, sg.nu)
     ok = worst <= 1e-10 and control > 1e-3
     _report(6, ok, f"worst residual {worst:.2e}, control {control:.2e}")
 
@@ -181,12 +181,12 @@ def test_criterion_07_intertwine_identity():
     for f in cases:
         sd = ro.perron_eigendata(f, 3)
         nu3 = ro.CylinderMeasure(sp, 3, sd.nu_work)
-        worst = max(worst, max(ro.check_intertwine(f, sd.lam, nu3, w) for w in words))
+        worst = max(worst, max(ro.check_intertwine(f, sd.log_lam, nu3, w) for w in words))
         raw = rng.uniform(0.05, 1.0, 8)
         fake = ro.CylinderMeasure(sp, 3, raw / raw.sum())
         weakest_control = min(
             weakest_control,
-            max(ro.check_intertwine(f, sd.lam, fake, w) for w in words),
+            max(ro.check_intertwine(f, sd.log_lam, fake, w) for w in words),
         )
     ok = worst <= 1e-10 and weakest_control > 1e-4
     _report(7, ok, f"worst residual {worst:.2e}, weakest control {weakest_control:.2e}")

@@ -1,6 +1,8 @@
 import hashlib
 import importlib.metadata
 import json
+import math
+import os
 import re
 import shutil
 import subprocess
@@ -16,6 +18,7 @@ from ruelleop.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 CONST = {
     "space": {"kind": "uniform", "size": 2},
     "potential": {"kind": "constant", "value": 0.7},
@@ -233,6 +236,61 @@ def test_scan_past_double_range_prints_lam_inf_and_exact_pressure(tmp_path):
     assert [r[2] for r in rows] == ["0", "200", "400", "600", "800"]
     assert rows[-1][1] == "inf"
     assert all(r[5] == "1" for r in rows)
+
+
+def test_a_constant_past_double_range_runs_every_command(tmp_path):
+    # lam = exp(800) prints inf; the pressure log lam = 800 stays exact
+    cfg = {"space": {"kind": "uniform", "size": 2}, "potential": {"kind": "constant", "value": 800}}
+    path = write_cfg(tmp_path, cfg)
+    for command in ("pressure", "spectral", "equilibrium", "entropy", "scan", "verify"):
+        code, text = run_to_file(tmp_path, [command, "--config", path], f"{command}.txt")
+        assert code == 0, command
+        if command in ("spectral", "equilibrium", "entropy"):
+            assert scalar_from(text, "pressure") == 800.0
+            assert scalar_from(text, "lam") == math.inf
+    assert "# 15 of 15 checks passed" in text
+
+
+def test_verify_passes_on_a_constant_near_the_top_of_double_range(tmp_path):
+    # lam = exp(700) is about 1e304: finite, but its unshifted adjoint products overflow
+    cfg = {"space": {"kind": "uniform", "size": 2}, "potential": {"kind": "constant", "value": 700}}
+    code, text = run_to_file(tmp_path, ["verify", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0
+    assert "# 15 of 15 checks passed" in text
+
+
+def test_adjoint_intertwine_holds_on_a_strongly_coupled_ising_model(tmp_path):
+    cfg = {
+        "space": {"kind": "uniform", "size": 2},
+        "potential": {"kind": "ising", "coupling": 400.0, "external_field": 0.3},
+    }
+    _, text = run_to_file(tmp_path, ["verify", "--config", write_cfg(tmp_path, cfg)])
+    line = next(l for l in text.splitlines() if " adjoint-intertwine " in l)
+    assert line.startswith("ok "), line
+    assert math.isfinite(float(line.split("value=")[1].split()[0]))
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 16,384 words: large enough that a BLAS dot product splits its sum by thread
+    values = np.random.default_rng(3).uniform(-1.0, 1.0, 2**15)
+    cfg = {
+        "space": {"kind": "uniform", "size": 2},
+        "potential": {"kind": "table", "depth": 15, "values": values.tolist()},
+    }
+    path = write_cfg(tmp_path, cfg)
+    pythonpath = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    for argv in (["spectral"], ["entropy", "--n-max", "14"]):
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+            proc = subprocess.run(
+                [sys.executable, "-m", "ruelleop.cli", *argv, "--config", path, "--format", "csv"],
+                capture_output=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], argv[0]
 
 
 def test_flags_override_config(tmp_path):

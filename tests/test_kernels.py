@@ -54,7 +54,8 @@ def test_matvec_matches_dense_oracle(f, depth):
     rng = np.random.default_rng(100 + depth)
     for _ in range(5):
         phi = rng.uniform(-1.0, 2.0, kern.size)
-        assert np.allclose(kern.matvec(phi), M @ phi, rtol=1e-14, atol=1e-14)
+        got = np.exp(kern.offset) * kern.matvec(phi)
+        assert np.allclose(got, M @ phi, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("f,depth", cases())
@@ -64,13 +65,15 @@ def test_tmatvec_matches_dense_transpose(f, depth):
     rng = np.random.default_rng(200 + depth)
     for _ in range(5):
         nu = rng.uniform(0.0, 1.0, kern.size)
-        assert np.allclose(kern.tmatvec(nu), M.T @ nu, rtol=1e-14, atol=1e-14)
+        got = np.exp(kern.offset) * kern.tmatvec(nu)
+        assert np.allclose(got, M.T @ nu, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("f,depth", cases())
 def test_to_dense_matches_oracle(f, depth):
     kern = ro.build_kernel(f, depth)
-    assert np.allclose(kern.to_dense(), dense_oracle(f, depth), rtol=1e-15, atol=0)
+    got = np.exp(kern.offset) * kern.to_dense()
+    assert np.allclose(got, dense_oracle(f, depth), rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("f,depth", cases())
@@ -81,7 +84,7 @@ def test_log_matvec_matches_dense_oracle(f, depth):
     for _ in range(5):
         lphi = rng.uniform(-3.0, 3.0, kern.size)
         want = np.log(M @ np.exp(lphi))
-        assert np.allclose(kern.log_matvec(lphi), want, rtol=1e-13, atol=1e-13)
+        assert np.allclose(kern.log_matvec(lphi) + kern.offset, want, rtol=1e-13, atol=1e-13)
 
 
 def test_log_matvec_agrees_with_linear_path(two_space):

@@ -61,11 +61,11 @@ def test_eigenmeasure_certificate_and_extension(two_space):
     for _ in range(5):
         f = ro.Potential(two_space, 2, rng.uniform(-1.5, 1.5, 4))
         sd = ro.perron_eigendata(f, 1)
-        assert ro.check_eigenmeasure(f, sd.lam, sd.nu, 1) < 1e-12
-        ext = ro.extend_eigenmeasure(f, sd.lam, sd.nu)
+        assert ro.check_eigenmeasure(f, sd.log_lam, sd.nu, 1) < 1e-12
+        ext = ro.extend_eigenmeasure(f, sd.log_lam, sd.nu)
         assert ext.depth == 2
         assert ext.mass_dev < 1e-10
-        assert ro.check_eigenmeasure(f, sd.lam, ext, 2) < 1e-11
+        assert ro.check_eigenmeasure(f, sd.log_lam, ext, 2) < 1e-11
         # the closed-form extension agrees with a direct deeper solve
         deep = ro.perron_eigendata(f, 2)
         assert np.allclose(ext.weights, deep.nu_work, rtol=0, atol=1e-10)
@@ -75,9 +75,9 @@ def test_extension_refuses_non_eigenmeasure(two_space):
     f = ro.builtin_ising(two_space, 1.0, 0.3)
     sd = ro.perron_eigendata(f, 1)
     fake = ro.CylinderMeasure(two_space, 1, np.array([0.5, 0.5]))
-    assert ro.check_eigenmeasure(f, sd.lam, fake, 1) > 1e-2
+    assert ro.check_eigenmeasure(f, sd.log_lam, fake, 1) > 1e-2
     with pytest.raises(ro.NumericError):
-        ro.extend_eigenmeasure(f, sd.lam, fake)
+        ro.extend_eigenmeasure(f, sd.log_lam, fake)
 
 
 def test_equilibrium_refuses_uncertified_data(two_space):
@@ -96,11 +96,11 @@ def test_equilibrium_invariance_and_control(two_space):
     f = ro.builtin_ising(two_space, 1.0, 0.3)
     sd = ro.perron_eigendata(f, 2)
     mu = ro.equilibrium_measure(sd)
-    assert ro.check_invariance(mu, f, sd.lam, sd.nu) < 1e-10
+    assert ro.check_invariance(mu, f, sd.log_lam, sd.nu) < 1e-10
     # the plain product measure is shift-invariant but not the equilibrium
     # state of this potential, so the pushed-mass comparison must fail it
     prod = ro.product_measure(two_space, mu.depth)
-    assert ro.check_invariance(prod, f, sd.lam, sd.nu) > 1e-3
+    assert ro.check_invariance(prod, f, sd.log_lam, sd.nu) > 1e-3
 
 
 def test_extended_equilibrium_stays_invariant(two_space):
@@ -109,8 +109,8 @@ def test_extended_equilibrium_stays_invariant(two_space):
     mu4 = ro.extend_equilibrium(sd, f, 4)
     nu4 = sd.nu
     while nu4.depth < 4:
-        nu4 = ro.extend_eigenmeasure(f, sd.lam, nu4)
-    assert ro.check_invariance(mu4, f, sd.lam, nu4) < 1e-10
+        nu4 = ro.extend_eigenmeasure(f, sd.log_lam, nu4)
+    assert ro.check_invariance(mu4, f, sd.log_lam, nu4) < 1e-10
     assert ro.invariance_defect(mu4) < 1e-12
     base = ro.equilibrium_measure(sd)
     assert np.allclose(ro.marginalize(mu4, base.depth).weights, base.weights, atol=1e-12)
@@ -157,19 +157,19 @@ def test_intertwine_certificate_and_control(two_space):
     nu3 = ro.CylinderMeasure(two_space, 3, sd.nu_work)
     words = list(itertools.product(range(2), repeat=2))
     for word in words:
-        assert ro.check_intertwine(f, sd.lam, nu3, word) < 1e-10
+        assert ro.check_intertwine(f, sd.log_lam, nu3, word) < 1e-10
     rng = np.random.default_rng(47)
     pert = nu3.weights * (1.0 + 0.3 * rng.uniform(-1.0, 1.0, 8))
     bad = ro.CylinderMeasure(two_space, 3, pert / pert.sum())
-    assert max(ro.check_intertwine(f, sd.lam, bad, word) for word in words) > 1e-4
+    assert max(ro.check_intertwine(f, sd.log_lam, bad, word) for word in words) > 1e-4
     # a deeper stored measure is marginalized down before the comparison
     sd4 = ro.perron_eigendata(f, 4)
     nu4 = ro.CylinderMeasure(two_space, 4, sd4.nu_work)
-    assert ro.check_intertwine(f, sd4.lam, nu4, (0, 1)) < 1e-10
+    assert ro.check_intertwine(f, sd4.log_lam, nu4, (0, 1)) < 1e-10
     with pytest.raises(ValueError):
-        ro.check_intertwine(f, sd.lam, nu3, ())
+        ro.check_intertwine(f, sd.log_lam, nu3, ())
     with pytest.raises(ValueError):
-        ro.check_intertwine(f, sd.lam, nu3, (0, 1, 0))  # needs depth 4 storage
+        ro.check_intertwine(f, sd.log_lam, nu3, (0, 1, 0))  # needs depth 4 storage
 
 
 def test_relative_entropy_basics(two_space):

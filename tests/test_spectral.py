@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import ruelleop as ro
+from conftest import models
 from ruelleop.transfer import _iterate_ones
 
 
@@ -259,7 +261,7 @@ def test_nonconverged_eigendata_carries_alternates(two_space):
 def test_xi_sequence_converges_to_eigenfunction(two_space):
     f = ro.builtin_ising(two_space, 0.9, 0.25)
     sd = ro.perron_eigendata(f, 2)
-    functions, increments = ro.xi_sequence(f, 2, 40, sd.lam)
+    functions, increments = ro.xi_sequence(f, 2, 40, sd.log_lam)
     assert np.all(np.isfinite(increments))
     # geometric decay: the tail increment is far below the first
     assert increments[-1] < 1e-10 * max(increments[0], 1e-30)
@@ -272,7 +274,7 @@ def test_xi_sequence_converges_to_eigenfunction(two_space):
 def test_xi_sequence_detects_wrong_eigenvalue(two_space):
     f = ro.builtin_ising(two_space, 0.9, 0.25)
     sd = ro.perron_eigendata(f, 2)
-    _, bad = ro.xi_sequence(f, 2, 40, sd.lam * 0.5)
+    _, bad = ro.xi_sequence(f, 2, 40, sd.log_lam - math.log(2.0))
     # rescaling by the wrong eigenvalue makes the increments blow up
     assert bad[-1] > 1e6 * bad[0]
 
@@ -287,3 +289,51 @@ def test_canonical_depth_projection_consistency(two_space):
     assert np.allclose(a.nu.weights, b.nu.weights, rtol=0, atol=1e-11)
     assert np.allclose(a.h.values, b.h.values, rtol=0, atol=1e-10)
     assert b.residual_right < 1e-10 and b.residual_left < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(models())
+def test_adding_a_constant_shifts_only_the_pressure(model):
+    # f + c has lam * e^c and the same eigenfunction, eigenmeasure and
+    # iteration count: the kernel offset absorbs c, so f + c - offset is f - offset
+    f, depth = model
+    sd = ro.perron_eigendata(f, depth)
+    est = ro.pressure_bracket(f, depth, 6)
+    for c in (-400.0, 0.0, 400.0, 800.0):
+        g = ro.Potential(f.space, f.depth, f.table + c)
+        sg = ro.perron_eigendata(g, depth)
+        assert sg.log_lam == pytest.approx(sd.log_lam + c, rel=1e-13)
+        assert sg.iterations == sd.iterations
+        np.testing.assert_allclose(sg.h.values, sd.h.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sg.nu.weights, sd.nu.weights, rtol=0, atol=1e-12)
+        shifted = ro.pressure_bracket(g, depth, 6)
+        np.testing.assert_allclose(shifted.p_sup, est.p_sup + c, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(shifted.p_inf, est.p_inf + c, rtol=1e-13, atol=0)
+
+
+def _coboundary(u, weights):
+    """The depth-(k+1) potential u(x_0..x_k-1) - u(x_1..x_k) on two symbols."""
+    k = int(np.log2(len(u)))
+    words = np.arange(2 ** (k + 1))
+    table = u[words >> 1] - u[words & (2**k - 1)]
+    return ro.Potential(ro.finite_space(np.array(weights)), k + 1, table)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        _coboundary(np.array([0.0, 400.0]), (0.6, 0.4)),
+        _coboundary(np.array([0.0, 400.0]), (0.5, 0.5)),
+        _coboundary(np.array([0.0, 340.0, -340.0, 0.0]), (0.8, 0.2)),
+    ],
+)
+def test_a_coboundary_with_a_wide_range_has_pressure_zero(f):
+    # a coboundary has lam = 1 whatever the weights; 400 (x0 - x1) spans
+    # e^-400 .. e^400 around the centred offset, where an entry e^-800
+    # next to 1 would underflow to 0 and change the root
+    for depth in range(f.depth - 1 or 1, 4):
+        sd = ro.perron_eigendata(f, depth)
+        assert sd.converged
+        assert abs(sd.log_lam) <= 1e-12
+    est = ro.pressure_bracket(f, 3, 40)
+    assert est.p_inf[-1] <= 0.0 <= est.p_sup[-1]

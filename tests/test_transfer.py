@@ -58,7 +58,7 @@ def test_kernel_matvec_agrees_with_apply(two_space):
         vals = rng.uniform(-1.0, 1.0, two_space.size**m)
         phi = ro.CylinderFunction(two_space, m, vals)
         via_apply = ro.lift(ro.apply_transfer(f, phi), 4)
-        via_kernel = kern.matvec(ro.lift(phi, 4).values)
+        via_kernel = np.exp(kern.offset) * kern.matvec(ro.lift(phi, 4).values)
         assert np.allclose(via_kernel, via_apply.values, rtol=1e-14, atol=1e-14)
 
 
@@ -86,7 +86,7 @@ def test_row_sums_inside_sup_norm_band(two_space):
     f = ro.builtin_ising(two_space, 0.8, -0.2)
     kern = ro.build_kernel(f, 3)
     ones = np.ones(kern.size)
-    row_sums = kern.matvec(ones)
+    row_sums = np.exp(kern.offset) * kern.matvec(ones)
     hi = math.exp(f.sup_norm)
     lo = math.exp(-f.sup_norm)
     assert np.all(row_sums <= hi * (1 + 1e-14))
@@ -172,8 +172,10 @@ def test_coo_export_rebuilds_dense():
         kern = ro.build_kernel(f, depth)
         buf = io.StringIO()
         kern.export_coo(buf)
+        header, *lines = buf.getvalue().strip().splitlines()
+        assert header == f"# offset {kern.offset:.17g}"
         dense = np.zeros((kern.size, kern.size))
-        for line in buf.getvalue().strip().splitlines():
+        for line in lines:
             row_word, col_word, val = line.split()
             r = ro.word_index(tuple(int(s) for s in row_word.split(".")), n)
             c = ro.word_index(tuple(int(s) for s in col_word.split(".")), n)
