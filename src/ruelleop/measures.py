@@ -24,7 +24,7 @@ import numpy as np
 from .config import check_cylinder_count
 from .errors import NumericError
 from .space import SymbolSpace, word_index
-from .transfer import build_kernel
+from .transfer import _block_sums, build_kernel
 
 EXTENSION_MASS_ABORT = 1e-6
 
@@ -75,7 +75,7 @@ def marginalize(mu, depth):
     """Restrict a measure to shallower cylinders by summing trailing symbols."""
     if not 0 <= depth <= mu.depth:
         raise ValueError(f"marginal depth {depth} outside 0..{mu.depth}")
-    w = mu.weights.reshape(mu.space.size**depth, -1).sum(axis=1)
+    w = _block_sums(mu.weights, mu.space.size ** (mu.depth - depth))
     return CylinderMeasure(mu.space, depth, w, mass_dev=mu.mass_dev)
 
 
@@ -106,9 +106,9 @@ def check_eigenmeasure(f, log_lam, nu, test_depth):
     kernel = build_kernel(f, nu.depth)
     lam = math.exp(log_lam - kernel.offset)  # the eigenvalue on the kernel's scale
     t = kernel.tmatvec(nu.weights)
-    blocks = nu.space.size**test_depth
-    lhs = t.reshape(blocks, -1).sum(axis=1)
-    rhs = lam * nu.weights.reshape(blocks, -1).sum(axis=1)
+    length = nu.space.size ** (nu.depth - test_depth)
+    lhs = _block_sums(t, length)
+    rhs = lam * _block_sums(nu.weights, length)
     return float(np.max(np.abs(lhs - rhs))) / lam
 
 
@@ -210,13 +210,12 @@ def check_intertwine(f, log_lam, nu, word):
     shifted = np.zeros(n ** (d + 1))
     sel = np.arange(n) * n**d + idx  # words r.word for each first symbol r
     shifted[sel] = deep[sel]
-    lhs = kernel.tmatvec(shifted).reshape(n ** (d - 1), -1).sum(axis=1)
+    lhs = _block_sums(kernel.tmatvec(shifted), n * n)
 
     pointed = np.zeros(n ** (d + 1))
     sel = idx * n + np.arange(n)  # words word.b for each last symbol b
     pointed[sel] = deep[sel]
-    rhs = kernel.tmatvec(kernel.tmatvec(pointed) / lam)
-    rhs = rhs.reshape(n ** (d - 1), -1).sum(axis=1)
+    rhs = _block_sums(kernel.tmatvec(kernel.tmatvec(pointed) / lam), n * n)
     return float(np.max(np.abs(lhs - rhs))) / lam
 
 
@@ -292,7 +291,7 @@ def invariance_defect(mu):
     """
     n = mu.space.size
     drop_first = mu.weights.reshape(n, -1).sum(axis=0)
-    drop_last = mu.weights.reshape(-1, n).sum(axis=1)
+    drop_last = _block_sums(mu.weights, n)
     return float(np.max(np.abs(drop_first - drop_last)))
 
 

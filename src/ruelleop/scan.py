@@ -5,8 +5,8 @@ beta * f, from the kernel of beta * f minus its largest table entry so
 that large potentials cannot overflow.  The partition of the depth-d
 words into exactly lumpable classes (``transfer.lumpable_partition``)
 does not depend on beta, so it is computed once per scan.  When a dense
-eigensolve of the quotient is cheaper than about 25 power iterations on
-the full kernel (``_quotient_pays``), each point takes the Perron root
+eigensolve of the quotient is cheaper than a few dozen power iterations
+on the full kernel (``_quotient_pays``), each point takes the Perron root
 of the small quotient and certifies the lifted eigenvector by one
 product with the full-depth kernel; a point whose certificate fails is
 reported as non-converged.  Otherwise each point is solved by power
@@ -32,14 +32,17 @@ KINK_FACTOR = 5.0
 KINK_ABS_FLOOR = 1e-8
 
 # Routing between the two solvers.  Measured on a 2-vCPU Xeon with one
-# BLAS thread: np.linalg.eig costs about 10 ns * c**3 on c = 64-128
-# classes (less per c**3 above), and one power iteration about 25 ns
-# per entry of the kernel's product broadcast plus a fixed 50 us (about
-# 2,000 entries).  The quotient is used when its eigensolve costs at
-# most about 25 iterations.  Warm-started points took 2 (rotor on
-# Gauss-Legendre nodes) to 122 (random binary depth-8 table) iterations
-# on average; at this ratio no measured scan routed to the slower path
-# by more than 4x, and none is slower than on power iteration alone.
+# BLAS thread: np.linalg.eig costs about 5-6 ns * c**3 on c = 64-128
+# classes, and one power iteration about 9-12 ns per entry of the
+# kernel's product broadcast (1k-65k entries, random binary and ternary
+# tables) plus a fixed 18 us (about 2,000 entries).  The ratio was
+# chosen when an iteration cost 25 ns per entry and eig 10 ns * c**3, so
+# that the quotient is used when its eigensolve costs at most about 25
+# iterations; at the figures above that is about 30-45 iterations.  Warm-
+# started points took 2 (rotor on Gauss-Legendre nodes) to 122 (random
+# binary depth-8 table) iterations on average; at the original figures
+# no measured scan routed to the slower path by more than 4x, and none
+# was slower than on power iteration alone.
 QUOTIENT_WORK_RATIO = 64
 ITERATION_OVERHEAD = 2_000
 
@@ -147,7 +150,7 @@ def pressure_curve(
 
 
 def _quotient_pays(classes, product_size):
-    """Whether a dense eigensolve on the quotient beats about 25 power iterations."""
+    """Whether a dense eigensolve on the quotient beats a few dozen power iterations."""
     return classes**3 <= QUOTIENT_WORK_RATIO * (product_size + ITERATION_OVERHEAD)
 
 

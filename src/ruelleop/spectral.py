@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NumericError
 from .measures import CylinderMeasure
-from .transfer import CylinderFunction, _iterate_ones, build_kernel
+from .transfer import CylinderFunction, _block_sums, _iterate_ones, build_kernel
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITERS = 100_000
@@ -125,8 +125,10 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
             resid_l = float(np.max(np.abs(t_left - mass * left))) / mass
             resid_r = float(np.max(np.abs(t_right - mass * right))) / mass
         lam = mass
-        left_prev, left = left, t_left / mass
-        right_prev, right = right, t_right / mass
+        t_left /= mass
+        t_right /= mass
+        left_prev, left = left, t_left
+        right_prev, right = right, t_right
         if max(resid_l, resid_r, dlam) < tol:
             converged = True
             break
@@ -141,9 +143,9 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
                 right = 0.5 * (right + right_prev)
                 history.clear()
         # keep the forward iterate in floating range; scale is fixed at the end
-        peak = np.max(np.abs(right))
+        peak = max(float(right.max()), -float(right.min()))  # max |right|
         if peak > 1e100 or (0 < peak < 1e-100):
-            right = right / peak
+            right /= peak
     return PowerIterationResult(
         lam=lam,
         right=right,
@@ -164,7 +166,8 @@ class SpectralData:
     ``h`` is the strictly positive eigenfunction scaled so its integral
     against ``nu`` is one; ``nu`` is the probability eigenmeasure of the
     adjoint.  ``mass_dev`` and ``hnu_dev`` certify the normalizations;
-    the residuals are scale-free sup-norm defects at the stored depth.
+    the residuals are scale-free sup-norm defects at the stored depth,
+    max|M h - lam h| / (lam max h) and max|M^T nu - lam nu| / lam.
     ``work_*`` keep the working-depth vectors; ``alt_*`` hold the other
     accumulation point when the iteration did not converge.  ``log_lam``
     is the pressure, the log of the leading eigenvalue of f.
@@ -201,19 +204,19 @@ def perron_eigendata(f, depth, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
     eigenfunction by nu-conditional block averages, which keeps h * nu
     consistent across depths.
     """
-    raw = power_iterate(build_kernel(f, depth), tol=tol, max_iters=max_iters)
-    return _package_eigendata(f, depth, raw)
+    kernel = build_kernel(f, depth)
+    raw = power_iterate(kernel, tol=tol, max_iters=max_iters)
+    return _package_eigendata(f, kernel, raw)
 
 
-def _package_eigendata(f, depth, raw):
-    n = f.space.size
+def _package_eigendata(f, kernel, raw):
+    depth = kernel.depth
     d0 = max(f.depth - 1, 1)
     if depth < d0:
         raise ValueError(f"working depth {depth} below canonical depth {d0}")
-    reps = n ** (depth - d0)
-    nu_blocks = raw.left.reshape(-1, reps)
-    nu0 = nu_blocks.sum(axis=1)
-    hnu_blocks = (raw.right * raw.left).reshape(-1, reps).sum(axis=1)
+    reps = f.space.size ** (depth - d0)
+    nu0 = _block_sums(raw.left, reps)
+    hnu_blocks = _block_sums(raw.right * raw.left, reps)
     h0 = np.where(nu0 > 0, hnu_blocks / np.where(nu0 > 0, nu0, 1.0), 0.0)
     mass = nu0.sum()
     mass_dev = abs(mass - 1.0)
@@ -224,10 +227,11 @@ def _package_eigendata(f, depth, raw):
         raise NumericError("eigenfunction integral against the eigenmeasure is not positive")
     h0 = h0 / scale
     hnu_dev = abs(float((h0 * nu0).sum()) - 1.0)
-    kernel0 = build_kernel(f, d0)
+    kernel0 = kernel if depth == d0 else build_kernel(f, d0)
     lam = raw.lam
-    peak = float(h0.max())  # products on h0 / peak stay in range when h0 is huge
-    resid_r = float(np.max(np.abs(kernel0.matvec(h0 / peak) - lam * (h0 / peak)))) * peak / lam
+    # scale-free: max |M h - lam h| / (lam max h), on h / max h so the products stay in range
+    h_unit = h0 / h0.max()
+    resid_r = float(np.max(np.abs(kernel0.matvec(h_unit) - lam * h_unit))) / lam
     resid_l = float(np.max(np.abs(kernel0.tmatvec(nu0) - lam * nu0))) / lam
     return SpectralData(
         log_lam=math.log(lam) + kernel0.offset,

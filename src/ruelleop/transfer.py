@@ -39,6 +39,23 @@ def _prefix(n, depth, k, rows):
     return rows // n ** (depth - k + 1)
 
 
+def _block_sums(x, length):
+    """Sums of consecutive blocks of ``length`` entries of x.
+
+    Bit for bit ``x.reshape(-1, length).sum(axis=1)``, which runs one
+    inner loop per block.  numpy adds fewer than 8 terms in order from
+    +0.0, so short blocks are summed column by column from
+    ``blocks[:, 0] + 0.0``: the +0.0 start gives its signed zeros too.
+    """
+    blocks = x.reshape(-1, length)
+    if length >= 8:
+        return blocks.sum(axis=1)
+    total = blocks[:, 0] + 0.0
+    for j in range(1, length):
+        total += blocks[:, j]
+    return total
+
+
 def _same_space(a, b):
     return a is b or (
         a.size == b.size
@@ -111,8 +128,10 @@ class TransferKernel:
       * ``blocks`` = (p0, p1, rw) splits q as (q // p1, q % p1).  Deep
         kernels (d >= k) have (n**(k-1), n**(d-k), 1): the weight reads
         the first k-1 symbols of q and not r, so a forward product is
-        computed once per q and copied to every r.  The edge depth
-        d = k-1 has (n**(d-1), 1, n): the weight reads the whole row.
+        summed once per q and repeated to the n rows (q, r).  The edge
+        depth d = k-1 has (n**(d-1), 1, n): the weight reads the whole
+        row, and the sums land in the output vector through its
+        transposed view ``out.reshape(p0 * p1, rw).T.reshape(rw, p0, p1)``.
       * ``ew_arq`` is ``ew`` in (a, r, q) order, shape (n, rw, p0): the
         weight of row (q, r) is ``ew_arq[a, r % rw, q // p1]``, so every
         product broadcasts over a contiguous q axis; ``log_ew_arq`` is
@@ -147,35 +166,47 @@ class TransferKernel:
         p0, p1, rw = self.blocks
         return table.reshape(n, rw, p0, 1), np.asarray(x, dtype=float).reshape(n, 1, p0, p1)
 
-    def _spread(self, total):
-        """The (rw, p0, p1) result of a forward product as a vector in row order."""
-        rw = self.blocks[2]
+    def _forward(self, reduce):
+        """A forward product in row order; ``reduce(total)`` writes its (rw, p0, p1) sums."""
+        p0, p1, rw = self.blocks
         if rw == 1:
-            # deep kernel: copy each q to all n last symbols of its rows
-            return np.repeat(total.reshape(-1), self.space.size)
-        return total.reshape(rw, -1).T.reshape(-1)
+            # deep kernel: the n rows (q, r) share the sum of q; np.repeat
+            # copies it faster than a broadcast assignment to (p0 * p1, n)
+            total = np.empty(p0 * p1)
+            reduce(total.reshape(1, p0, p1))
+            return np.repeat(total, self.space.size)
+        out = np.empty(self.size)
+        reduce(out.reshape(p0 * p1, rw).T.reshape(rw, p0, p1))
+        return out
 
     def matvec(self, x):
         weights, pred = self._by_predecessor(self.ew_arq, x)
-        return self._spread((weights * pred).sum(axis=0))
+        return self._forward(lambda total: (weights * pred).sum(axis=0, out=total))
 
     def log_matvec(self, lx):
         log_weights, log_pred = self._by_predecessor(self.log_ew_arq, lx)
         terms = log_weights + log_pred
         peak = terms.max(axis=0)
-        with np.errstate(invalid="ignore"):
-            total = peak + np.log(np.exp(terms - peak).sum(axis=0))
-        # a row whose largest term is not finite (all terms -inf) is -inf
-        return self._spread(np.where(np.isfinite(peak), total, -np.inf))
+
+        def log_sum(total):
+            with np.errstate(invalid="ignore"):
+                np.exp(np.subtract(terms, peak, out=terms), out=terms).sum(axis=0, out=total)
+                np.log(total, out=total)
+                total += peak
+            # a row whose largest term is not finite (all terms -inf) is -inf
+            total[~np.isfinite(peak)] = -np.inf
+
+        return self._forward(log_sum)
 
     def tmatvec(self, x):
         """Adjoint product: (M^T x)[v] = sum_u M[u, v] x[u]."""
         n = self.space.size
         p0, p1, rw = self.blocks
-        rows = np.asarray(x, dtype=float).reshape(-1, n)
         if rw == 1:
             # the weight of row (q, r) does not depend on r: sum over r first
-            return (self.ew_arq.reshape(n, p0, 1) * rows.sum(axis=1).reshape(p0, p1)).reshape(-1)
+            sums = _block_sums(np.asarray(x, dtype=float), n)
+            return (self.ew_arq.reshape(n, p0, 1) * sums.reshape(p0, p1)).reshape(-1)
+        rows = np.asarray(x, dtype=float).reshape(-1, n)
         return (self.ew_arq * rows.T).sum(axis=1).reshape(-1)
 
     def _prefix(self, rows):

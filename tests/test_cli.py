@@ -259,6 +259,23 @@ def test_verify_passes_on_a_constant_near_the_top_of_double_range(tmp_path):
     assert "# 15 of 15 checks passed" in text
 
 
+def test_verify_passes_on_a_coboundary_whose_eigenfunction_spans_1e21(tmp_path):
+    # u(x0 x1) - u(x1 x2) has pressure 0 and h ~ exp(-u): h runs from 0.21 to 1.1e21,
+    # so a right residual not divided by max h reads 1.3e5 on an exact eigenpair
+    u = np.array([0.0, 30.0, -20.0, 5.0])
+    words = np.arange(8)
+    cfg = {
+        "space": {"kind": "finite", "weights": [0.7, 0.3]},
+        "potential": {"kind": "table", "depth": 3, "values": (u[words >> 1] - u[words & 3]).tolist()},
+        "depth": 2,
+    }
+    code, text = run_to_file(tmp_path, ["verify", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0
+    assert "# 15 of 15 checks passed" in text
+    line = next(l for l in text.splitlines() if " bracket-contains-pressure " in l)
+    assert "value=0 " in line
+
+
 def test_adjoint_intertwine_holds_on_a_strongly_coupled_ising_model(tmp_path):
     cfg = {
         "space": {"kind": "uniform", "size": 2},

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ruelleop as ro
+from conftest import models
+from ruelleop.transfer import _block_sums
 
 
 def log_iterate_oracle(f, n, word):
@@ -195,3 +199,76 @@ def test_mixed_spaces_rejected(two_space, three_space):
     phi = ro.ones_function(three_space, 1)
     with pytest.raises(ValueError):
         ro.apply_transfer(f, phi)
+
+
+# summands from 1e-20 to 1e20 in magnitude, signed zeros and exact cancellations
+SUMMANDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16]),
+    st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(1.0, 10.0),
+        st.integers(-20, 19),
+    ),
+)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.one_of(st.integers(1, 200), st.just(65_536)),
+    st.lists(SUMMANDS, min_size=1, max_size=16),
+    st.integers(0, 2**32 - 1),
+)
+def test_block_sums_equal_numpy_row_sums_bit_for_bit(length, rows, pool, seed):
+    x = np.random.default_rng(seed).choice(np.array(pool), size=rows * length)
+    assert same_bits(_block_sums(x, length), x.reshape(-1, length).sum(axis=1))
+
+
+@pytest.mark.parametrize(
+    "row",
+    [(1e16, 1.0, 1.0, -1e16), (-0.0,), (-0.0, -0.0), (-0.0, -0.0, -0.0), (1.0, -1.0, -0.0)],
+)
+def test_block_sums_keep_numpy_order_and_signed_zeros(row):
+    x = np.array(row * 3)
+    assert same_bits(_block_sums(x, len(row)), x.reshape(-1, len(row)).sum(axis=1))
+
+
+def _spread(kernel, total):
+    """Reference layout: the (rw, p0, p1) sums of a forward product as a vector in row order."""
+    if kernel.blocks[2] == 1:
+        return np.repeat(total.reshape(-1), kernel.space.size)
+    return total.reshape(kernel.blocks[2], -1).T.reshape(-1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(models(), st.integers(0, 2**32 - 1))
+def test_products_equal_the_broadcast_expressions_bit_for_bit(model, seed):
+    f, depth = model
+    kernel = ro.build_kernel(f, depth)
+    n = kernel.space.size
+    p0, p1, rw = kernel.blocks
+    rng = np.random.default_rng(seed)
+    x = rng.choice(np.array([-0.0, 0.0, 1e-20, 1e16, 1.0]), kernel.size) * rng.uniform(-1, 1, kernel.size)
+    lx = np.where(rng.uniform(size=kernel.size) < 0.3, -np.inf, rng.uniform(-50, 50, kernel.size))
+
+    terms = kernel.ew_arq.reshape(n, rw, p0, 1) * x.reshape(n, 1, p0, p1)
+    assert same_bits(kernel.matvec(x), _spread(kernel, terms.sum(axis=0)))
+
+    terms = kernel.log_ew_arq.reshape(n, rw, p0, 1) + lx.reshape(n, 1, p0, p1)
+    peak = terms.max(axis=0)
+    with np.errstate(invalid="ignore"):
+        total = peak + np.log(np.exp(terms - peak).sum(axis=0))
+    want = _spread(kernel, np.where(np.isfinite(peak), total, -np.inf))
+    assert same_bits(kernel.log_matvec(lx), want)
+
+    rows = x.reshape(-1, n)
+    if rw == 1:
+        want = (kernel.ew_arq.reshape(n, p0, 1) * rows.sum(axis=1).reshape(p0, p1)).reshape(-1)
+    else:
+        want = (kernel.ew_arq * rows.T).sum(axis=1).reshape(-1)
+    assert same_bits(kernel.tmatvec(x), want)
