@@ -19,7 +19,6 @@ top-level scalars.  Keys:
     tol         power iteration tolerance (default 1e-12)
     max_iters   power iteration cap (default 100000)
     n_max       bracket / entropy horizon (default 8)
-    seed        seed for the perturbation controls in verify (default 0)
     cylinder_cap  override for the table-size guard, for this run only
 
 Exit codes: 0 success, 1 failed verification, 2 bad config, 3 resource
@@ -32,6 +31,7 @@ potential's values appear there as their count and sha256 digest.
 import argparse
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -64,6 +64,7 @@ from .report import HUMAN_DIGITS, MACHINE_DIGITS, format_float
 from .scan import pressure_curve
 from .space import _word_labels, index_word, uniform_space, finite_space, gauss_legendre_space
 from .spectral import perron_eigendata, pressure_bracket
+from .transfer import build_kernel
 
 COMMANDS = ("pressure", "spectral", "equilibrium", "entropy", "scan", "verify")
 
@@ -73,7 +74,6 @@ DEFAULTS = {
     "tol": 1e-12,
     "max_iters": 100_000,
     "n_max": 8,
-    "seed": 0,
     "grid": {"start": 0.0, "stop": 2.0, "count": 101},
 }
 
@@ -161,7 +161,7 @@ def _merged_params(cfg, args):
     for key in params:
         if key in cfg:
             params[key] = cfg[key]
-    for key in ("beta", "depth", "tol", "max_iters", "n_max", "seed"):
+    for key in ("beta", "depth", "tol", "max_iters", "n_max"):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
@@ -172,7 +172,6 @@ def _merged_params(cfg, args):
         params["tol"] = float(params["tol"])
         params["max_iters"] = int(params["max_iters"])
         params["n_max"] = int(params["n_max"])
-        params["seed"] = int(params["seed"])
         if params["depth"] is not None:
             params["depth"] = int(params["depth"])
         grid = params["grid"]
@@ -430,7 +429,7 @@ def cmd_scan(cfg, f, params, fmt):
 
 
 def _verify_checks(f, params):
-    """Run the internal consistency checklist; yield (name, ok, value, bound)."""
+    """Run the internal consistency checklist: a list of (name, ok, value, bound)."""
     tol = params["tol"]
     res_tol = max(100.0 * tol, 1e-12)
     checks = []
@@ -471,29 +470,28 @@ def _verify_checks(f, params):
     worst_res = max(sd.residual_right, sd.residual_left)
     checks.append(("equilibrium-accepted", mu is not None, worst_res, eq_tol))
     if mu is None:
-        return checks, sd
+        return checks
 
     inv = check_invariance(mu, f, sd.log_lam, sd.nu)
     checks.append(("equilibrium-invariance", inv <= res_tol, inv, res_tol))
 
-    h = sd.h.values
-    if float(np.ptp(h)) <= 1e-8 * float(np.max(np.abs(h))):
-        # constant eigenfunction: the eigenmeasure IS invariant, no control
-        checks.append(("negative-control-eigenmeasure", True, 0.0, 0.0))
-    else:
-        bad = check_invariance(sd.nu, f, sd.log_lam, sd.nu)
-        checks.append(("negative-control-eigenmeasure", bad > 1e-3, bad, 1e-3))
-
-    rng = np.random.default_rng(params["seed"])
-    seen = 0.0
-    for _ in range(3):
-        noise = 1.0 + 0.5 * rng.uniform(-1.0, 1.0, size=len(mu.weights))
-        w = mu.weights * noise
-        pert = CylinderMeasure(mu.space, mu.depth, w / w.sum())
-        seen = max(seen, check_invariance(pert, f, sd.log_lam, sd.nu))
-        if seen > 1e-3:
-            break
-    checks.append(("negative-control-perturbed", seen > 1e-3, seen, 1e-3))
+    # each control feeds the check a measure m that is not invariant; its
+    # preimage of [u] is nu(u) (M h')(u) / lam for h' = m / nu, so the check
+    # must read max_u nu(u) |(M h')(u) / lam - h'(u)|, from one forward product.
+    # A control passes at half that prediction; below res_tol it does not apply.
+    kernel = build_kernel(f, sd.nu.depth)
+    lam = math.exp(sd.log_lam - kernel.offset)  # the eigenvalue on the kernel's scale
+    w = mu.weights * (1.0 + 0.5 * (-1.0) ** np.arange(len(mu.weights)))
+    controls = (
+        ("negative-control-eigenmeasure", sd.nu),
+        ("negative-control-perturbed", CylinderMeasure(mu.space, mu.depth, w / w.sum())),
+    )
+    for name, m in controls:
+        h_m = m.weights / sd.nu.weights
+        predicted = float(np.max(sd.nu.weights * np.abs(kernel.matvec(h_m) / lam - h_m)))
+        seen = check_invariance(m, f, sd.log_lam, sd.nu)
+        bound = 0.5 * predicted if predicted > res_tol else 0.0
+        checks.append((name, seen >= bound, seen, bound))
 
     if nu_ext is not None:
         # words one level shallower than the stored measure, per the check
@@ -504,20 +502,20 @@ def _verify_checks(f, params):
             worst = max(worst, check_intertwine(f, sd.log_lam, nu_ext, word))
         checks.append(("adjoint-intertwine", worst <= res_tol, worst, res_tol))
 
+    # mu is (k-1)-step Markov, so its entropy rate is exact at n = k-1
+    n_gap = max(f.depth - 1, 1)
+    gap_tol = max(1e-8, 1e4 * tol)
     try:
-        n_gap = max(f.depth, 2)
-        mu_deep = extend_equilibrium(sd, f, n_gap + 1)
-        rep = variational_gap(mu_deep, f, sd, n_gap)
-        gap_tol = max(1e-8, 1e4 * tol)
+        rep = variational_gap(extend_equilibrium(sd, f, n_gap + 1), f, sd, n_gap)
         checks.append(("variational-gap", abs(rep.gap) <= gap_tol, rep.gap, gap_tol))
     except NumericError:
-        checks.append(("variational-gap", False, float("nan"), max(1e-8, 1e4 * tol)))
-    return checks, sd
+        checks.append(("variational-gap", False, float("nan"), gap_tol))
+    return checks
 
 
 def cmd_verify(cfg, f, params, fmt):
     g = _scaled(f, params)
-    checks, _ = _verify_checks(g, params)
+    checks = _verify_checks(g, params)
     lines = _header_lines("verify", cfg, params)
     width = max(len(name) for name, _, _, _ in checks)
     for name, ok, value, bound in checks:
@@ -545,7 +543,6 @@ def make_parser():
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     parser.add_argument("--n-max", dest="n_max", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
     return parser
 
 

@@ -151,17 +151,56 @@ def test_word_column_lists_words_in_canonical_order(tmp_path):
             assert [l.split(sep)[0] for l in lines[start:]] == want, (command, fmt)
 
 
+def check_line(text, check):
+    return next(l for l in text.splitlines() if f" {check} " in l)
+
+
 def test_verify_residuals_are_relative_to_lam(tmp_path):
-    # lam is about 7e12 here; absolute residuals of 3.4 are 5e-13 relative
+    # lam is about 7e12 here; absolute residuals of 3.4 are 5e-13 relative.
+    # nu and mu sit within 1e-12 of a point mass, so neither control moves
+    # the invariance residual off its noise: both do not apply (bound 0)
     cfg = {
         "space": {"kind": "uniform", "size": 2},
         "potential": {"kind": "ising", "coupling": 30.0, "external_field": 0.3},
         "depth": 3,
     }
-    _, text = run_to_file(tmp_path, ["verify", "--config", write_cfg(tmp_path, cfg)])
+    code, text = run_to_file(tmp_path, ["verify", "--config", write_cfg(tmp_path, cfg)])
     for check in ("eigenmeasure-fixed-point", "adjoint-intertwine"):
-        line = next(l for l in text.splitlines() if f" {check} " in l)
-        assert line.startswith("ok "), line
+        assert check_line(text, check).startswith("ok "), check
+    for control in ("negative-control-eigenmeasure", "negative-control-perturbed"):
+        assert check_line(text, control).endswith(" bound=0"), control
+    assert code == 0 and "# 15 of 15 checks passed" in text
+    # J=3, h=0.5: nu's defect is 9.07e-4, the perturbed one 7.2e-6, below any fixed 1e-3
+    cfg = {"space": {"kind": "uniform", "size": 2}, "potential": {"kind": "ising", "coupling": 3.0, "external_field": 0.5}}
+    code, text = run_to_file(tmp_path, ["verify", "--config", write_cfg(tmp_path, cfg, "j3.json")], "j3.txt")
+    assert code == 0 and "# 15 of 15 checks passed" in text
+
+
+def test_negative_controls_fail_a_check_that_reads_zero(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, ISING)
+    code, text = run_to_file(tmp_path, ["verify", "--config", cfg])
+    assert code == 0
+    for control in ("negative-control-eigenmeasure", "negative-control-perturbed"):
+        # the bound is half the predicted defect, which the check reads to rounding
+        value, bound = re.search(r"value=(\S+) bound=(\S+)", check_line(text, control)).groups()
+        assert float(bound) > 1e-3 and float(value) == pytest.approx(2.0 * float(bound), rel=1e-5)
+    monkeypatch.setattr(cli, "check_invariance", lambda *args: 0.0)
+    code, text = run_to_file(tmp_path, ["verify", "--config", cfg], "blind.txt")
+    assert code == 1
+    for control in ("negative-control-eigenmeasure", "negative-control-perturbed"):
+        assert check_line(text, control).startswith("FAIL "), control
+
+
+def test_verify_runs_on_a_wide_alphabet_at_the_potential_depth(tmp_path):
+    # the gap check needs mu at depth max(k, 2): 40^2 cylinders, not 40^3
+    cfg = {
+        "space": {"kind": "gauss-legendre", "count": 40},
+        "potential": {"kind": "xy", "coupling": 8.0},
+        "cylinder_cap": 10_000,
+    }
+    code, text = run_to_file(tmp_path, ["verify", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0
+    assert "# 15 of 15 checks passed" in text
 
 
 def header_potential(text):
