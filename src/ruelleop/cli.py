@@ -15,7 +15,9 @@ top-level scalars.  Keys:
     beta        scalar multiplier applied to the potential (default 1;
                 the scan command ignores it and sweeps the grid instead)
     grid        {"start": 0.0, "stop": 2.0, "count": 101}   (scan only)
-    depth       working cylinder depth (default: potential depth - 1)
+    depth       cylinder depth of the bracket and scan kernels and of the
+                equilibrium table (default and minimum: max(potential
+                depth - 1, 1)); eigendata are solved at that minimum
     tol         power iteration tolerance (default 1e-12)
     max_iters   power iteration cap (default 100000)
     n_max       bracket / entropy horizon (default 8)
@@ -183,10 +185,13 @@ def _merged_params(cfg, args):
         }
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad parameter value: {exc}") from exc
+    _require(math.isfinite(params["beta"]), "'beta' must be finite")
     _require(params["tol"] > 0, "'tol' must be positive")
     _require(params["max_iters"] >= 1, "'max_iters' must be at least 1")
     _require(params["n_max"] >= 1, "'n_max' must be at least 1")
-    _require(params["grid"]["count"] >= 2, "grid needs at least two points")
+    grid = params["grid"]
+    _require(grid["count"] >= 2, "grid needs at least two points")
+    _require(-math.inf < grid["start"] < grid["stop"] < math.inf, "grid needs finite 'start' < 'stop'")
     return params
 
 
@@ -196,9 +201,13 @@ def assemble(cfg, args):
     space = build_space(cfg["space"])
     f = build_potential(cfg["potential"], space)
     params = _merged_params(cfg, args)
+    d0 = max(f.depth - 1, 1)
     if params["depth"] is None:
-        params["depth"] = max(f.depth - 1, 1)
-    _require(params["depth"] >= 1, "'depth' must be at least 1")
+        params["depth"] = d0
+    _require(params["depth"] >= d0, f"'depth' must be at least {d0} for a depth-{f.depth} potential")
+    if args.command == "entropy":
+        # the gap at n needs mu at depth n + 1, and mu must integrate f
+        _require(params["n_max"] + 1 >= f.depth, f"entropy needs 'n_max' at least {f.depth - 1}")
     return space, f, params
 
 
@@ -328,7 +337,6 @@ def _spectral_scalars(sd):
         ("residual_left", sd.residual_left),
         ("mass_dev", sd.mass_dev),
         ("hnu_dev", sd.hnu_dev),
-        ("work_depth", sd.work_depth),
         ("out_depth", sd.nu.depth),
         ("trunc_bound", sd.trunc_bound),
     ]
@@ -336,7 +344,7 @@ def _spectral_scalars(sd):
 
 def cmd_spectral(cfg, f, params, fmt):
     g = _scaled(f, params)
-    sd = perron_eigendata(g, params["depth"], params["tol"], params["max_iters"])
+    sd = perron_eigendata(g, tol=params["tol"], max_iters=params["max_iters"])
     lines = _header_lines("spectral", cfg, params)
     lines += _scalar_lines(_spectral_scalars(sd), fmt)
     words = _word_labels(g.space, sd.nu.depth)
@@ -346,7 +354,7 @@ def cmd_spectral(cfg, f, params, fmt):
 
 def cmd_equilibrium(cfg, f, params, fmt):
     g = _scaled(f, params)
-    sd = perron_eigendata(g, params["depth"], params["tol"], params["max_iters"])
+    sd = perron_eigendata(g, tol=params["tol"], max_iters=params["max_iters"])
     mu = extend_equilibrium(sd, g, params["depth"])
     inv = check_invariance(equilibrium_measure(sd), g, sd.log_lam, sd.nu)
     lines = _header_lines("equilibrium", cfg, params)
@@ -367,7 +375,7 @@ def cmd_equilibrium(cfg, f, params, fmt):
 
 def cmd_entropy(cfg, f, params, fmt):
     g = _scaled(f, params)
-    sd = perron_eigendata(g, params["depth"], params["tol"], params["max_iters"])
+    sd = perron_eigendata(g, tol=params["tol"], max_iters=params["max_iters"])
     n_max = params["n_max"]
     mu = extend_equilibrium(sd, g, n_max + 1)
     rep = variational_gap(mu, g, sd, n_max)
@@ -434,7 +442,7 @@ def _verify_checks(f, params):
     res_tol = max(100.0 * tol, 1e-12)
     checks = []
 
-    sd = perron_eigendata(f, params["depth"], tol, params["max_iters"])
+    sd = perron_eigendata(f, tol=tol, max_iters=params["max_iters"])
     checks.append(("power-iteration-converged", bool(sd.converged), float(sd.iterations), float(params["max_iters"])))
     checks.append(("residual-right", sd.residual_right <= res_tol, sd.residual_right, res_tol))
     checks.append(("residual-left", sd.residual_left <= res_tol, sd.residual_left, res_tol))
@@ -587,17 +595,12 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except np.linalg.LinAlgError as exc:
-        # a ValueError subclass, but a numeric failure, not a config fault
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
-    except NumericError as exc:
+    except (NumericError, ValueError) as exc:
+        # config faults are ConfigErrors by now; any other ValueError
+        # (np.linalg.LinAlgError included) comes from the numerics
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
 

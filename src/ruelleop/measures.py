@@ -27,6 +27,7 @@ from .space import SymbolSpace, word_index
 from .transfer import _block_sums, build_kernel
 
 EXTENSION_MASS_ABORT = 1e-6
+INVARIANCE_TOL = 1e-10  # variational_gap flags a test measure less invariant than this
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,13 +296,13 @@ def invariance_defect(mu):
     return float(np.max(np.abs(drop_first - drop_last)))
 
 
-def variational_gap(mu, f, spec, n, invariance_tol=1e-10):
+def variational_gap(mu, f, spec, n):
     """Gap sequence log(lam) - (entropy rate + integral of f) for a test measure.
 
     Non-negative for every shift-invariant test measure, zero exactly at
     the equilibrium state.  ``mu`` must be stored at depth n+1 or deeper
     so the entropy increment at n is available.  The report flags a
-    measure whose own invariance defect exceeds ``invariance_tol``.
+    measure whose own invariance defect exceeds ``INVARIANCE_TOL``.
     """
     if mu.depth < n + 1:
         raise ValueError(f"need mu at depth {n + 1} for the increment at n={n}")
@@ -314,7 +315,7 @@ def variational_gap(mu, f, spec, n, invariance_tol=1e-10):
     flags = dict(ent.flags)
     flags.update(
         {
-            "invariant": bool(defect <= invariance_tol),
+            "invariant": bool(defect <= INVARIANCE_TOL),
             "invariance_defect": defect,
             "spec_converged": bool(spec.converged),
         }

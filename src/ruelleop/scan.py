@@ -74,14 +74,7 @@ class PressureCurve:
     candidates: list = field(default_factory=list)
 
 
-def pressure_curve(
-    f,
-    betas,
-    depth,
-    tol=1e-12,
-    max_iters=DEFAULT_MAX_ITERS,
-    kink_factor=KINK_FACTOR,
-):
+def pressure_curve(f, betas, depth, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
     """Pressure log(lam) over a beta grid, with kink-candidate detection.
 
     ``iterations`` is 0 at points solved on the lumped quotient.
@@ -125,7 +118,7 @@ def pressure_curve(
     for i in range(1, m - 1):
         floor = KINK_ABS_FLOOR * (1.0 + abs(slope_left[i]) + abs(slope_right[i]))
         if np.isfinite(mismatch[i]) and np.isfinite(level):
-            flags[i] = mismatch[i] > kink_factor * level + floor
+            flags[i] = mismatch[i] > KINK_FACTOR * level + floor
 
     hits = np.nonzero(flags)[0]
     hits = hits[np.argsort(-mismatch[hits], kind="stable")]

@@ -11,14 +11,15 @@ the kernel of f - offset, linearly and rescaled at every step, unless
 in log space.
 
 Eigendata come from simultaneous power iteration on the kernel of
-f - offset: the adjoint iteration renormalizes by total mass, whose limit
-is the kernel's root, and the forward iteration rescales by the same
-estimate; log lam is the log of that root plus the offset.  Near-degenerate
-second eigenvalues of opposite sign show up as a period-2 oscillation
-of the mass sequence; averaging two consecutive iterates removes the
-alternating mode and the iteration then proceeds normally.  A run that
-exhausts its iteration budget returns flagged data together with both
-accumulation vectors instead of raising.
+f - offset at the canonical depth max(k-1, 1): the adjoint iteration
+renormalizes by total mass, whose limit is the kernel's root, and the
+forward iteration rescales by the same estimate; log lam is the log of
+that root plus the offset.  Near-degenerate second eigenvalues of
+opposite sign show up as a period-2 oscillation of the mass sequence;
+averaging two consecutive iterates removes the alternating mode and the
+iteration then proceeds normally.  A run that exhausts its iteration
+budget returns flagged data instead of raising; ``power_iterate`` also
+keeps both accumulation vectors.
 """
 
 import math
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import NumericError
 from .measures import CylinderMeasure
-from .transfer import CylinderFunction, _block_sums, _iterate_ones, build_kernel
+from .transfer import CylinderFunction, _iterate_ones, build_kernel
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITERS = 100_000
@@ -168,9 +169,7 @@ class SpectralData:
     adjoint.  ``mass_dev`` and ``hnu_dev`` certify the normalizations;
     the residuals are scale-free sup-norm defects at the stored depth,
     max|M h - lam h| / (lam max h) and max|M^T nu - lam nu| / lam.
-    ``work_*`` keep the working-depth vectors; ``alt_*`` hold the other
-    accumulation point when the iteration did not converge.  ``log_lam``
-    is the pressure, the log of the leading eigenvalue of f.
+    ``log_lam`` is the pressure, the log of the leading eigenvalue of f.
     """
 
     log_lam: float
@@ -183,11 +182,6 @@ class SpectralData:
     mass_dev: float
     hnu_dev: float
     trunc_bound: float
-    work_depth: int
-    h_work: np.ndarray
-    nu_work: np.ndarray
-    alt_h: np.ndarray = None
-    alt_nu: np.ndarray = None
 
     @property
     def lam(self):
@@ -196,59 +190,41 @@ class SpectralData:
             return float(np.exp(self.log_lam))
 
 
-def perron_eigendata(f, depth, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
+def perron_eigendata(f, *, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
     """Leading eigenvalue, eigenfunction and eigenmeasure of the operator.
 
-    Iterates at the requested depth, then stores the eigendata at the
-    canonical depth max(k-1, 1): the eigenmeasure by marginalizing, the
-    eigenfunction by nu-conditional block averages, which keeps h * nu
-    consistent across depths.
+    The operator of a depth-k potential maps functions of the first
+    max(k-1, 1) coordinates to themselves, so the eigenfunction is one
+    of them, and the eigenmeasure is fixed by its weights at that depth
+    (deeper weights follow in closed form, ``extend_eigenmeasure``).
+    Both are solved on the kernel of that depth and no deeper.
     """
-    kernel = build_kernel(f, depth)
-    raw = power_iterate(kernel, tol=tol, max_iters=max_iters)
-    return _package_eigendata(f, kernel, raw)
-
-
-def _package_eigendata(f, kernel, raw):
-    depth = kernel.depth
     d0 = max(f.depth - 1, 1)
-    if depth < d0:
-        raise ValueError(f"working depth {depth} below canonical depth {d0}")
-    reps = f.space.size ** (depth - d0)
-    nu0 = _block_sums(raw.left, reps)
-    hnu_blocks = _block_sums(raw.right * raw.left, reps)
-    h0 = np.where(nu0 > 0, hnu_blocks / np.where(nu0 > 0, nu0, 1.0), 0.0)
-    mass = nu0.sum()
-    mass_dev = abs(mass - 1.0)
-    nu0 = nu0 / mass
+    kernel = build_kernel(f, d0)
+    raw = power_iterate(kernel, tol=tol, max_iters=max_iters)
+    lam = raw.lam
     # pairwise sums, not BLAS dot products, so that no thread count changes the digits
-    scale = float((h0 * nu0).sum())
+    nu = raw.left
+    mass = nu.sum()
+    nu /= mass
+    h = raw.right
+    scale = float((h * nu).sum())
     if not (np.isfinite(scale) and scale > 0):
         raise NumericError("eigenfunction integral against the eigenmeasure is not positive")
-    h0 = h0 / scale
-    hnu_dev = abs(float((h0 * nu0).sum()) - 1.0)
-    kernel0 = kernel if depth == d0 else build_kernel(f, d0)
-    lam = raw.lam
+    h /= scale
     # scale-free: max |M h - lam h| / (lam max h), on h / max h so the products stay in range
-    h_unit = h0 / h0.max()
-    resid_r = float(np.max(np.abs(kernel0.matvec(h_unit) - lam * h_unit))) / lam
-    resid_l = float(np.max(np.abs(kernel0.tmatvec(nu0) - lam * nu0))) / lam
+    h_unit = h / h.max()
     return SpectralData(
-        log_lam=math.log(lam) + kernel0.offset,
-        h=CylinderFunction(f.space, d0, h0),
-        nu=CylinderMeasure(f.space, d0, nu0),
-        residual_right=resid_r,
-        residual_left=resid_l,
+        log_lam=math.log(lam) + kernel.offset,
+        h=CylinderFunction(f.space, d0, h),
+        nu=CylinderMeasure(f.space, d0, nu),
+        residual_right=float(np.max(np.abs(kernel.matvec(h_unit) - lam * h_unit))) / lam,
+        residual_left=float(np.max(np.abs(kernel.tmatvec(nu) - lam * nu))) / lam,
         iterations=raw.iterations,
         converged=raw.converged,
-        mass_dev=mass_dev,
-        hnu_dev=hnu_dev,
+        mass_dev=abs(mass - 1.0),
+        hnu_dev=abs(float((h * nu).sum()) - 1.0),
         trunc_bound=f.var_bound,
-        work_depth=depth,
-        h_work=raw.right,
-        nu_work=raw.left,
-        alt_h=None if raw.converged else raw.right_prev,
-        alt_nu=None if raw.converged else raw.left_prev,
     )
 
 

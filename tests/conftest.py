@@ -29,3 +29,14 @@ def models(draw):
     table = draw(st.lists(st.sampled_from(VALUES), min_size=n**k, max_size=n**k))
     depth = draw(st.integers(max(k - 1, 1), 4))
     return ro.Potential(space, k, np.array(table)), depth
+
+
+def deep_eigenmeasure(f, depth):
+    """The adjoint Perron vector of the depth-d kernel, as a probability measure.
+
+    Solved on that kernel itself: the closed-form extension of the
+    canonical-depth nu would make the deep-weight certificates blind.
+    """
+    res = ro.power_iterate(ro.build_kernel(f, depth))
+    assert res.converged
+    return ro.CylinderMeasure(f.space, depth, res.left / res.left.sum())

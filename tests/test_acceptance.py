@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import ruelleop as ro
+from conftest import deep_eigenmeasure
 
 
 def _report(num, ok, detail):
@@ -65,7 +66,7 @@ def test_criterion_01_constant_potentials():
             sp = ro.uniform_space(n_sym)
             f = ro.builtin_constant(sp, c)
             est = ro.pressure_bracket(f, 1, 8)
-            sd = ro.perron_eigendata(f, 1)
+            sd = ro.perron_eigendata(f)
             worst = max(
                 worst,
                 abs(est.estimate - c),
@@ -84,7 +85,7 @@ def test_criterion_02_perron_oracle_agreement():
     for _ in range(50):
         f = ro.Potential(sp, 2, rng.uniform(-2.0, 2.0, 4))
         lam, right, left = pair_oracle(f)
-        sd = ro.perron_eigendata(f, 1)
+        sd = ro.perron_eigendata(f)
         worst_lam = max(worst_lam, abs(sd.lam - lam) / max(1.0, lam))
         worst_vec = max(
             worst_vec,
@@ -113,7 +114,7 @@ def test_criterion_03_brute_force_oracle():
 
 def test_criterion_04_bracket_approaches_eigenvalue():
     f = ro.builtin_ising(ro.uniform_space(2), 1.0)
-    p = math.log(ro.perron_eigendata(f, 2).lam)
+    p = math.log(ro.perron_eigendata(f).lam)
     est = ro.pressure_bracket(f, 2, 1000)  # runs in log space at this length
     err = np.abs(est.p_sup - p)
     bound = 2.0 * f.sup_norm * (f.depth - 1) / np.arange(1, 1001)
@@ -128,16 +129,16 @@ def _spectral_census():
     for c in (-2.0, 0.0, 0.7, 3.0):
         for n_sym in (2, 5):
             f = ro.builtin_constant(ro.uniform_space(n_sym), c)
-            runs.append((f, ro.perron_eigendata(f, 1)))
+            runs.append((f, ro.perron_eigendata(f)))
     rng = np.random.default_rng(20260819)
     sp = ro.uniform_space(2)
     for _ in range(50):
         f = ro.Potential(sp, 2, rng.uniform(-2.0, 2.0, 4))
-        runs.append((f, ro.perron_eigendata(f, 1)))
+        runs.append((f, ro.perron_eigendata(f)))
     f = ro.builtin_ising(sp, 1.0)
-    runs.append((f, ro.perron_eigendata(f, 2)))
+    runs.append((f, ro.perron_eigendata(f)))
     f = ro.builtin_xy(ro.gauss_legendre_space(16, 0.0, 1.0), 1.0)
-    runs.append((f, ro.perron_eigendata(f, 1)))
+    runs.append((f, ro.perron_eigendata(f)))
     return runs
 
 
@@ -158,13 +159,13 @@ def test_criterion_06_shift_invariance():
     cases.extend(ro.Potential(sp, 2, rng.uniform(-2.0, 2.0, 4)) for _ in range(20))
     worst = 0.0
     for f in cases:
-        sd = ro.perron_eigendata(f, 2)
+        sd = ro.perron_eigendata(f)
         mu = ro.equilibrium_measure(sd)
         worst = max(worst, ro.check_invariance(mu, f, sd.log_lam, sd.nu))
     # negative control: the eigenmeasure without the eigenfunction
     # reweighting; needs a symmetry-breaking field so h is not constant
     g = ro.builtin_ising(sp, 1.0, 0.3)
-    sg = ro.perron_eigendata(g, 2)
+    sg = ro.perron_eigendata(g)
     control = ro.check_invariance(sg.nu, g, sg.log_lam, sg.nu)
     ok = worst <= 1e-10 and control > 1e-3
     _report(6, ok, f"worst residual {worst:.2e}, control {control:.2e}")
@@ -179,8 +180,8 @@ def test_criterion_07_intertwine_identity():
     worst = 0.0
     weakest_control = math.inf
     for f in cases:
-        sd = ro.perron_eigendata(f, 3)
-        nu3 = ro.CylinderMeasure(sp, 3, sd.nu_work)
+        sd = ro.perron_eigendata(f)
+        nu3 = deep_eigenmeasure(f, 3)
         worst = max(worst, max(ro.check_intertwine(f, sd.log_lam, nu3, w) for w in words))
         raw = rng.uniform(0.05, 1.0, 8)
         fake = ro.CylinderMeasure(sp, 3, raw / raw.sum())
@@ -196,7 +197,7 @@ def test_criterion_08_variational_principle():
     t0 = time.perf_counter()
     sp = ro.uniform_space(2)
     f = ro.builtin_ising(sp, 1.0)
-    sd = ro.perron_eigendata(f, 2)
+    sd = ro.perron_eigendata(f)
     mu = ro.extend_equilibrium(sd, f, 7)
     eq_gap = abs(ro.variational_gap(mu, f, sd, 6).gap)
 
@@ -224,7 +225,7 @@ def test_criterion_09_quadrature_convergence():
     for count in (8, 16, 32):
         spx = ro.gauss_legendre_space(count, 0.0, 1.0)
         f = ro.builtin_xy(spx, 1.0)
-        lams.append(ro.perron_eigendata(f, 1).lam)
+        lams.append(ro.perron_eigendata(f).lam)
     g1 = abs(lams[1] - lams[0])
     g2 = abs(lams[2] - lams[1])
     elapsed = time.perf_counter() - t0

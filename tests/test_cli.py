@@ -84,7 +84,7 @@ def test_spectral_matches_library(tmp_path):
     )
     assert code == 0
     f = ro.builtin_ising(ro.uniform_space(2), 1.0, 0.3)
-    sd = ro.perron_eigendata(f, 2)
+    sd = ro.perron_eigendata(f)
     assert scalar_from(text, "lam") == pytest.approx(sd.lam, rel=1e-12)
     assert scalar_from(text, "converged") == 1
 
@@ -407,10 +407,11 @@ def test_bad_config_exits_2(tmp_path, capsys):
 
 
 def test_resource_cap_exits_3(tmp_path, capsys):
+    # the equilibrium table has 2^40 rows; the eigensolve alone stays at depth 1
     cfg = dict(ISING)
     cfg["depth"] = 40
     path = write_cfg(tmp_path, cfg)
-    assert main(["spectral", "--config", path]) == 3
+    assert main(["equilibrium", "--config", path]) == 3
     capsys.readouterr()
 
 
@@ -427,10 +428,65 @@ def test_config_cylinder_cap_holds_for_one_run(tmp_path, capsys):
     capped["cylinder_cap"] = 5
     assert main(["pressure", "--config", write_cfg(tmp_path, capped, "capped.json")]) == 0
     deep = dict(ISING)
-    deep["depth"] = 4  # 2^4 = 16 cylinders, over the previous run's cap
-    assert main(["spectral", "--config", write_cfg(tmp_path, deep, "deep.json")]) == 0
+    deep["depth"] = 4  # a table of 2^4 = 16 cylinders, over the previous run's cap
+    assert main(["equilibrium", "--config", write_cfg(tmp_path, deep, "deep.json")]) == 0
     assert ro.cylinder_cap() == ro.config.DEFAULT_CYLINDER_CAP
     capsys.readouterr()
+
+
+def test_inconsistent_configs_exit_2_before_any_solve(tmp_path, capsys):
+    # a depth-3 potential needs depth 2 or more; each command refuses depth 1 as a config error
+    values = np.random.default_rng(8).uniform(-1.0, 1.0, 8).tolist()
+    cfg = {
+        "space": {"kind": "uniform", "size": 2},
+        "potential": {"kind": "table", "depth": 3, "values": values},
+        "depth": 1,
+    }
+    path = write_cfg(tmp_path, cfg)
+    for command in cli.COMMANDS:
+        assert main([command, "--config", path]) == 2, command
+        assert "config error: 'depth' must be at least 2" in capsys.readouterr().err, command
+    cfg["depth"] = 2
+    path = write_cfg(tmp_path, cfg, "ok.json")
+    # the gap at n = n_max needs mu at depth n_max + 1 >= 3
+    assert main(["entropy", "--config", path, "--n-max", "1"]) == 2
+    assert main(["entropy", "--config", path, "--n-max", "2", "--out", str(tmp_path / "e.txt")]) == 0
+    for grid in ({"start": 1.0, "stop": 1.0}, {"start": 2.0, "stop": 0.0}, {"start": 0.0, "stop": math.inf}):
+        path = write_cfg(tmp_path, dict(cfg, grid=grid), "grid.json")
+        assert main(["scan", "--config", path]) == 2, grid
+    assert main(["pressure", "--config", path, "--beta", "nan"]) == 2
+    capsys.readouterr()
+
+
+def test_a_value_error_in_the_solver_is_a_numeric_failure(tmp_path, monkeypatch, capsys):
+    # config faults are raised as ConfigErrors while the run is assembled; a
+    # ValueError from the numerics is no config fault
+    def fail(*args, **kwargs):
+        raise ValueError("solver fault")
+
+    monkeypatch.setattr(ro.spectral, "power_iterate", fail)
+    assert main(["spectral", "--config", write_cfg(tmp_path, ISING)]) == 4
+    assert "numeric failure: solver fault" in capsys.readouterr().err
+
+
+def test_eigendata_are_solved_at_the_canonical_depth(tmp_path, monkeypatch):
+    # Ising is a depth-2 potential: whatever the working depth, its eigendata
+    # live on the first symbol, and no command solves a deeper kernel for them
+    depths = []
+    solve = ro.spectral.power_iterate
+
+    def spy(kernel, **kwargs):
+        depths.append(kernel.depth)
+        return solve(kernel, **kwargs)
+
+    monkeypatch.setattr(ro.spectral, "power_iterate", spy)
+    path = write_cfg(tmp_path, dict(ISING, depth=8))
+    for command in ("spectral", "equilibrium", "entropy", "verify"):
+        depths.clear()
+        code, text = run_to_file(tmp_path, [command, "--config", path], f"{command}.txt")
+        assert code == 0, command
+        assert depths == [1], command
+    assert "# 15 of 15 checks passed" in text
 
 
 def test_eigensolver_failure_exits_4(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ruelleop as ro
+from conftest import deep_eigenmeasure
 
 
 def word_idx(word, n):
@@ -60,20 +61,20 @@ def test_eigenmeasure_certificate_and_extension(two_space):
     rng = np.random.default_rng(45)
     for _ in range(5):
         f = ro.Potential(two_space, 2, rng.uniform(-1.5, 1.5, 4))
-        sd = ro.perron_eigendata(f, 1)
+        sd = ro.perron_eigendata(f)
         assert ro.check_eigenmeasure(f, sd.log_lam, sd.nu, 1) < 1e-12
         ext = ro.extend_eigenmeasure(f, sd.log_lam, sd.nu)
         assert ext.depth == 2
         assert ext.mass_dev < 1e-10
         assert ro.check_eigenmeasure(f, sd.log_lam, ext, 2) < 1e-11
         # the closed-form extension agrees with a direct deeper solve
-        deep = ro.perron_eigendata(f, 2)
-        assert np.allclose(ext.weights, deep.nu_work, rtol=0, atol=1e-10)
+        deep = deep_eigenmeasure(f, 2)
+        assert np.allclose(ext.weights, deep.weights, rtol=0, atol=1e-10)
 
 
 def test_extension_refuses_non_eigenmeasure(two_space):
     f = ro.builtin_ising(two_space, 1.0, 0.3)
-    sd = ro.perron_eigendata(f, 1)
+    sd = ro.perron_eigendata(f)
     fake = ro.CylinderMeasure(two_space, 1, np.array([0.5, 0.5]))
     assert ro.check_eigenmeasure(f, sd.log_lam, fake, 1) > 1e-2
     with pytest.raises(ro.NumericError):
@@ -82,10 +83,10 @@ def test_extension_refuses_non_eigenmeasure(two_space):
 
 def test_equilibrium_refuses_uncertified_data(two_space):
     f = ro.builtin_ising(two_space, 1.0, 0.3)
-    bad = ro.perron_eigendata(f, 2, max_iters=3)
+    bad = ro.perron_eigendata(f, max_iters=3)
     with pytest.raises(ro.NumericError):
         ro.equilibrium_measure(bad)
-    good = ro.perron_eigendata(f, 2)
+    good = ro.perron_eigendata(f)
     r = max(good.residual_right, good.residual_left)
     if r > 0:
         with pytest.raises(ro.NumericError):
@@ -94,7 +95,7 @@ def test_equilibrium_refuses_uncertified_data(two_space):
 
 def test_equilibrium_invariance_and_control(two_space):
     f = ro.builtin_ising(two_space, 1.0, 0.3)
-    sd = ro.perron_eigendata(f, 2)
+    sd = ro.perron_eigendata(f)
     mu = ro.equilibrium_measure(sd)
     assert ro.check_invariance(mu, f, sd.log_lam, sd.nu) < 1e-10
     # the plain product measure is shift-invariant but not the equilibrium
@@ -105,7 +106,7 @@ def test_equilibrium_invariance_and_control(two_space):
 
 def test_extended_equilibrium_stays_invariant(two_space):
     f = ro.builtin_ising(two_space, 1.0, 0.3)
-    sd = ro.perron_eigendata(f, 2)
+    sd = ro.perron_eigendata(f)
     mu4 = ro.extend_equilibrium(sd, f, 4)
     nu4 = sd.nu
     while nu4.depth < 4:
@@ -145,16 +146,16 @@ def test_equilibrium_matches_markov_oracle(two_space):
         pi /= pi.sum()
         want = markov_weights(pi, P, 3)
 
-        sd = ro.perron_eigendata(f, 2)
+        sd = ro.perron_eigendata(f)
         mu = ro.extend_equilibrium(sd, f, 3)
         assert np.allclose(mu.weights, want, rtol=0, atol=1e-11)
 
 
 def test_intertwine_certificate_and_control(two_space):
     f = ro.builtin_ising(two_space, 1.0, 0.3)
-    sd = ro.perron_eigendata(f, 3)
+    sd = ro.perron_eigendata(f)
     # converged full-depth eigenmeasure data, words one level shallower
-    nu3 = ro.CylinderMeasure(two_space, 3, sd.nu_work)
+    nu3 = deep_eigenmeasure(f, 3)
     words = list(itertools.product(range(2), repeat=2))
     for word in words:
         assert ro.check_intertwine(f, sd.log_lam, nu3, word) < 1e-10
@@ -163,9 +164,8 @@ def test_intertwine_certificate_and_control(two_space):
     bad = ro.CylinderMeasure(two_space, 3, pert / pert.sum())
     assert max(ro.check_intertwine(f, sd.log_lam, bad, word) for word in words) > 1e-4
     # a deeper stored measure is marginalized down before the comparison
-    sd4 = ro.perron_eigendata(f, 4)
-    nu4 = ro.CylinderMeasure(two_space, 4, sd4.nu_work)
-    assert ro.check_intertwine(f, sd4.log_lam, nu4, (0, 1)) < 1e-10
+    nu4 = deep_eigenmeasure(f, 4)
+    assert ro.check_intertwine(f, sd.log_lam, nu4, (0, 1)) < 1e-10
     with pytest.raises(ValueError):
         ro.check_intertwine(f, sd.log_lam, nu3, ())
     with pytest.raises(ValueError):
@@ -236,7 +236,7 @@ def test_invariance_defect(two_space):
 
 def test_variational_gap_zero_at_equilibrium(two_space):
     f = ro.builtin_ising(two_space, 1.0)
-    sd = ro.perron_eigendata(f, 2)
+    sd = ro.perron_eigendata(f)
     n = 6
     mu = ro.extend_equilibrium(sd, f, n + 1)
     rep = ro.variational_gap(mu, f, sd, n)
@@ -248,7 +248,7 @@ def test_variational_gap_zero_at_equilibrium(two_space):
 
 def test_variational_gap_nonnegative_for_markov_family(two_space):
     f = ro.builtin_ising(two_space, 1.0, 0.2)
-    sd = ro.perron_eigendata(f, 2)
+    sd = ro.perron_eigendata(f)
     rng = np.random.default_rng(48)
     largest = -math.inf
     for _ in range(25):
@@ -265,7 +265,7 @@ def test_variational_gap_nonnegative_for_markov_family(two_space):
 
 def test_variational_gap_flags_and_guards(two_space):
     f = ro.builtin_ising(two_space, 1.0)
-    sd = ro.perron_eigendata(f, 2)
+    sd = ro.perron_eigendata(f)
     rng = np.random.default_rng(49)
     w = rng.uniform(0.1, 1.0, 8)
     skew = ro.CylinderMeasure(two_space, 3, w / w.sum())

@@ -30,7 +30,7 @@ def dense_pair_eigendata(f):
 
 
 def test_constant_potential_eigendata(three_space):
-    sd = ro.perron_eigendata(ro.builtin_constant(three_space, -0.4), 2)
+    sd = ro.perron_eigendata(ro.builtin_constant(three_space, -0.4))
     assert sd.converged
     assert sd.lam == pytest.approx(math.exp(-0.4), rel=1e-13)
     assert np.allclose(sd.h.values, 1.0, rtol=0, atol=1e-12)
@@ -42,7 +42,7 @@ def test_pair_eigenvalue_matches_char_poly_oracle(two_space):
     for _ in range(10):
         f = ro.Potential(two_space, 2, rng.uniform(-2.0, 2.0, 4))
         _, lam, right, left = dense_pair_eigendata(f)
-        sd = ro.perron_eigendata(f, 1)
+        sd = ro.perron_eigendata(f)
         assert sd.converged
         assert sd.lam == pytest.approx(lam, rel=1e-12)
         # up-to-scale agreement of both eigenvectors
@@ -54,23 +54,37 @@ def test_pair_eigenvalue_matches_char_poly_oracle(two_space):
         assert np.allclose(got_nu, want_nu, rtol=0, atol=1e-11)
 
 
+def deep_log_lam(f, depth):
+    """log lam from power iteration on the depth-d kernel itself."""
+    kernel = ro.build_kernel(f, depth)
+    res = ro.power_iterate(kernel)
+    assert res.converged
+    return math.log(res.lam) + kernel.offset
+
+
 def test_eigenvalue_is_depth_invariant(two_space):
     f = ro.builtin_ising(two_space, 1.0, 0.3)
-    lams = [ro.perron_eigendata(f, d).lam for d in (1, 2, 4)]
-    assert lams[0] == pytest.approx(lams[1], rel=1e-12)
-    assert lams[0] == pytest.approx(lams[2], rel=1e-12)
+    log_lam = ro.perron_eigendata(f).log_lam
+    for d in (1, 2, 4):
+        assert deep_log_lam(f, d) == pytest.approx(log_lam, rel=1e-12)
     sp3 = ro.finite_space([0.5, 0.2, 0.3])
     g = ro.Potential(sp3, 2, np.random.default_rng(42).uniform(-1, 1, 9))
-    assert ro.perron_eigendata(g, 1).lam == pytest.approx(
-        ro.perron_eigendata(g, 3).lam, rel=1e-12
-    )
+    assert deep_log_lam(g, 3) == pytest.approx(ro.perron_eigendata(g).log_lam, rel=1e-12)
+
+
+def test_eigendata_take_no_working_depth(two_space):
+    # tol and max_iters are keyword-only: a depth passed where tol used to sit raises
+    f = ro.builtin_ising(two_space, 1.0, 0.3)
+    with pytest.raises(TypeError):
+        ro.perron_eigendata(f, 2)
+    assert ro.perron_eigendata(ro.Potential(two_space, 4, np.arange(16.0) / 16)).h.depth == 3
 
 
 def test_adding_constant_scales_eigenvalue(two_space):
     f = ro.builtin_ising(two_space, 0.8, -0.1)
     g = ro.Potential(two_space, 2, f.table + 1.3)
-    lam_f = ro.perron_eigendata(f, 2).lam
-    lam_g = ro.perron_eigendata(g, 2).lam
+    lam_f = ro.perron_eigendata(f).lam
+    lam_g = ro.perron_eigendata(g).lam
     assert lam_g == pytest.approx(math.exp(1.3) * lam_f, rel=1e-12)
 
 
@@ -82,7 +96,7 @@ def test_pressure_dominates_mean_of_potential():
         sp = ro.uniform_space(size)
         for _ in range(5):
             f = ro.Potential(sp, 1, rng.uniform(-2.0, 2.0, size))
-            sd = ro.perron_eigendata(f, 1)
+            sd = ro.perron_eigendata(f)
             mean = float(np.dot(sp.weights, f.table))
             assert math.log(sd.lam) >= mean - 1e-12
 
@@ -91,7 +105,7 @@ def test_pressure_bracket_contains_eigenvalue(two_space):
     rng = np.random.default_rng(44)
     for _ in range(5):
         f = ro.Potential(two_space, 2, rng.uniform(-1.5, 1.5, 4))
-        sd = ro.perron_eigendata(f, 2)
+        sd = ro.perron_eigendata(f)
         est = ro.pressure_bracket(f, 2, 12)
         p = math.log(sd.lam)
         assert est.p_inf[-1] <= p + 1e-12
@@ -248,47 +262,58 @@ def test_power_iteration_reports_the_residuals_of_its_last_step(two_space):
         assert res.residual_left == left / res.lam
 
 
-def test_nonconverged_eigendata_carries_alternates(two_space):
+def test_nonconverged_eigendata_is_flagged(two_space):
     f = ro.builtin_ising(two_space, 1.0, 0.3)
-    sd = ro.perron_eigendata(f, 2, max_iters=3)
-    assert not sd.converged
-    assert sd.alt_h is not None and sd.alt_nu is not None
-    good = ro.perron_eigendata(f, 2)
-    assert good.converged
-    assert good.alt_h is None and good.alt_nu is None
+    sd = ro.perron_eigendata(f, max_iters=3)
+    assert not sd.converged and sd.iterations == 3
+    assert max(sd.residual_right, sd.residual_left) > 1e-6
+    good = ro.perron_eigendata(f)
+    assert good.converged and good.iterations > 3
 
 
 def test_xi_sequence_converges_to_eigenfunction(two_space):
     f = ro.builtin_ising(two_space, 0.9, 0.25)
-    sd = ro.perron_eigendata(f, 2)
+    sd = ro.perron_eigendata(f)
     functions, increments = ro.xi_sequence(f, 2, 40, sd.log_lam)
     assert np.all(np.isfinite(increments))
     # geometric decay: the tail increment is far below the first
     assert increments[-1] < 1e-10 * max(increments[0], 1e-30)
     # the limit is the eigenfunction up to its own normalization
     got = functions[-1].values
-    want = sd.h_work
+    want = np.repeat(sd.h.values, 2)  # h reads only the first coordinate
     assert np.allclose(got / got[0], want / want[0], rtol=0, atol=1e-9)
 
 
 def test_xi_sequence_detects_wrong_eigenvalue(two_space):
     f = ro.builtin_ising(two_space, 0.9, 0.25)
-    sd = ro.perron_eigendata(f, 2)
+    sd = ro.perron_eigendata(f)
     _, bad = ro.xi_sequence(f, 2, 40, sd.log_lam - math.log(2.0))
     # rescaling by the wrong eigenvalue makes the increments blow up
     assert bad[-1] > 1e6 * bad[0]
 
 
-def test_canonical_depth_projection_consistency(two_space):
-    # eigendata computed at depth 4 but reported at depth 1 must match the
-    # eigendata computed directly at depth 1
-    f = ro.builtin_ising(two_space, 1.0, 0.3)
-    a = ro.perron_eigendata(f, 1)
-    b = ro.perron_eigendata(f, 4)
-    assert b.nu.depth == 1 and b.work_depth == 4
-    assert np.allclose(a.nu.weights, b.nu.weights, rtol=0, atol=1e-11)
-    assert np.allclose(a.h.values, b.h.values, rtol=0, atol=1e-10)
-    assert b.residual_right < 1e-10 and b.residual_left < 1e-10
+@settings(max_examples=40, deadline=None)
+@given(models())
+def test_deeper_kernels_reduce_to_the_canonical_eigendata(model):
+    # the operator of a depth-k potential maps depth-d0 functions to
+    # themselves (d0 = max(k-1, 1)), so at every deeper depth d the Perron
+    # root is the same, the right vector is h read on the first d0
+    # symbols, and the left vector is nu extended by
+    # nu[a u] = w_a exp(f(a u) - log lam) nu[u]
+    f, _ = model
+    sd = ro.perron_eigendata(f)
+    d0 = sd.nu.depth
+    assert d0 == max(f.depth - 1, 1) and sd.converged
+    nu = sd.nu
+    for d in range(d0, d0 + 3):
+        kernel = ro.build_kernel(f, d)
+        res = ro.power_iterate(kernel)
+        assert res.converged
+        assert math.log(res.lam) + kernel.offset == pytest.approx(sd.log_lam, rel=1e-12, abs=1e-12)
+        h = np.repeat(sd.h.values, f.space.size ** (d - d0))
+        np.testing.assert_allclose(res.right / res.right.max(), h / h.max(), rtol=1e-9, atol=0)
+        np.testing.assert_allclose(res.left / res.left.sum(), nu.weights, rtol=0, atol=1e-11)
+        nu = ro.extend_eigenmeasure(f, sd.log_lam, nu)
 
 
 @settings(max_examples=40, deadline=None)
@@ -297,11 +322,11 @@ def test_adding_a_constant_shifts_only_the_pressure(model):
     # f + c has lam * e^c and the same eigenfunction, eigenmeasure and
     # iteration count: the kernel offset absorbs c, so f + c - offset is f - offset
     f, depth = model
-    sd = ro.perron_eigendata(f, depth)
+    sd = ro.perron_eigendata(f)
     est = ro.pressure_bracket(f, depth, 6)
     for c in (-400.0, 0.0, 400.0, 800.0):
         g = ro.Potential(f.space, f.depth, f.table + c)
-        sg = ro.perron_eigendata(g, depth)
+        sg = ro.perron_eigendata(g)
         assert sg.log_lam == pytest.approx(sd.log_lam + c, rel=1e-13)
         assert sg.iterations == sd.iterations
         np.testing.assert_allclose(sg.h.values, sd.h.values, rtol=0, atol=1e-12)
@@ -331,9 +356,10 @@ def test_a_coboundary_with_a_wide_range_has_pressure_zero(f):
     # a coboundary has lam = 1 whatever the weights; 400 (x0 - x1) spans
     # e^-400 .. e^400 around the centred offset, where an entry e^-800
     # next to 1 would underflow to 0 and change the root
-    for depth in range(f.depth - 1 or 1, 4):
-        sd = ro.perron_eigendata(f, depth)
-        assert sd.converged
-        assert abs(sd.log_lam) <= 1e-12
+    sd = ro.perron_eigendata(f)
+    assert sd.converged
+    assert abs(sd.log_lam) <= 1e-12
+    for depth in range(sd.nu.depth + 1, 4):
+        assert abs(deep_log_lam(f, depth)) <= 1e-12
     est = ro.pressure_bracket(f, 3, 40)
     assert est.p_inf[-1] <= 0.0 <= est.p_sup[-1]
