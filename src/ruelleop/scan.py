@@ -1,16 +1,20 @@
 """Pressure curves over an inverse-temperature grid, with kink candidates.
 
 Each grid point solves for the leading eigenvalue of the operator for
-beta * f, from the kernel of beta * f minus its largest table entry so
-that large potentials cannot overflow.  The partition of the depth-d
-words into exactly lumpable classes (``transfer.lumpable_partition``)
-does not depend on beta, so it is computed once per scan.  When a dense
-eigensolve of the quotient is cheaper than a few dozen power iterations
-on the full kernel (``_quotient_pays``), each point takes the Perron root
-of the small quotient and certifies the lifted eigenvector by one
-product with the full-depth kernel; a point whose certificate fails is
-reported as non-converged.  Otherwise each point is solved by power
-iteration, starting from the previous point's eigenvectors.
+beta * f, from the kernel of beta * f minus its gauge offset so that
+large potentials cannot overflow.  The partition of the depth-d words
+into exactly lumpable classes (``transfer.lumpable_partition``) and the
+kernel's product size do not depend on beta, so each scan is routed
+once.  When a dense eigensolve of the quotient is cheaper than a few
+dozen power iterations on the full kernel (``_quotient_pays``), the
+quotients of a block of grid points are built by one scatter and their
+Perron roots come from one stacked eigensolve.  A block holds at most
+product_size // c**2 points for c classes, so its stack of quotients
+is no larger than one product broadcast.  Each point's lifted
+eigenvector is then certified by one product with its full-depth
+kernel; a point whose certificate fails is reported as non-converged.
+Otherwise each point is solved by power iteration, starting from the
+previous point's eigenvectors.
 
 A genuine first-order transition would put a slope discontinuity into
 the limiting curve; at finite truncation the curve is analytic, so the
@@ -20,24 +24,28 @@ Non-converged points are surfaced as candidates too, never silently
 dropped.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .potential import scale
 from .spectral import DEFAULT_MAX_ITERS, power_iterate
-from .transfer import build_kernel, lumpable_partition
+from .transfer import _gauge_offset, _prefix, build_kernel, lumpable_partition
 
 KINK_FACTOR = 5.0
 KINK_ABS_FLOOR = 1e-8
 
-# Routing between the two solvers.  Measured on a 2-vCPU Xeon with one
-# BLAS thread: np.linalg.eig costs about 5-6 ns * c**3 on c = 64-128
-# classes, and one power iteration about 9-12 ns per entry of the
-# kernel's product broadcast (1k-65k entries, random binary and ternary
-# tables) plus a fixed 18 us (about 2,000 entries).  The ratio was
-# chosen when an iteration cost 25 ns per entry and eig 10 ns * c**3, so
-# that the quotient is used when its eigensolve costs at most about 25
+# Routing between the two solvers, once per scan: neither the class count
+# nor the product size depends on beta.  The figures below were taken
+# with one eigensolve per point; the stacked solve of a block does the
+# same arithmetic with less fixed cost per point.  Measured on a 2-vCPU
+# Xeon with one BLAS thread: np.linalg.eig costs about 5-6 ns * c**3 on
+# c = 64-128 classes, and one power iteration about 9-12 ns per entry of
+# the kernel's product broadcast (1k-65k entries, random binary and
+# ternary tables) plus a fixed 18 us (about 2,000 entries).  The ratio
+# was chosen when an iteration cost 25 ns per entry and eig 10 ns * c**3,
+# so that the quotient is used when its eigensolve costs at most about 25
 # iterations; at the figures above that is about 30-45 iterations.  Warm-
 # started points took 2 (rotor on Gauss-Legendre nodes) to 122 (random
 # binary depth-8 table) iterations on average; at the original figures
@@ -85,16 +93,22 @@ def pressure_curve(f, betas, depth, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
     if np.any(np.diff(betas) <= 0):
         raise ValueError("beta grid must be strictly increasing")
 
-    lams = np.empty(len(betas))
-    pressures = np.empty(len(betas))
-    converged = np.zeros(len(betas), dtype=bool)
-    iters = np.zeros(len(betas), dtype=np.int64)
+    m = len(betas)
+    lams = np.empty(m)
+    pressures = np.empty(m)
+    converged = np.zeros(m, dtype=bool)
+    iters = np.zeros(m, dtype=np.int64)
     lumping = lumpable_partition(f, depth)
+    kernels = (build_kernel(scale(f, beta), depth) for beta in betas)
+    first = next(kernels)
+    lumped = _quotient_pays(lumping.size, first.product_size)
+    if lumped:
+        roots = _lumped_roots(f, lumping, betas, max(1, first.product_size // lumping.size**2))
     left = right = None
-    for i, beta in enumerate(betas):
-        kernel = build_kernel(scale(f, beta), depth)
-        if _quotient_pays(lumping.size, kernel.product_size):
-            lam, converged[i] = _solve_lumped(kernel, lumping, tol)
+    for i, kernel in enumerate(itertools.chain([first], kernels)):
+        if lumped:
+            lam, g = next(roots)
+            converged[i] = _certified(kernel, lumping, lam, g, tol)
         else:
             res = power_iterate(kernel, tol=tol, max_iters=max_iters, left0=left, right0=right)
             lam, converged[i], iters[i] = res.lam, res.converged, res.iterations
@@ -103,7 +117,6 @@ def pressure_curve(f, betas, depth, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
         with np.errstate(over="ignore"):
             lams[i] = lam * np.exp(kernel.offset)
 
-    m = len(betas)
     slope_left = np.full(m, np.nan)
     slope_right = np.full(m, np.nan)
     slope_left[1:] = (pressures[1:] - pressures[:-1]) / (betas[1:] - betas[:-1])
@@ -111,8 +124,7 @@ def pressure_curve(f, betas, depth, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
     with np.errstate(invalid="ignore"):
         mismatch = np.abs(slope_right - slope_left)
 
-    interior = mismatch[1 : m - 1]
-    level = float(np.median(interior[np.isfinite(interior)])) if m > 2 else np.nan
+    level = _median(mismatch[1 : m - 1])
     noise = np.full(m, level)
     flags = np.zeros(m, dtype=bool)
     for i in range(1, m - 1):
@@ -147,20 +159,50 @@ def _quotient_pays(classes, product_size):
     return classes**3 <= QUOTIENT_WORK_RATIO * (product_size + ITERATION_OVERHEAD)
 
 
-def _solve_lumped(kernel, lumping, tol):
-    """(lam, certified): the Perron root of a kernel from its lumped quotient.
+def _lumped_roots(f, lumping, betas, block):
+    """(lam, g) per grid point: the Perron root and vector of its lumped quotient.
 
-    The Perron vector of the quotient, lifted to the words, is
-    certified at full depth: h >= 0, max h > 0 and the scale-free
-    residual max|M h - lam h| / (lam max h) within tol.
+    The quotient at beta has the rep-row weights w_a exp(beta f - offset),
+    with the offset of :func:`build_kernel`; the roots of ``block`` grid
+    points at a time come from one stacked eigensolve.
     """
-    vals, vecs = np.linalg.eig(lumping.quotient(kernel))
-    top = int(np.argmax(vals.real))
-    lam = float(vals[top].real)
-    g = vecs[:, top].real
+    # beta f spans [beta lo, beta hi], reversed when beta < 0: scaling is monotone
+    lo, hi = float(f.table.min()), float(f.table.max())
+    offsets = np.array([_gauge_offset(*sorted((beta * lo, beta * hi)), f.depth) for beta in betas])
+    n = f.space.size
+    cols = f.table.reshape(n, -1)[:, _prefix(n, lumping.depth, f.depth, lumping.reps)]
+    w = f.space.weights[:, None]
+    for start in range(0, len(betas), block):
+        b = betas[start : start + block, None, None]
+        shift = offsets[start : start + block, None, None]
+        vals, vecs = np.linalg.eig(lumping.quotient(w * np.exp(b * cols - shift)))
+        for j, top in enumerate(np.argmax(vals.real, axis=-1)):
+            yield float(vals[j, top].real), vecs[j, :, top].real
+
+
+def _certified(kernel, lumping, lam, g, tol):
+    """Whether the quotient's Perron pair (lam, g), lifted to the words, is the kernel's.
+
+    Certified at full depth: h = g[labels] >= 0 (scaled so that its
+    largest magnitude is 1), max h > 0 and the scale-free residual
+    max|M h - lam h| / (lam max h) within tol.
+    """
     h = (g / g[np.argmax(np.abs(g))])[lumping.labels]
     peak = float(h.max())
     if not (lam > 0 and peak > 0 and np.all(h >= 0)):
-        return lam, False
+        return False
     residual = float(np.max(np.abs(kernel.matvec(h) - lam * h))) / (lam * peak)
-    return lam, residual <= tol
+    return residual <= tol
+
+
+def _median(x):
+    """Median of the finite entries of x, NaN if there are none.
+
+    The mean of the middle one or two sorted entries: bit for bit
+    ``np.median``, whose first call imports ``numpy.ma``.
+    """
+    x = np.sort(x[np.isfinite(x)])
+    if len(x) == 0:
+        return np.nan
+    mid = len(x) // 2
+    return float(x[mid - 1 + len(x) % 2 : mid + 1].mean())

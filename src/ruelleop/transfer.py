@@ -14,6 +14,7 @@ and the dense matrix are materialized on demand for export and for
 small-instance cross-checks.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,24 @@ def _check_depth(k, depth):
 def _prefix(n, depth, k, rows):
     """Column of the weight table (the depth-(k-1) prefix) of each depth-d row index."""
     return rows // n ** (depth - k + 1)
+
+
+def _gauge_offset(lo, hi, k):
+    """The shift taken off a depth-k potential whose table spans [lo, hi].
+
+    ``hi`` while k * (hi - lo) <= LINEAR_VALUE_CEILING, else the
+    midpoint of the range, at least hi - LINEAR_VALUE_CEILING (see
+    :func:`build_kernel`).
+    """
+    if k * (hi - lo) <= LINEAR_VALUE_CEILING:
+        return hi
+    return max((hi + lo) / 2, hi - LINEAR_VALUE_CEILING)
+
+
+def _arq(table, n, blocks):
+    """A depth-k table in (a, r, q) order, shape (n, rw, p0): see :class:`TransferKernel`."""
+    p0, _, rw = blocks
+    return table.reshape(n, p0, rw).transpose(0, 2, 1)
 
 
 def _block_sums(x, length):
@@ -119,8 +138,8 @@ class TransferKernel:
     Index conventions (canonical word order, n symbols, working depth
     d, potential depth k):
 
-      * ``ew[a, m]`` = w_a * exp(f(a m) - offset) over depth-(k-1)
-        prefixes m.
+      * The weight of symbol a in row u is w_a * exp(f(a m) - offset),
+        m the depth-(k-1) prefix of u.
       * A row u splits as (q, r): its first d-1 symbols and its last
         symbol.  Its predecessor by symbol a is the word a q, at index
         a * n**(d-1) + q, so a vector reshaped to (n, n**(d-1)) holds
@@ -132,20 +151,30 @@ class TransferKernel:
         depth d = k-1 has (n**(d-1), 1, n): the weight reads the whole
         row, and the sums land in the output vector through its
         transposed view ``out.reshape(p0 * p1, rw).T.reshape(rw, p0, p1)``.
-      * ``ew_arq`` is ``ew`` in (a, r, q) order, shape (n, rw, p0): the
-        weight of row (q, r) is ``ew_arq[a, r % rw, q // p1]``, so every
-        product broadcasts over a contiguous q axis; ``log_ew_arq`` is
-        its logarithm.
+      * ``ew_arq`` holds the weights in (a, r, q) order, shape (n, rw,
+        p0): the weight of row (q, r) is ``ew_arq[a, r % rw, q // p1]``,
+        so every product broadcasts over a contiguous q axis.  It is the
+        only weight array stored; no canonical-order copy is kept.
+      * ``log_ew_arq`` is log w_a + (f - offset) in the same order.  Only
+        ``log_matvec`` reads it, so it is derived (and cached) on first
+        read.
     """
 
     space: SymbolSpace
     potential: Potential
     depth: int
-    ew: np.ndarray
     ew_arq: np.ndarray
-    log_ew_arq: np.ndarray
     blocks: tuple
     offset: float
+
+    @functools.cached_property
+    def log_ew_arq(self):
+        """log w_a + (f - offset) in the order of ``ew_arq``, derived on first read."""
+        w = self.space.weights[:, None, None]
+        table_arq = _arq(self.potential.table - self.offset, self.space.size, self.blocks)
+        log_ew = np.add(np.log(w), table_arq, order="C")
+        log_ew.flags.writeable = False
+        return log_ew
 
     @property
     def size(self):
@@ -209,9 +238,11 @@ class TransferKernel:
         rows = np.asarray(x, dtype=float).reshape(-1, n)
         return (self.ew_arq * rows.T).sum(axis=1).reshape(-1)
 
-    def _prefix(self, rows):
-        """Column of ``ew`` (the depth-(k-1) prefix) for each row index."""
-        return _prefix(self.space.size, self.depth, self.potential.depth, rows)
+    def _row_weights(self, rows):
+        """Weights of the given rows, shape (n,) + rows.shape: one per symbol a."""
+        _, p1, rw = self.blocks
+        q, r = np.divmod(rows, self.space.size)
+        return self.ew_arq[:, r % rw, q // p1]
 
     def to_dense(self):
         """Materialize M as a dense array (small instances only)."""
@@ -221,9 +252,10 @@ class TransferKernel:
         n = self.space.size
         npred = nd // n
         rows = np.arange(nd)
+        weights = self._row_weights(rows)
         dense = np.zeros((nd, nd))
         for a in range(n):
-            dense[rows, a * npred + rows // n] = self.ew[a, self._prefix(rows)]
+            dense[rows, a * npred + rows // n] = weights[a]
         return dense
 
     def export_coo(self, stream):
@@ -237,11 +269,11 @@ class TransferKernel:
         n = self.space.size
         npred = self.size // n
         labels = _word_labels(self.space, self.depth)
+        weights = self._row_weights(np.arange(self.size))
         for i, u in enumerate(labels):
-            m = self._prefix(i)
             for a in range(n):
                 v = labels[a * npred + i // n]
-                stream.write(f"{u} {v} {self.ew[a, m]:.17g}\n")
+                stream.write(f"{u} {v} {weights[a, i]:.17g}\n")
 
 
 def build_kernel(f, depth):
@@ -260,29 +292,19 @@ def build_kernel(f, depth):
     _check_depth(k, depth)
     check_cylinder_count(n, depth)
     check_cylinder_count(n, k)
-    lo, hi = float(f.table.min()), float(f.table.max())
-    offset = hi if k * (hi - lo) <= LINEAR_VALUE_CEILING else max((hi + lo) / 2, hi - LINEAR_VALUE_CEILING)
-    table = f.table - offset
+    offset = _gauge_offset(float(f.table.min()), float(f.table.max()), k)
     if depth >= k:
         blocks = (n ** (k - 1), n ** (depth - k), 1)
-        table_arq = table.reshape(n, 1, -1)
     else:
         blocks = (n ** (depth - 1), 1, n)
-        table_arq = table.reshape(n, -1, n).transpose(0, 2, 1)
     w = f.space.weights[:, None, None]
-    ew_arq = np.multiply(w, np.exp(table_arq), order="C")
-    log_ew_arq = np.add(np.log(w), table_arq, order="C")
-    # canonical order: a view of ew_arq for deep kernels, a copy at the edge depth
-    ew = ew_arq.transpose(0, 2, 1).reshape(n, -1)
-    for arr in (ew, ew_arq, log_ew_arq):
-        arr.flags.writeable = False
+    ew_arq = np.multiply(w, np.exp(_arq(f.table - offset, n, blocks)), order="C")
+    ew_arq.flags.writeable = False
     return TransferKernel(
         space=f.space,
         potential=f,
         depth=depth,
-        ew=ew,
         ew_arq=ew_arq,
-        log_ew_arq=log_ew_arq,
         blocks=blocks,
         offset=offset,
     )
@@ -308,16 +330,26 @@ class Lumping:
     def size(self):
         return len(self.reps)
 
-    def quotient(self, kernel):
-        """The quotient Q of a kernel over this partition: M V = V Q."""
-        if kernel.depth != self.depth:
-            raise ValueError(f"depth-{kernel.depth} kernel, depth-{self.depth} partition")
-        n = kernel.space.size
-        c = self.size
+    def quotient(self, weights):
+        """The quotients Q of kernels over this partition: M V = V Q.
+
+        ``weights[..., a, i]`` is the weight of symbol a in the row of
+        ``reps[i]``: the entry of M at the predecessor a u_1..u_{d-1} of
+        u = ``reps[i]``.  A stack of shape (..., n, c) gives the stack of
+        quotients, shape (..., c, c), from one scatter.
+        """
+        weights = np.asarray(weights, dtype=float)
+        n, c = weights.shape[-2:]
+        nd = len(self.labels)
+        if c != self.size or n**self.depth != nd:
+            raise ValueError(
+                f"weights of shape {weights.shape} for {self.size} classes "
+                f"of {nd} depth-{self.depth} words"
+            )
         rows = np.broadcast_to(np.arange(c), (n, c))
-        preds = np.arange(n)[:, None] * (kernel.size // n) + self.reps // n
-        q = np.zeros((c, c))
-        np.add.at(q, (rows, self.labels[preds]), kernel.ew[:, kernel._prefix(self.reps)])
+        preds = np.arange(n)[:, None] * (nd // n) + self.reps // n
+        q = np.zeros(weights.shape[:-2] + (c, c))
+        np.add.at(q, (..., rows, self.labels[preds]), weights)
         return q
 
 

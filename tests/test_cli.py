@@ -349,6 +349,30 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert outputs[0] == outputs[1], argv[0]
 
 
+def test_scan_does_not_import_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call, about 20 ms of a scan
+    cfg = {
+        "space": {"kind": "uniform", "size": 2},
+        "potential": {"kind": "renewal", "payoffs": [-1.5, -1.0, -0.25, 0.0]},
+    }
+    path = write_cfg(tmp_path, cfg)
+    out = str(tmp_path / "scan.txt")
+    script = (
+        "import sys\n"
+        "from ruelleop.cli import main\n"
+        f"print(main(['scan', '--config', {path!r}, '--out', {out!r}]), 'numpy.ma' in sys.modules)"
+    )
+    pythonpath = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
 def test_flags_override_config(tmp_path):
     cfg = write_cfg(tmp_path, CONST)
     code, text = run_to_file(tmp_path, ["pressure", "--config", cfg, "--beta", "2.0"])

@@ -1,8 +1,10 @@
 """The lumped quotient of the kernel, and the scan that solves on it."""
 
+import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,43 @@ def indicator(lumping):
     return np.eye(lumping.size)[lumping.labels]
 
 
+def rep_weights(kernel, lumping):
+    """The kernel's weights in the rep rows, shape (n, c): what ``Lumping.quotient`` takes."""
+    return kernel._row_weights(lumping.reps)
+
+
+def per_point_curve(f, betas, depth, tol=1e-12):
+    """(pressures, lams, converged): one dense eigensolve of the quotient per grid point.
+
+    The Perron pair of each point's quotient is lifted to the words and
+    certified on the point's full-depth kernel.
+    """
+    lumping = ro.lumpable_partition(f, depth)
+    pressures, lams, converged = [], [], []
+    for beta in betas:
+        kernel = ro.build_kernel(ro.scale(f, beta), depth)
+        vals, vecs = np.linalg.eig(lumping.quotient(rep_weights(kernel, lumping)))
+        top = int(np.argmax(vals.real))
+        lam = float(vals[top].real)
+        g = vecs[:, top].real
+        h = (g / g[np.argmax(np.abs(g))])[lumping.labels]
+        ok = lam > 0 and h.max() > 0 and np.all(h >= 0)
+        if ok:
+            ok = float(np.max(np.abs(kernel.matvec(h) - lam * h))) / (lam * float(h.max())) <= tol
+        converged.append(bool(ok))
+        pressures.append(kernel.offset + np.log(lam))
+        with np.errstate(over="ignore"):
+            lams.append(lam * np.exp(kernel.offset))
+    return np.array(pressures), np.array(lams), np.array(converged)
+
+
+def renewal(trunc):
+    """The criterion-10 renewal potential at a truncation."""
+    head = -math.log(1.0 / sum(j**-2.7 for j in range(1, 400_000))) / 0.9
+    payoffs = [-head] + [-3.0 * math.log((j + 1) / j) for j in range(1, trunc - 1)] + [0.0]
+    return ro.truncate(ro.builtin_renewal(ro.uniform_space(2), payoffs), trunc)
+
+
 @settings(max_examples=60, deadline=None)
 @given(models(), st.floats(-2.0, 2.0))
 def test_quotient_intertwines_the_kernel(model, beta):
@@ -24,8 +63,17 @@ def test_quotient_intertwines_the_kernel(model, beta):
     kernel = ro.build_kernel(ro.scale(f, beta), depth)
     V = indicator(lumping)
     lhs = kernel.to_dense() @ V
-    rhs = V @ lumping.quotient(kernel)
+    rhs = V @ lumping.quotient(rep_weights(kernel, lumping))
     assert np.max(np.abs(lhs - rhs)) <= 1e-14 * np.max(np.abs(lhs))
+
+
+def test_quotient_rejects_weights_of_another_partition(two_space):
+    f = ro.Potential(two_space, 2, np.array([0.0, 1.0, 1.0, 0.0]))
+    lumping = ro.lumpable_partition(f, 3)
+    with pytest.raises(ValueError):
+        lumping.quotient(np.ones((2, lumping.size + 1)))
+    with pytest.raises(ValueError):
+        lumping.quotient(np.ones((3, lumping.size)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -42,7 +90,7 @@ def test_quotient_perron_root_is_the_spectral_radius(model, beta):
     f, depth = model
     lumping = ro.lumpable_partition(f, depth)
     kernel = ro.build_kernel(ro.scale(f, beta), depth)
-    root = np.max(np.linalg.eigvals(lumping.quotient(kernel)).real)
+    root = np.max(np.linalg.eigvals(lumping.quotient(rep_weights(kernel, lumping))).real)
     radius = np.max(np.abs(np.linalg.eigvals(kernel.to_dense())))
     assert abs(root - radius) <= 1e-12 * radius
 
@@ -60,6 +108,49 @@ def test_scan_matches_power_iteration(model):
         assert ref.converged
         ref_lam = ref.lam * np.exp(kernel.offset)
         assert abs(lam - ref_lam) <= 1e-10 * ref_lam
+
+
+@pytest.mark.parametrize(
+    "trunc, betas, midpoint",
+    [
+        (8, np.linspace(0.0, 2.0, 101), False),
+        (12, np.linspace(0.0, 2.0, 101), False),
+        (8, np.linspace(-1.5, 1.5, 13), False),
+        # k (max f - min f) beta passes LINEAR_VALUE_CEILING from beta 45 on
+        (8, np.array([1.0, 30.0, 45.0, 60.0]), True),
+    ],
+)
+def test_lumped_scan_matches_the_per_point_eigensolve(trunc, betas, midpoint, monkeypatch):
+    f = renewal(trunc)
+    depth = trunc - 1
+    lumping = ro.lumpable_partition(f, depth)
+    kernel = ro.build_kernel(f, depth)
+    assert scan._quotient_pays(lumping.size, kernel.product_size)
+    at_max = [ro.build_kernel(ro.scale(f, b), depth).offset == (b * f.table).max() for b in betas]
+    assert all(at_max) != midpoint
+    pressures, lams, converged = per_point_curve(f, betas, depth)
+
+    eig, calls = np.linalg.eig, []
+    monkeypatch.setattr(np.linalg, "eig", lambda q: calls.append(q.shape) or eig(q))
+    curve = ro.pressure_curve(f, betas, depth)
+    assert np.array_equal(curve.pressures, pressures)
+    assert np.array_equal(curve.lams, lams)
+    assert np.array_equal(curve.converged, converged)
+    assert np.all(curve.iterations == 0)
+    # one stacked eigensolve per block of at most product_size / c**2 points
+    block = max(1, kernel.product_size // lumping.size**2)
+    assert len(calls) == -(-len(betas) // block)
+    assert all(shape[0] <= block for shape in calls)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300) | st.sampled_from([np.nan, np.inf, -np.inf, -0.0])))
+def test_kink_median_is_numpy_median_bit_for_bit(values):
+    x = np.array(values, dtype=float)
+    finite = x[np.isfinite(x)]
+    want = float(np.median(finite)) if finite.size else np.nan
+    assert np.array_equal(scan._median(x), want, equal_nan=True)
+    assert np.signbit(scan._median(x)) == np.signbit(want)
 
 
 def test_renewal_words_lump_by_leading_zeros(two_space):
@@ -130,6 +221,29 @@ def test_wide_alphabet_scan_stays_within_vector_memory():
     assert lumping.size == 400
     assert curve.converged.all() and np.all(curve.iterations > 0)
     assert peak < 64e6
+
+
+def test_blocked_lumped_scan_stays_within_product_memory(two_space):
+    # 128 classes of 256 words each: 2 points per stacked eigensolve, so
+    # the 21 points take 11 blocks
+    f = ro.Potential(two_space, 8, np.random.default_rng(3).uniform(-1.0, 1.0, 256))
+    betas = np.linspace(0.0, 2.0, 21)
+    product_size = ro.build_kernel(f, 15).product_size
+    assert ro.lumpable_partition(f, 15).size == 128
+    assert max(1, product_size // 128**2) == 2
+    tracemalloc.start()
+    try:
+        curve = ro.pressure_curve(f, betas, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.converged.all() and np.all(curve.iterations == 0)
+    # a scan holds a few arrays of product_size doubles at once: the
+    # partition's labels, a kernel's lifted vector and its product, and a
+    # block's stacked quotients and eigenvectors; one stack of all 21
+    # quotients would take 21 * 128**2 doubles, twice that for the
+    # complex eigenvectors
+    assert peak < 16 * 8 * product_size
 
 
 def test_large_scans_do_not_overflow_on_the_power_iteration_path(two_space):

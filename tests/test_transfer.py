@@ -187,6 +187,38 @@ def test_coo_export_rebuilds_dense():
         assert np.allclose(dense, kern.to_dense(), rtol=0, atol=1e-16)
 
 
+def test_weight_tables_follow_the_potential():
+    # a ternary depth-3 table at the edge depth 2 and at the deeper depth 4
+    space = ro.finite_space(np.array([0.2, 0.3, 0.5]))
+    f = ro.Potential(space, 3, np.random.default_rng(5).uniform(-2.0, 2.0, 27))
+    n, k = 3, 3
+    for depth in (2, 4):
+        kernel = ro.build_kernel(f, depth)
+        table = (f.table - kernel.offset).reshape(n, -1)
+        log_ew = np.log(space.weights)[:, None] + table
+        ew = space.weights[:, None] * np.exp(table)
+        _, p1, rw = kernel.blocks
+        rows = np.arange(kernel.size)
+        q, r = np.divmod(rows, n)
+        prefix = rows // n ** (depth - k + 1)
+        preds = np.arange(n)[:, None] * (kernel.size // n) + q
+        assert same_bits(kernel.log_ew_arq[:, r % rw, q // p1], log_ew[:, prefix])
+
+        dense = np.zeros((kernel.size, kernel.size))
+        dense[rows, preds] = ew[:, prefix]
+        assert same_bits(kernel.to_dense(), dense)
+
+        buf = io.StringIO()
+        kernel.export_coo(buf)
+        values = [float(line.split()[2]) for line in buf.getvalue().splitlines()[1:]]
+        assert same_bits(np.array(values), ew[:, prefix].T.reshape(-1))
+
+        lx = np.random.default_rng(depth).uniform(-5.0, 5.0, kernel.size)
+        terms = log_ew[:, prefix] + lx[preds]
+        peak = terms.max(axis=0)
+        assert same_bits(kernel.log_matvec(lx), peak + np.log(np.exp(terms - peak).sum(axis=0)))
+
+
 def test_cylinder_function_validation(two_space):
     with pytest.raises(ValueError):
         ro.CylinderFunction(two_space, 2, np.zeros(3))
