@@ -9,6 +9,7 @@ error of var_bound per operator application, which callers surface as
 ``n * var_bound`` after n applications.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,12 +49,25 @@ class Potential:
                 f"depth-{self.depth} table over {self.space.size} symbols needs "
                 f"{self.space.size**self.depth} entries, got {t.size}"
             )
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise ValueError("potential table must be finite")
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
         if not (np.isfinite(self.var_bound) and self.var_bound >= 0):
             raise ValueError("var_bound must be finite and non-negative")
+
+    @functools.cached_property
+    def _levels(self):
+        """(values, index): the distinct table values, increasing, and each entry's position.
+
+        From one ``np.unique``, taken on first read: a scan's partition and
+        its kernels share it.
+        """
+        values, index = np.unique(self.table, return_inverse=True)
+        index = index.reshape(-1)
+        for arr in (values, index):
+            arr.flags.writeable = False
+        return values, index
 
     @property
     def sup_norm(self):

@@ -2,7 +2,12 @@
 
 Each grid point solves for the leading eigenvalue of the operator for
 beta * f, from the kernel of beta * f minus its gauge offset so that
-large potentials cannot overflow.  The partition of the depth-d words
+large potentials cannot overflow.  The offsets of the grid are computed
+once, and both the quotients below and the full-depth kernels read that
+one array.  Each kernel exponentiates f's distinct table values only and
+gathers them through one level index per scan
+(``transfer._scaled_kernels``); it is bit for bit the kernel
+``build_kernel`` makes of beta * f.  The partition of the depth-d words
 into exactly lumpable classes (``transfer.lumpable_partition``) and the
 kernel's product size do not depend on beta, so each scan is routed
 once.  When a dense eigensolve of the quotient is cheaper than a few
@@ -29,9 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potential import scale
 from .spectral import DEFAULT_MAX_ITERS, power_iterate
-from .transfer import _gauge_offset, _prefix, build_kernel, lumpable_partition
+from .transfer import _gauge_offset, _prefix, _scaled_kernels, lumpable_partition
 
 KINK_FACTOR = 5.0
 KINK_ABS_FLOOR = 1e-8
@@ -90,32 +94,38 @@ def pressure_curve(f, betas, depth, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 1 or len(betas) < 2:
         raise ValueError("need a one-dimensional grid of at least two beta values")
+    if not np.all(np.isfinite(betas)):
+        raise ValueError("beta grid must be finite")
     if np.any(np.diff(betas) <= 0):
         raise ValueError("beta grid must be strictly increasing")
 
     m = len(betas)
-    lams = np.empty(m)
-    pressures = np.empty(m)
+    roots = np.empty(m)
     converged = np.zeros(m, dtype=bool)
     iters = np.zeros(m, dtype=np.int64)
+    # beta f spans [beta lo, beta hi], reversed when beta < 0: scaling is monotone
+    lo, hi = float(f.table.min()), float(f.table.max())
+    offsets = np.array([_gauge_offset(*sorted((beta * lo, beta * hi)), f.depth) for beta in betas])
     lumping = lumpable_partition(f, depth)
-    kernels = (build_kernel(scale(f, beta), depth) for beta in betas)
+    kernels = _scaled_kernels(f, betas, offsets, depth)
     first = next(kernels)
     lumped = _quotient_pays(lumping.size, first.product_size)
     if lumped:
-        roots = _lumped_roots(f, lumping, betas, max(1, first.product_size // lumping.size**2))
+        quotient_roots = _lumped_roots(
+            f, lumping, betas, offsets, max(1, first.product_size // lumping.size**2)
+        )
     left = right = None
     for i, kernel in enumerate(itertools.chain([first], kernels)):
         if lumped:
-            lam, g = next(roots)
-            converged[i] = _certified(kernel, lumping, lam, g, tol)
+            roots[i], g = next(quotient_roots)
+            converged[i] = _certified(kernel, lumping, roots[i], g, tol)
         else:
             res = power_iterate(kernel, tol=tol, max_iters=max_iters, left0=left, right0=right)
-            lam, converged[i], iters[i] = res.lam, res.converged, res.iterations
+            roots[i], converged[i], iters[i] = res.lam, res.converged, res.iterations
             left, right = res.left, res.right
-        pressures[i] = kernel.offset + np.log(lam)
-        with np.errstate(over="ignore"):
-            lams[i] = lam * np.exp(kernel.offset)
+    pressures = offsets + np.log(roots)
+    with np.errstate(over="ignore"):
+        lams = roots * np.exp(offsets)
 
     slope_left = np.full(m, np.nan)
     slope_right = np.full(m, np.nan)
@@ -159,16 +169,14 @@ def _quotient_pays(classes, product_size):
     return classes**3 <= QUOTIENT_WORK_RATIO * (product_size + ITERATION_OVERHEAD)
 
 
-def _lumped_roots(f, lumping, betas, block):
+def _lumped_roots(f, lumping, betas, offsets, block):
     """(lam, g) per grid point: the Perron root and vector of its lumped quotient.
 
     The quotient at beta has the rep-row weights w_a exp(beta f - offset),
-    with the offset of :func:`build_kernel`; the roots of ``block`` grid
-    points at a time come from one stacked eigensolve.
+    with the grid's gauge offsets, the ones its full-depth kernels take;
+    the roots of ``block`` grid points at a time come from one stacked
+    eigensolve.
     """
-    # beta f spans [beta lo, beta hi], reversed when beta < 0: scaling is monotone
-    lo, hi = float(f.table.min()), float(f.table.max())
-    offsets = np.array([_gauge_offset(*sorted((beta * lo, beta * hi)), f.depth) for beta in betas])
     n = f.space.size
     cols = f.table.reshape(n, -1)[:, _prefix(n, lumping.depth, f.depth, lumping.reps)]
     w = f.space.weights[:, None]
@@ -185,14 +193,17 @@ def _certified(kernel, lumping, lam, g, tol):
 
     Certified at full depth: h = g[labels] >= 0 (scaled so that its
     largest magnitude is 1), max h > 0 and the scale-free residual
-    max|M h - lam h| / (lam max h) within tol.
+    max|M h - lam h| / (lam max h) within tol.  Every class has a word,
+    so the sign and peak of h are those of g.
     """
-    h = (g / g[np.argmax(np.abs(g))])[lumping.labels]
-    peak = float(h.max())
-    if not (lam > 0 and peak > 0 and np.all(h >= 0)):
+    g = g / g[np.abs(g).argmax()]
+    peak = float(g.max())
+    if not (lam > 0 and peak > 0 and g.min() >= 0):
         return False
-    residual = float(np.max(np.abs(kernel.matvec(h) - lam * h))) / (lam * peak)
-    return residual <= tol
+    h = g[lumping.labels]
+    defect = kernel.matvec(h)
+    defect -= np.multiply(h, lam, out=h)
+    return float(np.abs(defect, out=defect).max()) / (lam * peak) <= tol
 
 
 def _median(x):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import check_cylinder_count, cylinder_cap
 from .errors import NumericError, ResourceCapError
-from .potential import Potential
+from .potential import Potential, scale
 from .space import SymbolSpace, _word_labels
 
 # largest log-magnitude kept in linear doubles (exp overflows past 709)
@@ -50,6 +50,18 @@ def _gauge_offset(lo, hi, k):
     if k * (hi - lo) <= LINEAR_VALUE_CEILING:
         return hi
     return max((hi + lo) / 2, hi - LINEAR_VALUE_CEILING)
+
+
+def _blocks(f, depth):
+    """``TransferKernel.blocks`` of the depth-d kernel of f, once the depth and sizes pass."""
+    k = f.depth
+    n = f.space.size
+    _check_depth(k, depth)
+    check_cylinder_count(n, depth)
+    check_cylinder_count(n, k)
+    if depth >= k:
+        return (n ** (k - 1), n ** (depth - k), 1)
+    return (n ** (depth - 1), 1, n)
 
 
 def _arq(table, n, blocks):
@@ -287,16 +299,9 @@ def build_kernel(f, depth):
     at most exp((k-1) osc), so a solve's products stay above exp(-k osc).  Past
     that it is the midpoint of f's range, at least max f - LINEAR_VALUE_CEILING.
     """
-    k = f.depth
     n = f.space.size
-    _check_depth(k, depth)
-    check_cylinder_count(n, depth)
-    check_cylinder_count(n, k)
-    offset = _gauge_offset(float(f.table.min()), float(f.table.max()), k)
-    if depth >= k:
-        blocks = (n ** (k - 1), n ** (depth - k), 1)
-    else:
-        blocks = (n ** (depth - 1), 1, n)
+    blocks = _blocks(f, depth)
+    offset = _gauge_offset(float(f.table.min()), float(f.table.max()), f.depth)
     w = f.space.weights[:, None, None]
     ew_arq = np.multiply(w, np.exp(_arq(f.table - offset, n, blocks)), order="C")
     ew_arq.flags.writeable = False
@@ -308,6 +313,36 @@ def build_kernel(f, depth):
         blocks=blocks,
         offset=offset,
     )
+
+
+def _scaled_kernels(f, betas, offsets, depth):
+    """The depth-d kernel of beta * f for each beta of a grid, with the given offsets.
+
+    With ``offsets`` the gauge offsets of the grid, each kernel is bit for
+    bit ``build_kernel(scale(f, beta), depth)``.  f's distinct table values
+    v and their level index (``Potential._levels``, which
+    :func:`lumpable_partition` reads too) are taken once.  Each kernel
+    takes exp(beta v - offset) of the distinct values alone, gathers them
+    into (a, r, q) order through the index and multiplies by w_a.
+    """
+    n = f.space.size
+    blocks = _blocks(f, depth)
+    levels, index = f._levels
+    index = np.ascontiguousarray(_arq(index, n, blocks))
+    w = f.space.weights[:, None, None]
+    for beta, offset in zip(betas, offsets):
+        # every index is in range: mode="clip" only skips numpy's bounds check
+        ew_arq = np.take(np.exp(beta * levels - offset), index, mode="clip")
+        ew_arq *= w
+        ew_arq.flags.writeable = False
+        yield TransferKernel(
+            space=f.space,
+            potential=scale(f, beta),
+            depth=depth,
+            ew_arq=ew_arq,
+            blocks=blocks,
+            offset=float(offset),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,8 +421,8 @@ def lumpable_partition(f, depth):
     _check_depth(k, depth)
     nd = check_cylinder_count(n, depth)
     words = np.arange(nd)
-    values, count = _compress(f.table)
-    columns, count = _column_classes(values.reshape(n, -1), count)
+    levels, index = f._levels
+    columns, count = _column_classes(index.reshape(n, -1), len(levels))
     labels = columns[_prefix(n, depth, k, words)]
     # the predecessors a q(u) depend only on q(u), the first d-1 symbols
     # of u: column q of labels.reshape(n, -1) holds their classes

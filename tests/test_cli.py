@@ -129,6 +129,21 @@ def test_report_layout_matches_golden_texts(tmp_path):
         assert NOISE.sub("  ~0", text) == NOISE.sub("  ~0", want), command
 
 
+def test_renewal_scan_matches_its_golden_text_byte_for_byte(tmp_path):
+    # the criterion-10 renewal scan at truncation 12, every digit of every
+    # column: a change of one ulp anywhere in the curve shows here
+    head = -math.log(1.0 / sum(j**-2.7 for j in range(1, 400_000))) / 0.9
+    payoffs = [-head] + [-3.0 * math.log((j + 1) / j) for j in range(1, 11)] + [0.0]
+    cfg = {
+        "space": {"kind": "uniform", "size": 2},
+        "potential": {"kind": "renewal", "payoffs": payoffs},
+    }
+    path = write_cfg(tmp_path, cfg)
+    code, text = run_to_file(tmp_path, ["scan", "--config", path, "--format", "csv"])
+    assert code == 0
+    assert text == (GOLDEN / "renewal12-scan.csv").read_text()
+
+
 def test_word_column_lists_words_in_canonical_order(tmp_path):
     n, depth = 3, 3
     values = np.random.default_rng(5).uniform(-1.0, 1.0, n ** (depth + 1))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import ruelleop as ro
 from conftest import models
 from ruelleop import scan
+from ruelleop.transfer import LINEAR_VALUE_CEILING
 
 
 def indicator(lumping):
@@ -141,6 +142,69 @@ def test_lumped_scan_matches_the_per_point_eigensolve(trunc, betas, midpoint, mo
     block = max(1, kernel.product_size // lumping.size**2)
     assert len(calls) == -(-len(betas) // block)
     assert all(shape[0] <= block for shape in calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(), st.floats(-2.0, 2.0))
+def test_scan_kernels_are_the_kernels_of_the_scaled_potential(model, beta):
+    f, depth = model
+    osc = float(np.ptp(f.table))
+    # k (max f - min f) beta past LINEAR_VALUE_CEILING: the midpoint offset
+    far = 1.01 * LINEAR_VALUE_CEILING / (f.depth * osc) if osc > 0 else 3.0
+    betas = np.array(sorted({0.0, beta, far}))
+    kernels = []
+    scaled_kernels = scan._scaled_kernels
+
+    def recorded(*args):
+        for kernel in scaled_kernels(*args):
+            kernels.append(kernel)
+            yield kernel
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scan, "_scaled_kernels", recorded)
+        # only the kernels are read: a short iteration budget will do
+        ro.pressure_curve(f, betas, depth, max_iters=50)
+    assert len(kernels) == len(betas)
+    for b, kernel in zip(betas, kernels):
+        ref = ro.build_kernel(ro.scale(f, b), depth)
+        assert kernel.blocks == ref.blocks
+        # == rather than bytes: at beta = 0 the offsets may be zeros of opposite
+        # signs, and exp(v - offset) and offset + log(lam) read them alike
+        assert kernel.offset == ref.offset
+        assert kernel.ew_arq.shape == ref.ew_arq.shape
+        assert kernel.ew_arq.tobytes() == ref.ew_arq.tobytes()
+        assert kernel.potential.table.tobytes() == ref.potential.table.tobytes()
+    if osc > 0:
+        assert kernels[-1].offset != (betas[-1] * f.table).max()
+
+
+@pytest.mark.parametrize("betas", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
+def test_scan_rejects_a_grid_that_is_not_finite(two_space, betas):
+    f = ro.Potential(two_space, 2, np.array([0.0, 1.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match="beta grid must be finite"):
+        ro.pressure_curve(f, betas, 2)
+
+
+def test_certificate_reads_the_table_and_not_the_partition(monkeypatch):
+    # merge the first two classes, whose words have different row weights:
+    # the quotient over the coarser labels is a different matrix, and the
+    # full-depth certificate must catch it at every point.  beta = 0 is
+    # left out: there every row has the weights w_a, and any partition lumps.
+    f = renewal(8)
+    depth = 7
+    lumping = ro.lumpable_partition(f, depth)
+    kernel = ro.build_kernel(f, depth)
+    weights = rep_weights(kernel, lumping)
+    assert not np.array_equal(weights[:, 0], weights[:, 1])
+    labels = np.where(lumping.labels == 1, 0, lumping.labels)
+    labels -= labels > 1
+    coarse = ro.Lumping(depth=depth, labels=labels, reps=np.unique(labels, return_index=True)[1])
+    assert coarse.size == lumping.size - 1
+    monkeypatch.setattr(scan, "lumpable_partition", lambda g, d: coarse)
+    curve = ro.pressure_curve(f, np.linspace(0.25, 2.0, 8), depth)
+    assert np.all(curve.iterations == 0)
+    assert not curve.converged.any()
+    assert [reason for _, reason in curve.candidates].count("non-converged") == 8
 
 
 @settings(max_examples=100, deadline=None)
