@@ -38,25 +38,18 @@ from .potential import (
 from .scan import PressureCurve, pressure_curve
 from .space import (
     SymbolSpace,
-    enumerate_cylinders,
     finite_space,
     gauss_legendre_space,
     index_word,
-    prepend,
-    shift,
-    space_from_json,
-    space_to_json,
     uniform_space,
     word_index,
 )
 from .spectral import (
     PressureEstimate,
     SpectralData,
-    gelfand_radius,
     perron_eigendata,
     power_iterate,
     pressure_bracket,
-    xi_sequence,
 )
 from .transfer import (
     CylinderFunction,
@@ -66,9 +59,7 @@ from .transfer import (
     brute_force_iterate,
     build_kernel,
     iterate_one,
-    lift,
     lumpable_partition,
-    ones_function,
 )
 
 __version__ = "0.1.0"
@@ -101,37 +92,28 @@ __all__ = [
     "check_invariance",
     "check_cylinder_count",
     "cylinder_cap",
-    "enumerate_cylinders",
     "equilibrium_measure",
     "extend_eigenmeasure",
     "extend_equilibrium",
     "finite_space",
     "gauss_legendre_space",
     "index_word",
-    "gelfand_radius",
     "integral_term",
     "invariance_defect",
     "iterate_one",
-    "lift",
     "lumpable_partition",
     "marginalize",
-    "ones_function",
     "perron_eigendata",
     "power_iterate",
-    "prepend",
     "pressure_bracket",
     "pressure_curve",
     "product_measure",
     "relative_entropy",
     "scale",
     "set_cylinder_cap",
-    "shift",
-    "space_from_json",
-    "space_to_json",
     "specific_entropy",
     "truncate",
     "uniform_space",
     "variational_gap",
     "word_index",
-    "xi_sequence",
 ]

@@ -88,6 +88,12 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _integer(value, key):
+    """int(value) for a config value; a float with a fractional part is refused, not truncated."""
+    _require(not isinstance(value, float) or value.is_integer(), f"'{key}' must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -107,13 +113,13 @@ def build_space(cfg):
     kind = cfg.get("kind")
     try:
         if kind == "uniform":
-            return uniform_space(int(cfg.get("size", 2)))
+            return uniform_space(_integer(cfg.get("size", 2), "size"))
         if kind == "finite":
             _require("weights" in cfg, "finite space needs 'weights'")
             return finite_space(np.asarray(cfg["weights"], dtype=float))
         if kind == "gauss-legendre":
             return gauss_legendre_space(
-                int(cfg.get("count", 16)),
+                _integer(cfg.get("count", 16), "count"),
                 float(cfg.get("a", 0.0)),
                 float(cfg.get("b", 1.0)),
             )
@@ -149,7 +155,7 @@ def build_potential(cfg, space):
             _require("values" in cfg, "table potential needs 'values'")
             return Potential(
                 space,
-                int(cfg.get("depth", 1)),
+                _integer(cfg.get("depth", 1), "depth"),
                 np.asarray(cfg["values"], dtype=float),
                 float(cfg.get("var_bound", 0.0)),
             )
@@ -169,24 +175,24 @@ def _merged_params(cfg, args):
             params[key] = val
     try:
         if "cylinder_cap" in cfg:
-            set_cylinder_cap(int(cfg["cylinder_cap"]))
+            set_cylinder_cap(_integer(cfg["cylinder_cap"], "cylinder_cap"))
         params["beta"] = float(params["beta"])
         params["tol"] = float(params["tol"])
-        params["max_iters"] = int(params["max_iters"])
-        params["n_max"] = int(params["n_max"])
+        params["max_iters"] = _integer(params["max_iters"], "max_iters")
+        params["n_max"] = _integer(params["n_max"], "n_max")
         if params["depth"] is not None:
-            params["depth"] = int(params["depth"])
+            params["depth"] = _integer(params["depth"], "depth")
         grid = params["grid"]
         _require(isinstance(grid, dict), "'grid' must be an object")
         params["grid"] = {
             "start": float(grid.get("start", 0.0)),
             "stop": float(grid.get("stop", 2.0)),
-            "count": int(grid.get("count", 101)),
+            "count": _integer(grid.get("count", 101), "grid.count"),
         }
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad parameter value: {exc}") from exc
     _require(math.isfinite(params["beta"]), "'beta' must be finite")
-    _require(params["tol"] > 0, "'tol' must be positive")
+    _require(0 < params["tol"] < math.inf, "'tol' must be positive and finite")
     _require(params["max_iters"] >= 1, "'max_iters' must be at least 1")
     _require(params["n_max"] >= 1, "'n_max' must be at least 1")
     grid = params["grid"]
@@ -409,7 +415,7 @@ def cmd_scan(cfg, f, params, fmt):
             ("grid_start", grid["start"]),
             ("grid_stop", grid["stop"]),
             ("grid_count", grid["count"]),
-            ("noise_floor", float(curve.noise_floor[1])),
+            ("noise_floor", curve.noise_floor),
             ("n_flagged", int(curve.kink_flags.sum())),
             ("n_nonconverged", int(np.sum(~curve.converged))),
         ],

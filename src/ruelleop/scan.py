@@ -63,8 +63,8 @@ ITERATION_OVERHEAD = 2_000
 class PressureCurve:
     """Scan results: one row per grid point plus kink diagnostics.
 
-    ``slope_left``/``slope_right`` are one-sided finite differences
-    (NaN at the ends), ``mismatch`` their absolute difference, and
+    ``mismatch`` is the absolute difference of the one-sided finite
+    difference slopes of the pressure (NaN at the ends), and
     ``kink_flags`` marks interior points whose mismatch stands out
     against ``noise_floor``, the median mismatch over all interior
     points (the typical discretization curvature of the scan).
@@ -77,11 +77,8 @@ class PressureCurve:
     lams: np.ndarray
     converged: np.ndarray
     iterations: np.ndarray
-    trunc_bounds: np.ndarray
-    slope_left: np.ndarray
-    slope_right: np.ndarray
     mismatch: np.ndarray
-    noise_floor: np.ndarray
+    noise_floor: float
     kink_flags: np.ndarray
     candidates: list = field(default_factory=list)
 
@@ -127,18 +124,16 @@ def pressure_curve(f, betas, depth, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
     with np.errstate(over="ignore"):
         lams = roots * np.exp(offsets)
 
-    slope_left = np.full(m, np.nan)
-    slope_right = np.full(m, np.nan)
-    slope_left[1:] = (pressures[1:] - pressures[:-1]) / (betas[1:] - betas[:-1])
-    slope_right[:-1] = slope_left[1:]
+    # slopes[i] is the finite-difference slope between points i and i + 1
+    slopes = (pressures[1:] - pressures[:-1]) / (betas[1:] - betas[:-1])
+    mismatch = np.full(m, np.nan)
     with np.errstate(invalid="ignore"):
-        mismatch = np.abs(slope_right - slope_left)
+        mismatch[1:-1] = np.abs(slopes[1:] - slopes[:-1])
 
     level = _median(mismatch[1 : m - 1])
-    noise = np.full(m, level)
     flags = np.zeros(m, dtype=bool)
     for i in range(1, m - 1):
-        floor = KINK_ABS_FLOOR * (1.0 + abs(slope_left[i]) + abs(slope_right[i]))
+        floor = KINK_ABS_FLOOR * (1.0 + abs(slopes[i - 1]) + abs(slopes[i]))
         if np.isfinite(mismatch[i]) and np.isfinite(level):
             flags[i] = mismatch[i] > KINK_FACTOR * level + floor
 
@@ -154,11 +149,8 @@ def pressure_curve(f, betas, depth, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
         lams=lams,
         converged=converged,
         iterations=iters,
-        trunc_bounds=np.abs(betas) * f.var_bound,
-        slope_left=slope_left,
-        slope_right=slope_right,
         mismatch=mismatch,
-        noise_floor=noise,
+        noise_floor=level,
         kink_flags=flags,
         candidates=candidates,
     )

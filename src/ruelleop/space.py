@@ -2,9 +2,10 @@
 
 A space is the discretized alphabet: ``size`` symbols ``0..size-1``,
 each carrying a strictly positive weight, weights summing to one.  A
-quadrature space additionally stores the point in the original domain
-that each symbol stands for, so integral operators over an interval can
-be driven through the same code path as genuinely finite alphabets.
+quadrature space is one that also stores ``nodes``, the point in the
+original domain that each symbol stands for, so integral operators over
+an interval can be driven through the same code path as genuinely
+finite alphabets.
 
 Words are plain tuples of symbol indices; depth is their length.  All
 vectors over depth-d cylinders use one canonical order everywhere in
@@ -13,8 +14,7 @@ the word ``(u1, .., ud)`` sits at index ``sum(u_i * size**(d-i))``.
 """
 
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,18 +35,13 @@ class SymbolSpace:
         Strictly positive, summing to 1 within 1e-14.
     nodes : ndarray or None
         For quadrature spaces, the representative point of each symbol
-        in the original domain.  Pairwise distinct.
-    kind : str
-        ``"finite"`` or ``"quadrature"``.
-    metadata : dict
-        Provenance of a quadrature rule (rule name, interval, raw mass).
+        in the original domain.  Pairwise distinct.  None for a finite
+        alphabet.
     """
 
     size: int
     weights: np.ndarray
     nodes: np.ndarray = None
-    kind: str = "finite"
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.size < 1:
@@ -60,8 +55,6 @@ class SymbolSpace:
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1 within {WEIGHT_SUM_TOL}")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        if self.kind not in ("finite", "quadrature"):
-            raise ValueError(f"unknown space kind {self.kind!r}")
         if self.nodes is not None:
             t = np.asarray(self.nodes, dtype=float)
             if t.shape != (self.size,):
@@ -72,11 +65,9 @@ class SymbolSpace:
                 raise ValueError("quadrature nodes must be pairwise distinct")
             t.flags.writeable = False
             object.__setattr__(self, "nodes", t)
-        elif self.kind == "quadrature":
-            raise ValueError("a quadrature space needs nodes")
 
     def __repr__(self):
-        return f"SymbolSpace(kind={self.kind!r}, size={self.size})"
+        return f"SymbolSpace(size={self.size}, quadrature={self.nodes is not None})"
 
 
 def finite_space(weights):
@@ -95,8 +86,8 @@ def gauss_legendre_space(n, a=-1.0, b=1.0):
 
     Nodes are the degree-n Legendre points mapped affinely to [a, b];
     weights are the quadrature weights normalized to total mass one, so
-    the space carries a probability measure.  The raw mass (b - a) is
-    kept in metadata for callers that need the unnormalized rule.
+    the space carries a probability measure.  The unnormalized rule's
+    weights are these times b - a.
     """
     if not n >= 1:
         raise ValueError("quadrature size must be at least 1")
@@ -107,29 +98,7 @@ def gauss_legendre_space(n, a=-1.0, b=1.0):
     x, w = np.polynomial.legendre.leggauss(n)
     nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
     raw = 0.5 * (b - a) * w
-    weights = raw / raw.sum()
-    return SymbolSpace(
-        size=n,
-        weights=weights,
-        nodes=nodes,
-        kind="quadrature",
-        metadata={"rule": "gauss-legendre", "interval": [a, b], "raw_mass": float(raw.sum())},
-    )
-
-
-def prepend(symbol, word, space):
-    """Prefix a symbol onto a word, increasing depth by one."""
-    symbol = int(symbol)
-    if not 0 <= symbol < space.size:
-        raise ValueError(f"symbol {symbol} out of range for size-{space.size} space")
-    return (symbol,) + tuple(word)
-
-
-def shift(word):
-    """Drop the first symbol of a word, decreasing depth by one."""
-    if len(word) == 0:
-        raise ValueError("cannot shift the empty word")
-    return tuple(word[1:])
+    return SymbolSpace(size=n, weights=raw / raw.sum(), nodes=nodes)
 
 
 def word_index(word, size):
@@ -153,48 +122,11 @@ def index_word(idx, size, depth):
     return tuple(reversed(out))
 
 
-def _words(symbols, depth):
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    check_cylinder_count(len(symbols), depth)
-    return itertools.product(symbols, repeat=depth)
-
-
-def enumerate_cylinders(space, depth):
-    """Iterate all depth-d words in canonical order (index order).
-
-    Depth 0 yields the single empty word.  Refuses depths whose cylinder
-    count exceeds the package cap.
-    """
-    return _words(range(space.size), depth)
-
-
 def _word_labels(space, depth):
     """Text labels of all depth-d words in canonical order, symbols joined by ".".
 
-    The label of word (0, 1, 1) is "0.1.1"; depth 0 gives [""].  Same cap
-    and order as enumerate_cylinders.
+    The label of word (0, 1, 1) is "0.1.1"; depth 0 gives [""].  Refuses
+    depths whose cylinder count exceeds the package cap.
     """
-    return list(map(".".join, _words([str(s) for s in range(space.size)], depth)))
-
-
-def space_to_json(space):
-    """Serialize a space to JSON text with exact float round-trip."""
-    doc = {"kind": space.kind, "size": space.size, "weights": list(map(float, space.weights))}
-    if space.nodes is not None:
-        doc["nodes"] = list(map(float, space.nodes))
-    if space.metadata:
-        doc["metadata"] = space.metadata
-    return json.dumps(doc, allow_nan=False)
-
-
-def space_from_json(text):
-    """Parse a space serialized by space_to_json."""
-    doc = json.loads(text)
-    return SymbolSpace(
-        size=int(doc["size"]),
-        weights=np.asarray(doc["weights"], dtype=float),
-        nodes=np.asarray(doc["nodes"], dtype=float) if "nodes" in doc else None,
-        kind=doc.get("kind", "finite"),
-        metadata=doc.get("metadata", {}),
-    )
+    check_cylinder_count(space.size, depth)
+    return list(map(".".join, itertools.product([str(s) for s in range(space.size)], repeat=depth)))

@@ -18,8 +18,7 @@ that root plus the offset.  Near-degenerate second eigenvalues of
 opposite sign show up as a period-2 oscillation of the mass sequence;
 averaging two consecutive iterates removes the alternating mode and the
 iteration then proceeds normally.  A run that exhausts its iteration
-budget returns flagged data instead of raising; ``power_iterate`` also
-keeps both accumulation vectors.
+budget returns flagged data instead of raising.
 """
 
 import math
@@ -74,11 +73,6 @@ def pressure_bracket(f, depth, n_max):
     )
 
 
-def gelfand_radius(f, depth, n_max):
-    """The n-th root upper estimates exp(p_sup[n]) of the spectral radius."""
-    return np.exp(pressure_bracket(f, depth, n_max).p_sup)
-
-
 @dataclass(frozen=True, eq=False)
 class PowerIterationResult:
     """Raw output of the simultaneous iteration; ``lam`` is the root of the kernel of f - offset."""
@@ -90,8 +84,6 @@ class PowerIterationResult:
     residual_left: float
     iterations: int
     converged: bool
-    right_prev: np.ndarray
-    left_prev: np.ndarray
 
 
 def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=None, right0=None):
@@ -99,14 +91,11 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
 
     Stops when the forward residual, the adjoint residual and the
     relative eigenvalue step all fall below tol.  Non-convergence is
-    reported in the result, not raised; the previous iterates are kept
-    so a caller can inspect both accumulation points.
+    reported in the result, not raised.
     """
     nd = kernel.size
     left = np.full(nd, 1.0 / nd) if left0 is None else np.asarray(left0, float) / np.sum(left0)
     right = np.ones(nd) if right0 is None else np.asarray(right0, float).copy()
-    left_prev = left
-    right_prev = right
     lam = math.nan
     resid_l = resid_r = math.inf
     converged = False
@@ -128,8 +117,8 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
         lam = mass
         t_left /= mass
         t_right /= mass
-        left_prev, left = left, t_left
-        right_prev, right = right, t_right
+        prev_left, left = left, t_left
+        prev_right, right = right, t_right
         if max(resid_l, resid_r, dlam) < tol:
             converged = True
             break
@@ -139,9 +128,9 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
             step_1 = abs(history[-1] - history[-2])
             if step_2 < OSC_DETECT_NEAR * step_1 and step_1 > OSC_DETECT_FAR * tol * mass:
                 # period-2 oscillation: project out the alternating mode
-                left = 0.5 * (left + left_prev)
+                left = 0.5 * (left + prev_left)
                 left /= left.sum()
-                right = 0.5 * (right + right_prev)
+                right = 0.5 * (right + prev_right)
                 history.clear()
         # keep the forward iterate in floating range; scale is fixed at the end
         peak = max(float(right.max()), -float(right.min()))  # max |right|
@@ -155,8 +144,6 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
         residual_left=resid_l,
         iterations=it,
         converged=converged,
-        right_prev=right_prev,
-        left_prev=left_prev,
     )
 
 
@@ -227,27 +214,3 @@ def perron_eigendata(f, *, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
         trunc_bound=f.var_bound,
     )
 
-
-def xi_sequence(f, depth, n_max, log_lam):
-    """The rescaled iterates lam^-n L^n(1) and their sup-norm increments, lam = exp(log_lam).
-
-    Returns (functions, increments) with increments[j] the sup distance
-    between the j-th and (j+1)-th entries of (1, xi_1, .., xi_n_max).
-    A correct lam makes the sequence Cauchy; a wrong one makes it run
-    off geometrically, which the increments expose.
-    """
-    if n_max < 1:
-        raise ValueError("need at least one term")
-    kernel = build_kernel(f, depth)
-    lam = math.exp(log_lam - kernel.offset)
-    v = np.ones(kernel.size)
-    functions = []
-    increments = np.empty(n_max)
-    for j in range(n_max):
-        nxt = kernel.matvec(v) / lam
-        if not np.all(np.isfinite(nxt)):
-            raise NumericError("rescaled iterate left floating range; check lam")
-        increments[j] = float(np.max(np.abs(nxt - v)))
-        functions.append(CylinderFunction(f.space, depth, nxt))
-        v = nxt
-    return functions, increments

@@ -9,9 +9,8 @@ depth-k potential.  At a fixed working depth d the operator is a sparse
 square matrix with exactly one entry per symbol per row: the
 predecessors of a word u are the words a u_1..u_{d-1}.  The kernel
 stores that structure in factored form (per-symbol weight tables plus
-block shapes) rather than as explicit coordinates; the coordinate list
-and the dense matrix are materialized on demand for export and for
-small-instance cross-checks.
+block shapes) rather than as explicit coordinates; the dense matrix is
+materialized on demand for small-instance cross-checks.
 """
 
 import functools
@@ -23,7 +22,7 @@ import numpy as np
 from .config import check_cylinder_count, cylinder_cap
 from .errors import NumericError, ResourceCapError
 from .potential import Potential, scale
-from .space import SymbolSpace, _word_labels
+from .space import SymbolSpace
 
 # largest log-magnitude kept in linear doubles (exp overflows past 709)
 LINEAR_VALUE_CEILING = 700.0
@@ -120,20 +119,6 @@ class CylinderFunction:
 
     def __repr__(self):
         return f"CylinderFunction(size={self.space.size}, depth={self.depth})"
-
-
-def ones_function(space, depth):
-    """The constant function 1 at the given depth."""
-    return CylinderFunction(space, depth, np.ones(space.size**depth))
-
-
-def lift(phi, depth):
-    """Re-express a cylinder function at a deeper level (values repeat blockwise)."""
-    if depth < phi.depth:
-        raise ValueError("lift target must be at least the current depth")
-    check_cylinder_count(phi.space.size, depth)
-    reps = phi.space.size ** (depth - phi.depth)
-    return CylinderFunction(phi.space, depth, np.repeat(phi.values, reps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,23 +254,6 @@ class TransferKernel:
         for a in range(n):
             dense[rows, a * npred + rows // n] = weights[a]
         return dense
-
-    def export_coo(self, stream):
-        """Write the coordinate list as text lines: row-word col-word value.
-
-        A first line ``# offset <offset>`` is followed by the rows in
-        canonical order, each row's entries in symbol order; the values,
-        entries of M (of f - offset), carry 17 significant digits.
-        """
-        stream.write(f"# offset {self.offset:.17g}\n")
-        n = self.space.size
-        npred = self.size // n
-        labels = _word_labels(self.space, self.depth)
-        weights = self._row_weights(np.arange(self.size))
-        for i, u in enumerate(labels):
-            for a in range(n):
-                v = labels[a * npred + i // n]
-                stream.write(f"{u} {v} {weights[a, i]:.17g}\n")
 
 
 def build_kernel(f, depth):

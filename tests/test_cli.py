@@ -442,6 +442,30 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["pressure", "--config", str(tmp_path / "missing.json")]) == 2
     good = write_cfg(tmp_path, CONST, "good.json")
     assert main(["pressure", "--config", good, "--tol", "-1"]) == 2
+    # a tolerance of inf would stop power iteration after two steps and pass verify
+    ising = write_cfg(tmp_path, ISING, "ising.json")
+    assert main(["verify", "--config", ising, "--tol", "inf"]) == 2
+    assert main(["verify", "--config", write_cfg(tmp_path, dict(ISING, tol=math.inf), "inf.json")]) == 2
+    assert "config error: 'tol' must be positive and finite" in capsys.readouterr().err
+    # every integer key refuses a fractional value instead of truncating it
+    table = {"kind": "table", "depth": 2, "values": [0.1, 0.2, 0.3, 0.4]}
+    for section, key in (
+        ("space", "size"),
+        ("potential", "depth"),
+        (None, "depth"),
+        (None, "max_iters"),
+        (None, "n_max"),
+        (None, "cylinder_cap"),
+    ):
+        cfg = {"space": {"kind": "uniform", "size": 2}, "potential": dict(table)}
+        (cfg if section is None else cfg[section])[key] = 2.7
+        assert main(["pressure", "--config", write_cfg(tmp_path, cfg, "frac.json")]) == 2, key
+        assert f"'{key}' must be an integer, got 2.7" in capsys.readouterr().err, key
+    quadrature = {"space": {"kind": "gauss-legendre", "count": 3.5}, "potential": {"kind": "xy"}}
+    assert main(["pressure", "--config", write_cfg(tmp_path, quadrature, "frac.json")]) == 2
+    grid = {"space": {"kind": "uniform", "size": 2}, "potential": table, "grid": {"count": 5.5}}
+    assert main(["scan", "--config", write_cfg(tmp_path, grid, "frac.json")]) == 2
+    assert "'grid.count' must be an integer, got 5.5" in capsys.readouterr().err
     capsys.readouterr()
 
 
@@ -567,3 +591,11 @@ def test_module_and_console_entry_points(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert "estimate" in proc.stdout
+
+
+def test_public_names_resolve():
+    assert len(set(ro.__all__)) == len(ro.__all__)
+    assert [name for name in ro.__all__ if not hasattr(ro, name)] == []
+    namespace = {}
+    exec("from ruelleop import *", namespace)
+    assert set(ro.__all__) <= set(namespace)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import ruelleop as ro
+from ruelleop.space import _word_labels
 
 
 def test_uniform_space_weights(three_space):
     assert three_space.size == 3
     assert np.allclose(three_space.weights, 1.0 / 3.0, rtol=0, atol=1e-16)
-    assert three_space.kind == "finite"
     assert three_space.nodes is None
 
 
@@ -37,17 +37,16 @@ def test_gauss_legendre_two_point_nodes():
     # degree-2 Legendre roots are +-sqrt(1/3); on [0,1] they map to (1 +- r)/2
     r = math.sqrt(1.0 / 3.0)
     sp = ro.gauss_legendre_space(2, 0.0, 1.0)
-    assert sp.kind == "quadrature"
     assert np.allclose(np.sort(sp.nodes), [(1 - r) / 2, (1 + r) / 2], rtol=0, atol=1e-15)
     assert np.allclose(sp.weights, [0.5, 0.5], rtol=0, atol=1e-15)
-    assert sp.metadata["raw_mass"] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_gauss_legendre_integrates_cubics_exactly():
-    # 2-point rule is exact through degree 3: integral of x^3 over [0,1] is 1/4
-    sp = ro.gauss_legendre_space(2, 0.0, 1.0)
-    approx = float(np.sum(sp.weights * sp.nodes**3)) * sp.metadata["raw_mass"]
-    assert approx == pytest.approx(0.25, abs=1e-15)
+    # 2-point rule is exact through degree 3: integral of x^3 over [0,2] is 4;
+    # the unnormalized rule's weights are the space's times b - a = 2
+    sp = ro.gauss_legendre_space(2, 0.0, 2.0)
+    approx = float(np.sum(sp.weights * sp.nodes**3)) * 2.0
+    assert approx == pytest.approx(4.0, abs=1e-14)
 
 
 def test_gauss_legendre_rejects_empty_interval():
@@ -56,8 +55,12 @@ def test_gauss_legendre_rejects_empty_interval():
 
 
 def test_quadrature_needs_nodes():
-    with pytest.raises(ValueError):
-        ro.SymbolSpace(size= 2, weights=np.array([0.5, 0.5]), kind="quadrature")
+    # a quadrature space is one with nodes: one finite, distinct node per symbol
+    weights = np.array([0.5, 0.5])
+    assert ro.SymbolSpace(size=2, weights=weights, nodes=np.array([0.1, 0.9])).nodes is not None
+    for nodes in ([0.1], [0.1, np.inf], [0.3, 0.3]):
+        with pytest.raises(ValueError):
+            ro.SymbolSpace(size=2, weights=weights, nodes=np.array(nodes))
 
 
 def test_word_index_is_most_significant_first():
@@ -75,31 +78,21 @@ def test_index_word_roundtrip():
         assert ro.index_word(ro.word_index(word, size), size, depth) == word
 
 
-def test_shift_undoes_prepend(two_space):
-    word = (0, 1, 1)
-    assert ro.shift(ro.prepend(1, word, two_space)) == word
-    assert ro.prepend(1, word, two_space) == (1, 0, 1, 1)
-    with pytest.raises(ValueError):
-        ro.prepend(2, word, two_space)
-    with pytest.raises(ValueError):
-        ro.shift(())
+def test_word_labels_match_canonical_order(three_space):
+    labels = _word_labels(three_space, 2)
+    assert len(labels) == 9
+    for i, label in enumerate(labels):
+        assert ro.word_index(tuple(int(s) for s in label.split(".")), 3) == i
+    assert _word_labels(three_space, 0) == [""]
 
 
-def test_enumerate_cylinders_matches_canonical_order(three_space):
-    words = list(ro.enumerate_cylinders(three_space, 2))
-    assert len(words) == 9
-    for i, w in enumerate(words):
-        assert ro.word_index(w, 3) == i
-    assert list(ro.enumerate_cylinders(three_space, 0)) == [()]
-
-
-def test_enumerate_cylinders_respects_cap(two_space):
+def test_word_labels_respect_cap(two_space):
     old = ro.cylinder_cap()
     try:
         ro.set_cylinder_cap(16)
-        list(ro.enumerate_cylinders(two_space, 4))
+        _word_labels(two_space, 4)
         with pytest.raises(ro.ResourceCapError):
-            ro.enumerate_cylinders(two_space, 5)
+            _word_labels(two_space, 5)
     finally:
         ro.set_cylinder_cap(old)
 
@@ -109,14 +102,3 @@ def test_cap_check_uses_exact_arithmetic():
     with pytest.raises(ro.ResourceCapError):
         ro.check_cylinder_count(5, 30)
 
-
-def test_space_json_roundtrip_is_exact():
-    for sp in (ro.uniform_space(3), ro.gauss_legendre_space(7, -2.0, 0.5)):
-        back = ro.space_from_json(ro.space_to_json(sp))
-        assert back.size == sp.size
-        assert back.kind == sp.kind
-        assert np.array_equal(back.weights, sp.weights)  # bitwise
-        if sp.nodes is None:
-            assert back.nodes is None
-        else:
-            assert np.array_equal(back.nodes, sp.nodes)

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -35,7 +34,7 @@ def log_iterate_oracle(f, n, word):
 
 def test_apply_constant_potential_to_ones(three_space):
     f = ro.builtin_constant(three_space, 0.7)
-    out = ro.apply_transfer(f, ro.ones_function(three_space, 0))
+    out = ro.apply_transfer(f, ro.CylinderFunction(three_space, 0, np.ones(1)))
     assert out.depth == 0
     # sum_a w_a e^c = e^c since the weights are a probability vector
     assert out.values[0] == pytest.approx(math.exp(0.7), rel=1e-15)
@@ -61,16 +60,11 @@ def test_kernel_matvec_agrees_with_apply(two_space):
     for m in (0, 1, 2, 3, 4):
         vals = rng.uniform(-1.0, 1.0, two_space.size**m)
         phi = ro.CylinderFunction(two_space, m, vals)
-        via_apply = ro.lift(ro.apply_transfer(f, phi), 4)
-        via_kernel = np.exp(kern.offset) * kern.matvec(ro.lift(phi, 4).values)
-        assert np.allclose(via_kernel, via_apply.values, rtol=1e-14, atol=1e-14)
-
-
-def test_lift_repeats_blocks(two_space):
-    phi = ro.CylinderFunction(two_space, 1, np.array([3.0, 4.0]))
-    lifted = ro.lift(phi, 3)
-    assert lifted.depth == 3
-    assert np.array_equal(lifted.values, np.array([3.0, 3.0, 3.0, 3.0, 4.0, 4.0, 4.0, 4.0]))
+        out = ro.apply_transfer(f, phi)
+        # a depth-m function read at depth 4: each value repeats over 2^(4-m) words
+        via_apply = np.repeat(out.values, 2 ** (4 - out.depth))
+        via_kernel = np.exp(kern.offset) * kern.matvec(np.repeat(vals, 2 ** (4 - m)))
+        assert np.allclose(via_kernel, via_apply, rtol=1e-14, atol=1e-14)
 
 
 def test_linearity_and_positivity(two_space):
@@ -166,27 +160,6 @@ def test_kernel_respects_cylinder_cap(two_space):
         ro.set_cylinder_cap(old)
 
 
-def test_coo_export_rebuilds_dense():
-    cases = [
-        (ro.builtin_ising(ro.uniform_space(2), 0.75, 0.25), 2),
-        (ro.Potential(ro.uniform_space(3), 4, np.linspace(-1.0, 1.0, 81)), 3),
-    ]
-    for f, depth in cases:
-        n = f.space.size
-        kern = ro.build_kernel(f, depth)
-        buf = io.StringIO()
-        kern.export_coo(buf)
-        header, *lines = buf.getvalue().strip().splitlines()
-        assert header == f"# offset {kern.offset:.17g}"
-        dense = np.zeros((kern.size, kern.size))
-        for line in lines:
-            row_word, col_word, val = line.split()
-            r = ro.word_index(tuple(int(s) for s in row_word.split(".")), n)
-            c = ro.word_index(tuple(int(s) for s in col_word.split(".")), n)
-            dense[r, c] += float(val)
-        assert np.allclose(dense, kern.to_dense(), rtol=0, atol=1e-16)
-
-
 def test_weight_tables_follow_the_potential():
     # a ternary depth-3 table at the edge depth 2 and at the deeper depth 4
     space = ro.finite_space(np.array([0.2, 0.3, 0.5]))
@@ -208,11 +181,6 @@ def test_weight_tables_follow_the_potential():
         dense[rows, preds] = ew[:, prefix]
         assert same_bits(kernel.to_dense(), dense)
 
-        buf = io.StringIO()
-        kernel.export_coo(buf)
-        values = [float(line.split()[2]) for line in buf.getvalue().splitlines()[1:]]
-        assert same_bits(np.array(values), ew[:, prefix].T.reshape(-1))
-
         lx = np.random.default_rng(depth).uniform(-5.0, 5.0, kernel.size)
         terms = log_ew[:, prefix] + lx[preds]
         peak = terms.max(axis=0)
@@ -228,7 +196,7 @@ def test_cylinder_function_validation(two_space):
 
 def test_mixed_spaces_rejected(two_space, three_space):
     f = ro.builtin_ising(two_space, 1.0)
-    phi = ro.ones_function(three_space, 1)
+    phi = ro.CylinderFunction(three_space, 1, np.ones(3))
     with pytest.raises(ValueError):
         ro.apply_transfer(f, phi)
 
