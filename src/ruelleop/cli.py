@@ -465,7 +465,8 @@ def _verify_checks(f, params):
     bracketed = (est.p_inf[-1] - pad <= sd.log_lam <= est.p_sup[-1] + pad)
     checks.append(("bracket-contains-pressure", bracketed, sd.log_lam, float(est.p_sup[-1])))
 
-    adj = check_eigenmeasure(f, sd.log_lam, sd.nu, sd.nu.depth)
+    kernel = build_kernel(f, sd.nu.depth)  # the eigenmeasure check and the controls read it
+    adj = check_eigenmeasure(kernel, sd.log_lam, sd.nu, sd.nu.depth)
     checks.append(("eigenmeasure-fixed-point", adj <= res_tol, adj, res_tol))
 
     try:
@@ -493,7 +494,6 @@ def _verify_checks(f, params):
     # preimage of [u] is nu(u) (M h')(u) / lam for h' = m / nu, so the check
     # must read max_u nu(u) |(M h')(u) / lam - h'(u)|, from one forward product.
     # A control passes at half that prediction; below res_tol it does not apply.
-    kernel = build_kernel(f, sd.nu.depth)
     lam = math.exp(sd.log_lam - kernel.offset)  # the eigenvalue on the kernel's scale
     w = mu.weights * (1.0 + 0.5 * (-1.0) ** np.arange(len(mu.weights)))
     controls = (
@@ -509,11 +509,9 @@ def _verify_checks(f, params):
 
     if nu_ext is not None:
         # words one level shallower than the stored measure, per the check
-        worst = 0.0
-        n_words = f.space.size ** (nu_ext.depth - 1)
-        for i in range(min(n_words, 16)):
-            word = tuple(index_word(i, f.space.size, nu_ext.depth - 1))
-            worst = max(worst, check_intertwine(f, sd.log_lam, nu_ext, word))
+        n, d = f.space.size, nu_ext.depth - 1
+        words = [index_word(i, n, d) for i in range(min(n**d, 16))]
+        worst = check_intertwine(build_kernel(f, nu_ext.depth), sd.log_lam, nu_ext, words)
         checks.append(("adjoint-intertwine", worst <= res_tol, worst, res_tol))
 
     # mu is (k-1)-step Markov, so its entropy rate is exact at n = k-1

@@ -24,7 +24,7 @@ import numpy as np
 from .config import check_cylinder_count
 from .errors import NumericError
 from .space import SymbolSpace, word_index
-from .transfer import _block_sums, build_kernel
+from .transfer import _block_sums
 
 EXTENSION_MASS_ABORT = 1e-6
 INVARIANCE_TOL = 1e-10  # variational_gap flags a test measure less invariant than this
@@ -100,11 +100,12 @@ def _unit_mass(space, depth, w, what):
     return CylinderMeasure(space, depth, w / mass, mass_dev=dev)
 
 
-def check_eigenmeasure(f, log_lam, nu, test_depth):
-    """Worst |<L 1_[u], nu> - lam nu([u])| / lam over depth-t cylinders [u], lam = e^log_lam."""
+def check_eigenmeasure(kernel, log_lam, nu, test_depth):
+    """Worst |<L 1_[u], nu> - lam nu([u])| / lam over depth-t [u], L = kernel, lam = e^log_lam."""
+    if kernel.depth != nu.depth:
+        raise ValueError(f"depth-{nu.depth} measure given a depth-{kernel.depth} kernel")
     if not 0 <= test_depth <= nu.depth:
         raise ValueError(f"test depth {test_depth} outside 0..{nu.depth}")
-    kernel = build_kernel(f, nu.depth)
     lam = math.exp(log_lam - kernel.offset)  # the eigenvalue on the kernel's scale
     t = kernel.tmatvec(nu.weights)
     length = nu.space.size ** (nu.depth - test_depth)
@@ -179,45 +180,48 @@ def check_invariance(mu, f, log_lam, nu):
     return float(np.max(np.abs(preimage - mu.weights)))
 
 
-def check_intertwine(f, log_lam, nu, word):
-    """Residual of the adjoint intertwining identity on one cylinder word.
+def check_intertwine(kernel, log_lam, nu, words):
+    """Worst residual of the adjoint intertwining identity over words of length kernel.depth - 1.
 
-    Pairs, against every indicator of depth len(word)-1, the adjoint
-    applied to (indicator-after-shift * nu) with 1/lam times the adjoint
-    applied twice to (indicator * nu).  Both restrictions are read from
-    the stored weights of nu, which must live one level deeper than the
-    word: the first reads nu on the prepended cylinders, the second on
-    the appended ones, so the comparison ties the deep weights to their
-    own shifted marginals and vanishes only when nu satisfies the eigen
-    relation with eigenvalue lam = exp(log_lam).  Rebuilding the deep
-    level from the closed-form extension instead would make both sides
-    multiples of nu([word]) with identical coefficients for every
-    input.  Both sides use the kernel of f - offset, the second is
-    divided by lam between its two products and the residual by lam, so
-    it neither overflows nor grows with f's scale.
+    For each word, pairs against every indicator of depth len(word) the
+    adjoint applied to (indicator-after-shift * nu) with 1/lam times the
+    adjoint applied twice to (indicator * nu).  Both restrictions are
+    read from the weights of nu at the kernel's depth: the first reads
+    nu on the prepended cylinders, the second on the appended ones, so
+    the comparison ties the deep weights to their own shifted marginals
+    and vanishes only when nu satisfies the eigen relation with
+    eigenvalue lam = exp(log_lam).  Rebuilding the deep level from the
+    closed-form extension of nu's shallower marginal instead would miss
+    deep weights that disagree with an eigen marginal.  Both sides
+    use the kernel's scale (f - offset), the second is divided by lam
+    between its two products and the residual by lam, so it neither
+    overflows nor grows with f's scale.
     """
-    d = len(word)
-    k = f.depth
+    d = kernel.depth - 1
+    k = kernel.potential.depth
     if d < max(k - 1, 1):
-        raise ValueError(f"word depth {d} too shallow for a depth-{k} potential")
-    if nu.depth < d + 1:
-        raise ValueError(f"nu must be stored at depth {d + 1} or deeper, got {nu.depth}")
-    n = f.space.size
+        raise ValueError(f"depth-{kernel.depth} kernel too shallow for a depth-{k} potential")
+    if nu.depth < kernel.depth:
+        raise ValueError(f"nu must be stored at depth {kernel.depth} or deeper, got {nu.depth}")
+    n = kernel.space.size
     deep = nu.weights if nu.depth == d + 1 else marginalize(nu, d + 1).weights
-    idx = word_index(word, n)
-    kernel = build_kernel(f, d + 1)
     lam = math.exp(log_lam - kernel.offset)  # the eigenvalue on the kernel's scale
+    worst = 0.0
+    for word in words:
+        if len(word) != d:
+            raise ValueError(f"word {tuple(word)} is not of length {d}, kernel depth - 1")
+        idx = word_index(word, n)
+        shifted = np.zeros(n ** (d + 1))
+        sel = np.arange(n) * n**d + idx  # words r.word for each first symbol r
+        shifted[sel] = deep[sel]
+        lhs = _block_sums(kernel.tmatvec(shifted), n * n)
 
-    shifted = np.zeros(n ** (d + 1))
-    sel = np.arange(n) * n**d + idx  # words r.word for each first symbol r
-    shifted[sel] = deep[sel]
-    lhs = _block_sums(kernel.tmatvec(shifted), n * n)
-
-    pointed = np.zeros(n ** (d + 1))
-    sel = idx * n + np.arange(n)  # words word.b for each last symbol b
-    pointed[sel] = deep[sel]
-    rhs = _block_sums(kernel.tmatvec(kernel.tmatvec(pointed) / lam), n * n)
-    return float(np.max(np.abs(lhs - rhs))) / lam
+        pointed = np.zeros(n ** (d + 1))
+        sel = idx * n + np.arange(n)  # words word.b for each last symbol b
+        pointed[sel] = deep[sel]
+        rhs = _block_sums(kernel.tmatvec(kernel.tmatvec(pointed) / lam), n * n)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / lam)
+    return worst
 
 
 def relative_entropy(mu, rho, depth=None):

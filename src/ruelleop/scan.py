@@ -29,13 +29,13 @@ Non-converged points are surfaced as candidates too, never silently
 dropped.
 """
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .spectral import DEFAULT_MAX_ITERS, power_iterate
-from .transfer import _gauge_offset, _prefix, _scaled_kernels, lumpable_partition
+from .transfer import _blocks, _gauge_offset, _prefix, _scaled_kernels, lumpable_partition
 
 KINK_FACTOR = 5.0
 KINK_ABS_FLOOR = 1e-8
@@ -104,15 +104,13 @@ def pressure_curve(f, betas, depth, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
     lo, hi = float(f.table.min()), float(f.table.max())
     offsets = np.array([_gauge_offset(*sorted((beta * lo, beta * hi)), f.depth) for beta in betas])
     lumping = lumpable_partition(f, depth)
-    kernels = _scaled_kernels(f, betas, offsets, depth)
-    first = next(kernels)
-    lumped = _quotient_pays(lumping.size, first.product_size)
+    product_size = f.space.size * math.prod(_blocks(f, depth))  # TransferKernel.product_size
+    lumped = _quotient_pays(lumping.size, product_size)
     if lumped:
-        quotient_roots = _lumped_roots(
-            f, lumping, betas, offsets, max(1, first.product_size // lumping.size**2)
-        )
+        block = max(1, product_size // lumping.size**2)
+        quotient_roots = _lumped_roots(f, lumping, betas, offsets, block)
     left = right = None
-    for i, kernel in enumerate(itertools.chain([first], kernels)):
+    for i, kernel in enumerate(_scaled_kernels(f, betas, offsets, depth)):
         if lumped:
             roots[i], g = next(quotient_roots)
             converged[i] = _certified(kernel, lumping, roots[i], g, tol)

@@ -147,7 +147,8 @@ def test_criterion_05_eigenmeasure_relation():
     band_ok = True
     for f, sd in _spectral_census():
         assert sd.converged
-        worst = max(worst, ro.check_eigenmeasure(f, sd.log_lam, sd.nu, sd.nu.depth))
+        kernel = ro.build_kernel(f, sd.nu.depth)
+        worst = max(worst, ro.check_eigenmeasure(kernel, sd.log_lam, sd.nu, sd.nu.depth))
         band_ok = band_ok and math.exp(-f.sup_norm) - 1e-12 <= sd.lam <= math.exp(f.sup_norm) + 1e-12
     _report(5, worst <= 1e-10 and band_ok, f"worst residual {worst:.2e}, bands {band_ok}")
 
@@ -182,13 +183,11 @@ def test_criterion_07_intertwine_identity():
     for f in cases:
         sd = ro.perron_eigendata(f)
         nu3 = deep_eigenmeasure(f, 3)
-        worst = max(worst, max(ro.check_intertwine(f, sd.log_lam, nu3, w) for w in words))
+        kernel = ro.build_kernel(f, 3)
+        worst = max(worst, ro.check_intertwine(kernel, sd.log_lam, nu3, words))
         raw = rng.uniform(0.05, 1.0, 8)
         fake = ro.CylinderMeasure(sp, 3, raw / raw.sum())
-        weakest_control = min(
-            weakest_control,
-            max(ro.check_intertwine(f, sd.log_lam, fake, w) for w in words),
-        )
+        weakest_control = min(weakest_control, ro.check_intertwine(kernel, sd.log_lam, fake, words))
     ok = worst <= 1e-10 and weakest_control > 1e-4
     _report(7, ok, f"worst residual {worst:.2e}, weakest control {weakest_control:.2e}")
 

@@ -552,6 +552,29 @@ def test_eigendata_are_solved_at_the_canonical_depth(tmp_path, monkeypatch):
     assert "# 15 of 15 checks passed" in text
 
 
+def test_verify_builds_one_kernel_per_depth(tmp_path, monkeypatch):
+    # eigendata, the pressure bracket, the eigenmeasure check with its controls
+    # and the intertwine check over all its words: one kernel each
+    builds = []
+    build = ro.transfer.build_kernel
+
+    def spy(f, depth):
+        builds.append(depth)
+        return build(f, depth)
+
+    for module in (cli, ro.measures, ro.spectral, ro.transfer):
+        monkeypatch.setattr(module, "build_kernel", spy, raising=False)
+    values = np.random.default_rng(11).uniform(-1.0, 1.0, 8)
+    cfg = {
+        "space": {"kind": "uniform", "size": 2},
+        "potential": {"kind": "table", "depth": 3, "values": values.tolist()},
+    }
+    code, text = run_to_file(tmp_path, ["verify", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0
+    assert "# 15 of 15 checks passed" in text
+    assert len(builds) <= 4, builds
+
+
 def test_eigensolver_failure_exits_4(tmp_path, monkeypatch, capsys):
     # LinAlgError is a ValueError, but it is a numeric failure, not a config fault
     def fail(a):

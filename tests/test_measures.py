@@ -62,11 +62,11 @@ def test_eigenmeasure_certificate_and_extension(two_space):
     for _ in range(5):
         f = ro.Potential(two_space, 2, rng.uniform(-1.5, 1.5, 4))
         sd = ro.perron_eigendata(f)
-        assert ro.check_eigenmeasure(f, sd.log_lam, sd.nu, 1) < 1e-12
+        assert ro.check_eigenmeasure(ro.build_kernel(f, 1), sd.log_lam, sd.nu, 1) < 1e-12
         ext = ro.extend_eigenmeasure(f, sd.log_lam, sd.nu)
         assert ext.depth == 2
         assert ext.mass_dev < 1e-10
-        assert ro.check_eigenmeasure(f, sd.log_lam, ext, 2) < 1e-11
+        assert ro.check_eigenmeasure(ro.build_kernel(f, 2), sd.log_lam, ext, 2) < 1e-11
         # the closed-form extension agrees with a direct deeper solve
         deep = deep_eigenmeasure(f, 2)
         assert np.allclose(ext.weights, deep.weights, rtol=0, atol=1e-10)
@@ -76,7 +76,7 @@ def test_extension_refuses_non_eigenmeasure(two_space):
     f = ro.builtin_ising(two_space, 1.0, 0.3)
     sd = ro.perron_eigendata(f)
     fake = ro.CylinderMeasure(two_space, 1, np.array([0.5, 0.5]))
-    assert ro.check_eigenmeasure(f, sd.log_lam, fake, 1) > 1e-2
+    assert ro.check_eigenmeasure(ro.build_kernel(f, 1), sd.log_lam, fake, 1) > 1e-2
     with pytest.raises(ro.NumericError):
         ro.extend_eigenmeasure(f, sd.log_lam, fake)
 
@@ -157,19 +157,44 @@ def test_intertwine_certificate_and_control(two_space):
     # converged full-depth eigenmeasure data, words one level shallower
     nu3 = deep_eigenmeasure(f, 3)
     words = list(itertools.product(range(2), repeat=2))
+    kernel = ro.build_kernel(f, 3)
     for word in words:
-        assert ro.check_intertwine(f, sd.log_lam, nu3, word) < 1e-10
+        assert ro.check_intertwine(kernel, sd.log_lam, nu3, [word]) < 1e-10
     rng = np.random.default_rng(47)
     pert = nu3.weights * (1.0 + 0.3 * rng.uniform(-1.0, 1.0, 8))
     bad = ro.CylinderMeasure(two_space, 3, pert / pert.sum())
-    assert max(ro.check_intertwine(f, sd.log_lam, bad, word) for word in words) > 1e-4
+    assert ro.check_intertwine(kernel, sd.log_lam, bad, words) > 1e-4
+    # weight moved between the last symbols of each depth-2 cylinder leaves the
+    # depth-2 marginal an eigenmeasure: only the stored deep weights show it
+    pairs = nu3.weights.reshape(-1, 2)
+    step = 0.3 * pairs.min(axis=1, keepdims=True) * np.array([1.0, -1.0])
+    moved = ro.CylinderMeasure(two_space, 3, (pairs + step).ravel())
+    assert ro.check_intertwine(kernel, sd.log_lam, moved, words) > 1e-4
     # a deeper stored measure is marginalized down before the comparison
     nu4 = deep_eigenmeasure(f, 4)
-    assert ro.check_intertwine(f, sd.log_lam, nu4, (0, 1)) < 1e-10
+    assert ro.check_intertwine(kernel, sd.log_lam, nu4, [(0, 1)]) < 1e-10
+
+
+def test_certificates_reject_kernels_that_do_not_fit(two_space):
+    f = ro.builtin_ising(two_space, 1.0, 0.3)
+    sd = ro.perron_eigendata(f)
+    nu3 = deep_eigenmeasure(f, 3)
+    kernel = ro.build_kernel(f, 3)
+    # the eigenmeasure check reads a kernel at the measure's own depth
+    assert ro.check_eigenmeasure(kernel, sd.log_lam, nu3, 3) < 1e-10
+    for depth in (2, 4):
+        with pytest.raises(ValueError):
+            ro.check_eigenmeasure(ro.build_kernel(f, depth), sd.log_lam, nu3, 3)
+    # the intertwine check needs nu at the kernel's depth or deeper
     with pytest.raises(ValueError):
-        ro.check_intertwine(f, sd.log_lam, nu3, ())
+        ro.check_intertwine(ro.build_kernel(f, 4), sd.log_lam, nu3, [(0, 1, 0)])
+    # a depth-1 kernel leaves words of length 0, too short for a depth-2 potential
     with pytest.raises(ValueError):
-        ro.check_intertwine(f, sd.log_lam, nu3, (0, 1, 0))  # needs depth 4 storage
+        ro.check_intertwine(ro.build_kernel(f, 1), sd.log_lam, nu3, [()])
+    # every word has length kernel.depth - 1; any other length would be mis-indexed
+    for bad_words in ([()], [(0, 1, 0)], [(0, 1), (0, 1, 0)]):
+        with pytest.raises(ValueError):
+            ro.check_intertwine(kernel, sd.log_lam, nu3, bad_words)
 
 
 def test_relative_entropy_basics(two_space):
