@@ -27,7 +27,6 @@ from .measures import (
 from .potential import (
     Potential,
     RenewalTail,
-    VariationPotential,
     builtin_constant,
     builtin_ising,
     builtin_renewal,
@@ -79,7 +78,6 @@ __all__ = [
     "SpectralData",
     "SymbolSpace",
     "TransferKernel",
-    "VariationPotential",
     "apply_transfer",
     "brute_force_iterate",
     "build_kernel",

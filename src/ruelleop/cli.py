@@ -28,6 +28,12 @@ cap exceeded, 4 numeric failure.  Output contains no timestamps, so a
 fixed config and environment reproduce reports byte for byte.  The
 report header echoes the space and potential configs; a table
 potential's values appear there as their count and sha256 digest.
+
+``assemble`` builds the potential and applies beta to it once, for
+every command but scan.  A renewal potential is built at its horizon,
+depth len(payoffs), with var_bound the spread of its tail band and last
+payoff.  ``_run`` writes the report header, then the body that the
+command function ``cmd_<command>`` returns.
 """
 
 import argparse
@@ -60,7 +66,6 @@ from .potential import (
     builtin_renewal,
     builtin_xy,
     scale,
-    truncate,
 )
 from .report import HUMAN_DIGITS, MACHINE_DIGITS, format_float
 from .scan import pressure_curve
@@ -149,8 +154,7 @@ def build_potential(cfg, space):
                 tail = RenewalTail(
                     float(tail.get("limit", 0.0)), float(tail.get("bound", 0.0))
                 )
-            g = builtin_renewal(space, np.asarray(cfg["payoffs"], dtype=float), tail)
-            return truncate(g, g.depth)
+            return builtin_renewal(space, np.asarray(cfg["payoffs"], dtype=float), tail)
         if kind == "table":
             _require("values" in cfg, "table potential needs 'values'")
             return Potential(
@@ -202,6 +206,7 @@ def _merged_params(cfg, args):
 
 
 def assemble(cfg, args):
+    """(f, params): the potential, times beta unless the command is scan, and the parameters."""
     _require("space" in cfg, "config needs a 'space' entry")
     _require("potential" in cfg, "config needs a 'potential' entry")
     space = build_space(cfg["space"])
@@ -214,23 +219,17 @@ def assemble(cfg, args):
     if args.command == "entropy":
         # the gap at n needs mu at depth n + 1, and mu must integrate f
         _require(params["n_max"] + 1 >= f.depth, f"entropy needs 'n_max' at least {f.depth - 1}")
-    return space, f, params
+    if args.command != "scan" and params["beta"] != 1.0:
+        f = scale(f, params["beta"])
+    return f, params
 
 
 def _digits(fmt):
     return MACHINE_DIGITS if fmt == "csv" else HUMAN_DIGITS
 
 
-def _cell(v, digits):
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (float, np.floating)):
-        return format_float(v, digits)
-    return str(v)
-
-
 def _cell_format(column, digits):
-    """The %-format of one column's cells.
+    """The %-format of one column's cells, or of one scalar given as a 0-d array.
 
     Word labels print as given, flags and counts as integers, floats at
     `digits` significant digits (the text of ``format_float``).
@@ -267,10 +266,11 @@ def _table_lines(header, columns, fmt):
 
 def _scalar_lines(pairs, fmt):
     digits = _digits(fmt)
+    cells = [(k, _cell_format(np.asarray(v), digits) % v) for k, v in pairs]
     if fmt == "csv":
-        return [f"# {k} {_cell(v, MACHINE_DIGITS)}" for k, v in pairs]
+        return [f"# {k} {c}" for k, c in cells]
     width = max(len(k) for k, _ in pairs)
-    return [f"{k.ljust(width)}  {_cell(v, digits)}" for k, v in pairs]
+    return [f"{k.ljust(width)}  {c}" for k, c in cells]
 
 
 def _potential_echo(cfg):
@@ -308,16 +308,9 @@ def _header_lines(command, cfg, params):
     ]
 
 
-def _scaled(f, params):
-    beta = params["beta"]
-    return f if beta == 1.0 else scale(f, beta)
-
-
-def cmd_pressure(cfg, f, params, fmt):
-    g = _scaled(f, params)
-    est = pressure_bracket(g, params["depth"], params["n_max"])
-    lines = _header_lines("pressure", cfg, params)
-    lines += _table_lines(
+def cmd_pressure(f, params, fmt):
+    est = pressure_bracket(f, params["depth"], params["n_max"])
+    lines = _table_lines(
         ("n", "p_inf", "p_sup", "width"),
         (np.arange(1, est.n_max + 1), est.p_inf, est.p_sup, est.p_sup - est.p_inf),
         fmt,
@@ -348,23 +341,19 @@ def _spectral_scalars(sd):
     ]
 
 
-def cmd_spectral(cfg, f, params, fmt):
-    g = _scaled(f, params)
-    sd = perron_eigendata(g, tol=params["tol"], max_iters=params["max_iters"])
-    lines = _header_lines("spectral", cfg, params)
-    lines += _scalar_lines(_spectral_scalars(sd), fmt)
-    words = _word_labels(g.space, sd.nu.depth)
+def cmd_spectral(f, params, fmt):
+    sd = perron_eigendata(f, tol=params["tol"], max_iters=params["max_iters"])
+    lines = _scalar_lines(_spectral_scalars(sd), fmt)
+    words = _word_labels(f.space, sd.nu.depth)
     lines += _table_lines((WORD_COL, "nu", "h"), (words, sd.nu.weights, sd.h.values), fmt)
     return lines
 
 
-def cmd_equilibrium(cfg, f, params, fmt):
-    g = _scaled(f, params)
-    sd = perron_eigendata(g, tol=params["tol"], max_iters=params["max_iters"])
-    mu = extend_equilibrium(sd, g, params["depth"])
-    inv = check_invariance(equilibrium_measure(sd), g, sd.log_lam, sd.nu)
-    lines = _header_lines("equilibrium", cfg, params)
-    lines += _scalar_lines(
+def cmd_equilibrium(f, params, fmt):
+    sd = perron_eigendata(f, tol=params["tol"], max_iters=params["max_iters"])
+    mu = extend_equilibrium(sd, f, params["depth"])
+    inv = check_invariance(equilibrium_measure(sd), f, sd.log_lam, sd.nu)
+    lines = _scalar_lines(
         _spectral_scalars(sd)
         + [
             ("invariance_residual", inv),
@@ -374,19 +363,17 @@ def cmd_equilibrium(cfg, f, params, fmt):
         ],
         fmt,
     )
-    words = _word_labels(g.space, mu.depth)
+    words = _word_labels(f.space, mu.depth)
     lines += _table_lines((WORD_COL, "mu"), (words, mu.weights), fmt)
     return lines
 
 
-def cmd_entropy(cfg, f, params, fmt):
-    g = _scaled(f, params)
-    sd = perron_eigendata(g, tol=params["tol"], max_iters=params["max_iters"])
+def cmd_entropy(f, params, fmt):
+    sd = perron_eigendata(f, tol=params["tol"], max_iters=params["max_iters"])
     n_max = params["n_max"]
-    mu = extend_equilibrium(sd, g, n_max + 1)
-    rep = variational_gap(mu, g, sd, n_max)
-    lines = _header_lines("entropy", cfg, params)
-    lines += _scalar_lines(
+    mu = extend_equilibrium(sd, f, n_max + 1)
+    rep = variational_gap(mu, f, sd, n_max)
+    lines = _scalar_lines(
         [
             ("lam", sd.lam),
             ("pressure", sd.log_lam),
@@ -403,14 +390,13 @@ def cmd_entropy(cfg, f, params, fmt):
     return lines
 
 
-def cmd_scan(cfg, f, params, fmt):
+def cmd_scan(f, params, fmt):
     grid = params["grid"]
     betas = np.linspace(grid["start"], grid["stop"], grid["count"])
     curve = pressure_curve(
         f, betas, params["depth"], tol=params["tol"], max_iters=params["max_iters"]
     )
-    lines = _header_lines("scan", cfg, params)
-    lines += _scalar_lines(
+    lines = _scalar_lines(
         [
             ("grid_start", grid["start"]),
             ("grid_stop", grid["stop"]),
@@ -525,10 +511,9 @@ def _verify_checks(f, params):
     return checks
 
 
-def cmd_verify(cfg, f, params, fmt):
-    g = _scaled(f, params)
-    checks = _verify_checks(g, params)
-    lines = _header_lines("verify", cfg, params)
+def cmd_verify(f, params, fmt):
+    checks = _verify_checks(f, params)
+    lines = []
     width = max(len(name) for name, _, _, _ in checks)
     for name, ok, value, bound in checks:
         status = "ok  " if ok else "FAIL"
@@ -569,21 +554,11 @@ def run(args):
 
 def _run(args):
     cfg = load_config(args.config)
-    _, f, params = assemble(cfg, args)
-    ok = True
-    if args.command == "pressure":
-        lines = cmd_pressure(cfg, f, params, args.format)
-    elif args.command == "spectral":
-        lines = cmd_spectral(cfg, f, params, args.format)
-    elif args.command == "equilibrium":
-        lines = cmd_equilibrium(cfg, f, params, args.format)
-    elif args.command == "entropy":
-        lines = cmd_entropy(cfg, f, params, args.format)
-    elif args.command == "scan":
-        lines = cmd_scan(cfg, f, params, args.format)
-    else:
-        lines, ok = cmd_verify(cfg, f, params, args.format)
-    text = "\n".join(lines) + "\n"
+    f, params = assemble(cfg, args)
+    # looked up at call time, so that whatever is bound to cmd_<command> runs
+    out = globals()[f"cmd_{args.command}"](f, params, args.format)
+    body, ok = out if args.command == "verify" else (out, True)
+    text = "\n".join(_header_lines(args.command, cfg, params) + body) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

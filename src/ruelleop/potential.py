@@ -10,7 +10,7 @@ error of var_bound per operator application, which callers surface as
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,38 +92,6 @@ def scale(f, beta):
     return Potential(f.space, f.depth, float(beta) * f.table, abs(float(beta)) * f.var_bound)
 
 
-@dataclass(frozen=True, eq=False)
-class VariationPotential:
-    """A potential presented at finite depth with per-depth oscillation bounds.
-
-    ``var_bounds[j]`` bounds the true function's oscillation over any
-    depth-j cylinder (and its deviation from the stored table on that
-    cylinder), for j = 0..depth.  Truncating to depth k picks
-    ``var_bounds[k]`` instead of re-deriving a bound from the table.
-    """
-
-    space: SymbolSpace
-    depth: int
-    table: np.ndarray
-    var_bounds: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=float).reshape(-1)
-        if t.shape != (self.space.size**self.depth,):
-            raise ValueError("table size does not match depth")
-        t.flags.writeable = False
-        object.__setattr__(self, "table", t)
-        if self.var_bounds is None:
-            raise ValueError("VariationPotential needs explicit var_bounds")
-        v = np.asarray(self.var_bounds, dtype=float).reshape(-1)
-        if v.shape != (self.depth + 1,):
-            raise ValueError(f"need {self.depth + 1} variation bounds, got {v.size}")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ValueError("variation bounds must be finite and non-negative")
-        v.flags.writeable = False
-        object.__setattr__(self, "var_bounds", v)
-
-
 def _anchor_indices(n_symbols, k, m):
     """Canonical depth-m indices of the anchor extensions of all depth-k words.
 
@@ -141,17 +109,10 @@ def truncate(g, k):
     """Truncate a potential to depth k.
 
     The depth-k table takes the value at each word's anchor extension
-    (last symbol repeated).  For a :class:`VariationPotential` the
-    supplied closed-form bound ``var_bounds[k]`` is used; for a plain
-    :class:`Potential` the bound is the worst tablewise oscillation
-    within a depth-k cylinder plus twice the carried var_bound.
-    Truncating to the potential's own depth is the identity.
+    (last symbol repeated).  The bound is the worst tablewise
+    oscillation within a depth-k cylinder plus twice the carried
+    var_bound.  Truncating to the potential's own depth is the identity.
     """
-    if isinstance(g, VariationPotential):
-        if not 1 <= k <= g.depth:
-            raise ValueError(f"truncation depth {k} outside 1..{g.depth}")
-        table = g.table[_anchor_indices(g.space.size, k, g.depth)]
-        return Potential(g.space, k, table, float(g.var_bounds[k]))
     if not 1 <= k <= g.depth:
         raise ValueError(f"truncation depth {k} outside 1..{g.depth}")
     if k == g.depth:
@@ -203,10 +164,11 @@ def builtin_renewal(space, payoffs, tail="constant"):
 
     The word 0^j 1 ... gets payoff ``payoffs[j]`` (j = 0..K-1 zeros);
     the all-zeros depth-K cylinder gets ``payoffs[K-1]``.  The returned
-    :class:`VariationPotential` has depth K = len(payoffs) and carries
-    closed-form oscillation bounds: a depth-j cylinder either pins the
-    position of the first one (zero oscillation) or is the all-zeros
-    cylinder, whose value set is the remaining payoffs plus the tail.
+    :class:`Potential` has depth K = len(payoffs).  Only the all-zeros
+    cylinder oscillates: there the true value is the limit, something
+    in the tail band or payoffs[K-1], so ``var_bound`` is the spread of
+    {limit - bound, limit + bound, payoffs[K-1]}.  Shallower depths come
+    from :func:`truncate`.
 
     ``tail`` is ``"constant"`` (payoffs continue at their last value,
     making the depth-K table exact) or a :class:`RenewalTail`.
@@ -230,11 +192,6 @@ def builtin_renewal(space, payoffs, tail="constant"):
     table[0] = s[-1]
     table[1:] = s[leading_zeros]
 
-    var_bounds = np.empty(horizon + 1)
-    for j in range(horizon + 1):
-        # on [0^j] the true value is one of s[j..K-1], something in the
-        # tail band, or the limit; the stored table uses s[K-1] there
-        vals = [tail.limit - tail.bound, tail.limit + tail.bound, float(s[-1])]
-        vals.extend(float(v) for v in s[j:])
-        var_bounds[j] = max(vals) - min(vals)
-    return VariationPotential(space, horizon, table, var_bounds)
+    # on the all-zeros cylinder the stored table uses s[K-1]
+    vals = (tail.limit - tail.bound, tail.limit + tail.bound, float(s[-1]))
+    return Potential(space, horizon, table, max(vals) - min(vals))

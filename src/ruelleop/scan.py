@@ -17,9 +17,12 @@ Perron roots come from one stacked eigensolve.  A block holds at most
 product_size // c**2 points for c classes, so its stack of quotients
 is no larger than one product broadcast.  Each point's lifted
 eigenvector is then certified by one product with its full-depth
-kernel; a point whose certificate fails is reported as non-converged.
-Otherwise each point is solved by power iteration, starting from the
-previous point's eigenvectors.
+kernel.  A point whose certificate fails (at large beta the dense
+eigensolve of a badly graded quotient can return the right root with a
+wrong vector) is solved by power iteration on that kernel from the
+uniform start, and is non-converged only if that fails too.  Otherwise
+each point is solved by power iteration, starting from the previous
+point's eigenvectors.
 
 A genuine first-order transition would put a slope discontinuity into
 the limiting curve; at finite truncation the curve is analytic, so the
@@ -86,7 +89,8 @@ class PressureCurve:
 def pressure_curve(f, betas, depth, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
     """Pressure log(lam) over a beta grid, with kink-candidate detection.
 
-    ``iterations`` is 0 at points solved on the lumped quotient.
+    ``iterations`` is 0 at points solved on the lumped quotient; a point
+    whose quotient certificate fails reports its power iterations.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 1 or len(betas) < 2:
@@ -114,9 +118,11 @@ def pressure_curve(f, betas, depth, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
         if lumped:
             roots[i], g = next(quotient_roots)
             converged[i] = _certified(kernel, lumping, roots[i], g, tol)
-        else:
-            res = power_iterate(kernel, tol=tol, max_iters=max_iters, left0=left, right0=right)
-            roots[i], converged[i], iters[i] = res.lam, res.converged, res.iterations
+            if converged[i]:
+                continue
+        res = power_iterate(kernel, tol=tol, max_iters=max_iters, left0=left, right0=right)
+        roots[i], converged[i], iters[i] = res.lam, res.converged, res.iterations
+        if not lumped:
             left, right = res.left, res.right
     pressures = offsets + np.log(roots)
     with np.errstate(over="ignore"):

@@ -242,7 +242,7 @@ def test_criterion_10_phase_transition_scan():
         payoffs = [-head]
         payoffs.extend(-3.0 * math.log((j + 1) / j) for j in range(1, trunc - 1))
         payoffs.append(0.0)
-        f = ro.truncate(ro.builtin_renewal(sp, payoffs), trunc)
+        f = ro.builtin_renewal(sp, payoffs)
         curve = ro.pressure_curve(f, betas, trunc - 1)
         kinks = [b for b, reason in curve.candidates if reason == "slope-mismatch"]
         assert kinks, f"no kink candidate at truncation {trunc}"

@@ -398,6 +398,73 @@ def test_flags_override_config(tmp_path):
     assert "depth=3" in text
 
 
+def report_body(text):
+    """A report without its four header lines (version, space, potential, params)."""
+    lines = text.splitlines()
+    assert lines[3].startswith("# params beta=")
+    return lines[4:]
+
+
+def test_beta_is_applied_once(tmp_path):
+    values = [0.3, -0.7, 1.1, 0.25, -0.4, 0.9, 0.0, 0.6, -1.2]
+    table = {
+        "space": {"kind": "uniform", "size": 3},
+        "potential": {"kind": "table", "depth": 2, "values": values, "var_bound": 0.0625},
+        "n_max": 4,
+        "grid": {"start": 0.0, "stop": 2.0, "count": 5},
+    }
+    # doubling is exact in floating point
+    potential = dict(table["potential"], values=[2.0 * v for v in values], var_bound=0.125)
+    path = write_cfg(tmp_path, table)
+    path2 = write_cfg(tmp_path, dict(table, potential=potential), "doubled.json")
+    for command in ("pressure", "spectral", "equilibrium", "entropy", "verify"):
+        for fmt in ("csv", "report"):
+            argv = [command, "--format", fmt, "--config"]
+            code, text = run_to_file(tmp_path, argv + [path, "--beta", "2"], "beta.txt")
+            code2, want = run_to_file(tmp_path, argv + [path2], "doubled.txt")
+            assert code == code2 == 0, (command, fmt)
+            assert report_body(text) == report_body(want), (command, fmt)
+    # scan sweeps its grid and ignores beta
+    _, text = run_to_file(tmp_path, ["scan", "--config", path, "--beta", "2"], "beta.txt")
+    _, want = run_to_file(tmp_path, ["scan", "--config", path], "plain.txt")
+    assert "beta=2.0" in text
+    assert report_body(text) == report_body(want)
+
+
+def test_renewal_tail_band_is_the_truncation_bound(tmp_path):
+    payoffs = [-1.0, -0.5, 0.25]
+    cfg = {
+        "space": {"kind": "uniform", "size": 2},
+        "potential": {
+            "kind": "renewal",
+            "payoffs": payoffs,
+            "tail": {"limit": 0.0, "bound": 0.1},
+        },
+    }
+    path = write_cfg(tmp_path, cfg)
+    # the all-zeros cylinder holds payoffs[-1] and the band [limit - bound, limit + bound]
+    spread = max(-0.1, 0.1, payoffs[-1]) - min(-0.1, 0.1, payoffs[-1])
+    for command in ("pressure", "spectral"):
+        code, text = run_to_file(tmp_path, [command, "--config", path, "--format", "csv"])
+        assert code == 0
+        assert scalar_from(text, "trunc_bound") == spread, command
+
+
+def test_commands_are_looked_up_at_call_time(tmp_path, monkeypatch):
+    # a command function rebound on the module (as a tracer does) is the one that runs
+    calls = []
+    command = cli.cmd_pressure
+
+    def spy(*args):
+        calls.append(args[1]["beta"])
+        return command(*args)
+
+    monkeypatch.setattr(cli, "cmd_pressure", spy)
+    code, _ = run_to_file(tmp_path, ["pressure", "--config", write_cfg(tmp_path, CONST)])
+    assert code == 0
+    assert calls == [1.0]
+
+
 def test_entropy_gap_vanishes_at_equilibrium(tmp_path):
     cfg = write_cfg(tmp_path, ISING)
     code, text = run_to_file(tmp_path, ["entropy", "--config", cfg, "--format", "csv"])

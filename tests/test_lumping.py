@@ -25,13 +25,14 @@ def rep_weights(kernel, lumping):
 
 
 def per_point_curve(f, betas, depth, tol=1e-12):
-    """(pressures, lams, converged): one dense eigensolve of the quotient per grid point.
+    """(pressures, lams, converged, iterations): one quotient eigensolve per grid point.
 
     The Perron pair of each point's quotient is lifted to the words and
-    certified on the point's full-depth kernel.
+    certified on the point's full-depth kernel; a point whose certificate
+    fails is solved by power iteration on that kernel from the uniform start.
     """
     lumping = ro.lumpable_partition(f, depth)
-    pressures, lams, converged = [], [], []
+    pressures, lams, converged, iterations = [], [], [], []
     for beta in betas:
         kernel = ro.build_kernel(ro.scale(f, beta), depth)
         vals, vecs = np.linalg.eig(lumping.quotient(rep_weights(kernel, lumping)))
@@ -42,18 +43,23 @@ def per_point_curve(f, betas, depth, tol=1e-12):
         ok = lam > 0 and h.max() > 0 and np.all(h >= 0)
         if ok:
             ok = float(np.max(np.abs(kernel.matvec(h) - lam * h))) / (lam * float(h.max())) <= tol
+        n = 0
+        if not ok:
+            res = ro.power_iterate(kernel, tol=tol)
+            lam, ok, n = res.lam, res.converged, res.iterations
         converged.append(bool(ok))
+        iterations.append(n)
         pressures.append(kernel.offset + np.log(lam))
         with np.errstate(over="ignore"):
             lams.append(lam * np.exp(kernel.offset))
-    return np.array(pressures), np.array(lams), np.array(converged)
+    return np.array(pressures), np.array(lams), np.array(converged), np.array(iterations)
 
 
 def renewal(trunc):
     """The criterion-10 renewal potential at a truncation."""
     head = -math.log(1.0 / sum(j**-2.7 for j in range(1, 400_000))) / 0.9
     payoffs = [-head] + [-3.0 * math.log((j + 1) / j) for j in range(1, trunc - 1)] + [0.0]
-    return ro.truncate(ro.builtin_renewal(ro.uniform_space(2), payoffs), trunc)
+    return ro.builtin_renewal(ro.uniform_space(2), payoffs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,7 +135,11 @@ def test_lumped_scan_matches_the_per_point_eigensolve(trunc, betas, midpoint, mo
     assert scan._quotient_pays(lumping.size, kernel.product_size)
     at_max = [ro.build_kernel(ro.scale(f, b), depth).offset == (b * f.table).max() for b in betas]
     assert all(at_max) != midpoint
-    pressures, lams, converged = per_point_curve(f, betas, depth)
+    pressures, lams, converged, iterations = per_point_curve(f, betas, depth)
+    assert converged.all()
+    # the badly graded quotients at large beta give a Perron vector that fails
+    # its certificate; those points fall back to power iteration
+    assert (iterations > 0).any() == midpoint
 
     eig, calls = np.linalg.eig, []
     monkeypatch.setattr(np.linalg, "eig", lambda q: calls.append(q.shape) or eig(q))
@@ -137,7 +147,7 @@ def test_lumped_scan_matches_the_per_point_eigensolve(trunc, betas, midpoint, mo
     assert np.array_equal(curve.pressures, pressures)
     assert np.array_equal(curve.lams, lams)
     assert np.array_equal(curve.converged, converged)
-    assert np.all(curve.iterations == 0)
+    assert np.array_equal(curve.iterations, iterations)
     # one stacked eigensolve per block of at most product_size / c**2 points
     block = max(1, kernel.product_size // lumping.size**2)
     assert len(calls) == -(-len(betas) // block)
@@ -201,10 +211,25 @@ def test_certificate_reads_the_table_and_not_the_partition(monkeypatch):
     coarse = ro.Lumping(depth=depth, labels=labels, reps=np.unique(labels, return_index=True)[1])
     assert coarse.size == lumping.size - 1
     monkeypatch.setattr(scan, "lumpable_partition", lambda g, d: coarse)
-    curve = ro.pressure_curve(f, np.linspace(0.25, 2.0, 8), depth)
-    assert np.all(curve.iterations == 0)
-    assert not curve.converged.any()
-    assert [reason for _, reason in curve.candidates].count("non-converged") == 8
+    betas = np.linspace(0.25, 2.0, 8)
+    curve = ro.pressure_curve(f, betas, depth)
+    # every point fails its certificate and is solved on its true kernel
+    assert np.all(curve.iterations > 0)
+    assert curve.converged.all()
+    for beta, pressure, iterations in zip(betas, curve.pressures, curve.iterations):
+        kernel = ro.build_kernel(ro.scale(f, beta), depth)
+        ref = ro.power_iterate(kernel)
+        assert iterations == ref.iterations
+        assert pressure == kernel.offset + np.log(ref.lam)
+
+
+@pytest.mark.parametrize("trunc", [8, 12, 14])
+def test_lumped_scan_converges_at_large_beta(trunc):
+    # past the transition the pressure of the criterion-10 family is -log 2
+    # to rounding; the quotient's Perron vectors there fail their certificate
+    curve = ro.pressure_curve(renewal(trunc), np.array([10.0, 30.0, 45.0, 60.0]), trunc - 1)
+    assert curve.converged.all()
+    assert np.max(np.abs(curve.pressures + math.log(2.0))) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -221,7 +246,7 @@ def test_renewal_words_lump_by_leading_zeros(two_space):
     # the renewal kernel only sees the position of the first one; 0001
     # and 0000 share their row weights and their predecessors
     payoffs = [-3.0, -1.0, -0.5, -0.2, 0.0]
-    f = ro.truncate(ro.builtin_renewal(two_space, payoffs), 5)
+    f = ro.builtin_renewal(two_space, payoffs)
     lumping = ro.lumpable_partition(f, 4)
     zeros = [min(ro.index_word(i, 2, 4).index(1) if i else 4, 3) for i in range(16)]
     assert lumping.size == 4

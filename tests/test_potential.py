@@ -106,10 +106,9 @@ def test_truncate_rejects_bad_depths(two_space):
 
 def test_renewal_table_placement(two_space):
     a, b, c = 0.3, -0.7, 0.1
-    g = ro.builtin_renewal(two_space, [a, b, c])
-    assert isinstance(g, ro.VariationPotential)
-    assert g.depth == 3
-    f = ro.truncate(g, 3)
+    f = ro.builtin_renewal(two_space, [a, b, c])
+    assert isinstance(f, ro.Potential)
+    assert f.depth == 3
     # payoff index = number of leading zeros before the first one
     assert f.evaluate((1, 0, 0)) == a
     assert f.evaluate((1, 1, 1)) == a
@@ -123,31 +122,21 @@ def test_renewal_table_placement(two_space):
 def test_renewal_variation_bounds_shrink_with_depth(two_space):
     payoffs = [0.5, -0.25, 0.125, 0.0]
     g = ro.builtin_renewal(two_space, payoffs)
-    # depth-j bound is the spread of the still-possible values {payoffs[j:], tail}
-    assert g.var_bounds[0] == pytest.approx(0.75, abs=1e-15)
-    assert g.var_bounds[1] == pytest.approx(0.375, abs=1e-15)
-    assert g.var_bounds[2] == pytest.approx(0.125, abs=1e-15)
-    assert g.var_bounds[4] == 0.0
-    # the depth-2 truncation pins two symbols, leaving the depth-2 oscillation
+    assert g.var_bound == 0.0
+    # the depth-2 truncation pins two symbols, leaving the spread of
+    # {payoffs[2:], tail} on the cylinder 00
     mid = ro.truncate(g, 2)
     assert mid.var_bound == pytest.approx(0.125, abs=1e-15)
+    assert ro.truncate(g, 1).var_bound == pytest.approx(0.375, abs=1e-15)
 
 
 def test_renewal_custom_tail_band(two_space):
     g = ro.builtin_renewal(two_space, [1.0, 0.5], tail=ro.RenewalTail(0.0, 0.1))
     # even at full depth the tail band [-0.1, 0.1] and stored value 0.5 disagree
-    assert g.var_bounds[2] == pytest.approx(0.6, abs=1e-15)
-    f = ro.truncate(g, 2)
-    assert f.var_bound == pytest.approx(0.6, abs=1e-15)
+    assert g.var_bound == pytest.approx(0.6, abs=1e-15)
 
 
 def test_renewal_needs_two_symbols(three_space):
     with pytest.raises(ValueError):
         ro.builtin_renewal(three_space, [0.1, 0.2])
 
-
-def test_variation_potential_requires_bounds(two_space):
-    with pytest.raises(ValueError):
-        ro.VariationPotential(two_space, 1, np.zeros(2), None)
-    with pytest.raises(ValueError):
-        ro.VariationPotential(two_space, 1, np.zeros(2), np.array([0.1]))  # wrong length
