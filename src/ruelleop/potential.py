@@ -9,7 +9,6 @@ error of var_bound per operator application, which callers surface as
 ``n * var_bound`` after n applications.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,19 +54,6 @@ class Potential:
         object.__setattr__(self, "table", t)
         if not (np.isfinite(self.var_bound) and self.var_bound >= 0):
             raise ValueError("var_bound must be finite and non-negative")
-
-    @functools.cached_property
-    def _levels(self):
-        """(values, index): the distinct table values, increasing, and each entry's position.
-
-        From one ``np.unique``, taken on first read: a scan's partition and
-        its kernels share it.
-        """
-        values, index = np.unique(self.table, return_inverse=True)
-        index = index.reshape(-1)
-        for arr in (values, index):
-            arr.flags.writeable = False
-        return values, index
 
     @property
     def sup_norm(self):

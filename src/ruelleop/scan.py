@@ -3,26 +3,24 @@
 Each grid point solves for the leading eigenvalue of the operator for
 beta * f, from the kernel of beta * f minus its gauge offset so that
 large potentials cannot overflow.  The offsets of the grid are computed
-once, and both the quotients below and the full-depth kernels read that
-one array.  Each kernel exponentiates f's distinct table values only and
-gathers them through one level index per scan
-(``transfer._scaled_kernels``); it is bit for bit the kernel
-``build_kernel`` makes of beta * f.  The partition of the depth-d words
-into exactly lumpable classes (``transfer.lumpable_partition``) and the
-kernel's product size do not depend on beta, so each scan is routed
-once.  When a dense eigensolve of the quotient is cheaper than a few
-dozen power iterations on the full kernel (``_quotient_pays``), the
-quotients of a block of grid points are built by one scatter and their
-Perron roots come from one stacked eigensolve.  A block holds at most
-product_size // c**2 points for c classes, so its stack of quotients
-is no larger than one product broadcast.  Each point's lifted
-eigenvector is then certified by one product with its full-depth
-kernel.  A point whose certificate fails (at large beta the dense
-eigensolve of a badly graded quotient can return the right root with a
-wrong vector) is solved by power iteration on that kernel from the
-uniform start, and is non-converged only if that fails too.  Otherwise
-each point is solved by power iteration, starting from the previous
-point's eigenvectors.
+once.  The partition of the depth-d words into exactly lumpable classes
+(``transfer.lumpable_partition``) and the kernel's product size do not
+depend on beta, so each scan is routed once.  When a dense eigensolve of
+the quotient is cheaper than a few dozen power iterations on the full
+kernel (``_quotient_pays``) and one pass over f's table confirms that
+the partition is exact (``_exact``), the quotients of a block of grid
+points are built by one scatter and their Perron roots come from one
+stacked eigensolve.  A block holds at most product_size // c**2 points
+for c classes, so its stack of quotients is no larger than one product
+broadcast.  Each point is certified on its quotient: over an exact
+partition the quotient's residual is that of the lifted eigenvector on
+the full-depth kernel, which that route never builds.  A point whose
+certificate fails (at large beta the dense eigensolve of a badly graded
+quotient can return the right root with a wrong vector) is solved by
+power iteration on its kernel, ``build_kernel(scale(f, beta), depth)``,
+from the uniform start, and is non-converged only if that fails too.
+Otherwise each point is solved by power iteration on that kernel,
+starting from the previous point's eigenvectors.
 
 A genuine first-order transition would put a slope discontinuity into
 the limiting curve; at finite truncation the curve is analytic, so the
@@ -37,8 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .potential import scale
 from .spectral import DEFAULT_MAX_ITERS, power_iterate
-from .transfer import _blocks, _gauge_offset, _prefix, _scaled_kernels, lumpable_partition
+from .transfer import _blocks, _gauge_offset, _prefix, build_kernel, lumpable_partition
 
 KINK_FACTOR = 5.0
 KINK_ABS_FLOOR = 1e-8
@@ -89,8 +88,10 @@ class PressureCurve:
 def pressure_curve(f, betas, depth, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
     """Pressure log(lam) over a beta grid, with kink-candidate detection.
 
-    ``iterations`` is 0 at points solved on the lumped quotient; a point
-    whose quotient certificate fails reports its power iterations.
+    One pass solves and certifies the lumped quotients; one loop then
+    power-iterates every point that still needs it: all points off the
+    lumped route, and the points whose quotient certificate failed on it.
+    ``iterations`` is 0 at points certified on the quotient.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 1 or len(betas) < 2:
@@ -101,25 +102,21 @@ def pressure_curve(f, betas, depth, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
         raise ValueError("beta grid must be strictly increasing")
 
     m = len(betas)
-    roots = np.empty(m)
-    converged = np.zeros(m, dtype=bool)
     iters = np.zeros(m, dtype=np.int64)
     # beta f spans [beta lo, beta hi], reversed when beta < 0: scaling is monotone
     lo, hi = float(f.table.min()), float(f.table.max())
     offsets = np.array([_gauge_offset(*sorted((beta * lo, beta * hi)), f.depth) for beta in betas])
     lumping = lumpable_partition(f, depth)
     product_size = f.space.size * math.prod(_blocks(f, depth))  # TransferKernel.product_size
-    lumped = _quotient_pays(lumping.size, product_size)
+    lumped = _quotient_pays(lumping.size, product_size) and _exact(f, lumping)
     if lumped:
         block = max(1, product_size // lumping.size**2)
-        quotient_roots = _lumped_roots(f, lumping, betas, offsets, block)
+        roots, converged = _lumped_roots(f, lumping, betas, offsets, block, tol)
+    else:
+        roots, converged = np.empty(m), np.zeros(m, dtype=bool)
     left = right = None
-    for i, kernel in enumerate(_scaled_kernels(f, betas, offsets, depth)):
-        if lumped:
-            roots[i], g = next(quotient_roots)
-            converged[i] = _certified(kernel, lumping, roots[i], g, tol)
-            if converged[i]:
-                continue
+    for i in np.flatnonzero(~converged):
+        kernel = build_kernel(scale(f, betas[i]), depth)
         res = power_iterate(kernel, tol=tol, max_iters=max_iters, left0=left, right0=right)
         roots[i], converged[i], iters[i] = res.lam, res.converged, res.iterations
         if not lumped:
@@ -165,41 +162,60 @@ def _quotient_pays(classes, product_size):
     return classes**3 <= QUOTIENT_WORK_RATIO * (product_size + ITERATION_OVERHEAD)
 
 
-def _lumped_roots(f, lumping, betas, offsets, block):
-    """(lam, g) per grid point: the Perron root and vector of its lumped quotient.
+def _exact(f, lumping):
+    """Whether M V = V Q holds for the partition, on the kernel of beta f for every beta.
+
+    It holds when every word u has the row weights of its class's rep
+    and, for every symbol a, its predecessor a q(u) in the class of the
+    rep's.  Only equality of table entries and labels is read, one
+    symbol at a time, so that a few word vectors are held at once.
+    """
+    n = f.space.size
+    reps = lumping.reps[lumping.labels]
+    # in canonical order the words that read one weight column, and the n
+    # words that share q(u), are runs of consecutive indices
+    run = n ** (lumping.depth - f.depth + 1)
+    cols = f.table.reshape(n, -1)
+    preds = lumping.labels.reshape(n, -1)
+    for a in range(n):
+        if not (cols[a, reps // run].reshape(-1, run) == cols[a, :, None]).all():
+            return False
+        if not (preds[a, reps // n].reshape(-1, n) == preds[a, :, None]).all():
+            return False
+    return True
+
+
+def _lumped_roots(f, lumping, betas, offsets, block, tol):
+    """(roots, certified): each grid point's quotient Perron root, and its certificate.
 
     The quotient at beta has the rep-row weights w_a exp(beta f - offset),
-    with the grid's gauge offsets, the ones its full-depth kernels take;
-    the roots of ``block`` grid points at a time come from one stacked
-    eigensolve.
+    with the grid's gauge offsets; the roots of ``block`` grid points at a
+    time come from one stacked eigensolve.  Over an exact partition
+    (:func:`_exact`) the quotient's Perron pair (lam, g) lifts to
+    h = g[labels], and M h - lam h = V (Q g - lam g).  Every class has a
+    word, so the full-depth certificate is read on Q: with g scaled so
+    that its largest magnitude is 1, g >= 0, max g > 0 and
+    max|Q g - lam g| / (lam max g) <= tol.
     """
     n = f.space.size
     cols = f.table.reshape(n, -1)[:, _prefix(n, lumping.depth, f.depth, lumping.reps)]
     w = f.space.weights[:, None]
+    roots = np.empty(len(betas))
+    certified = np.zeros(len(betas), dtype=bool)
     for start in range(0, len(betas), block):
         b = betas[start : start + block, None, None]
         shift = offsets[start : start + block, None, None]
-        vals, vecs = np.linalg.eig(lumping.quotient(w * np.exp(b * cols - shift)))
+        q = lumping.quotient(w * np.exp(b * cols - shift))
+        vals, vecs = np.linalg.eig(q)
         for j, top in enumerate(np.argmax(vals.real, axis=-1)):
-            yield float(vals[j, top].real), vecs[j, :, top].real
-
-
-def _certified(kernel, lumping, lam, g, tol):
-    """Whether the quotient's Perron pair (lam, g), lifted to the words, is the kernel's.
-
-    Certified at full depth: h = g[labels] >= 0 (scaled so that its
-    largest magnitude is 1), max h > 0 and the scale-free residual
-    max|M h - lam h| / (lam max h) within tol.  Every class has a word,
-    so the sign and peak of h are those of g.
-    """
-    g = g / g[np.abs(g).argmax()]
-    peak = float(g.max())
-    if not (lam > 0 and peak > 0 and g.min() >= 0):
-        return False
-    h = g[lumping.labels]
-    defect = kernel.matvec(h)
-    defect -= np.multiply(h, lam, out=h)
-    return float(np.abs(defect, out=defect).max()) / (lam * peak) <= tol
+            lam = roots[start + j] = vals[j, top].real
+            g = vecs[j, :, top].real
+            g = g / g[np.abs(g).argmax()]
+            peak = g.max()
+            if lam > 0 and peak > 0 and g.min() >= 0:
+                defect = np.abs(q[j] @ g - lam * g).max()
+                certified[start + j] = defect / (lam * peak) <= tol
+    return roots, certified
 
 
 def _median(x):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import check_cylinder_count, cylinder_cap
 from .errors import NumericError, ResourceCapError
-from .potential import Potential, scale
+from .potential import Potential
 from .space import SymbolSpace
 
 # largest log-magnitude kept in linear doubles (exp overflows past 709)
@@ -283,36 +283,6 @@ def build_kernel(f, depth):
     )
 
 
-def _scaled_kernels(f, betas, offsets, depth):
-    """The depth-d kernel of beta * f for each beta of a grid, with the given offsets.
-
-    With ``offsets`` the gauge offsets of the grid, each kernel is bit for
-    bit ``build_kernel(scale(f, beta), depth)``.  f's distinct table values
-    v and their level index (``Potential._levels``, which
-    :func:`lumpable_partition` reads too) are taken once.  Each kernel
-    takes exp(beta v - offset) of the distinct values alone, gathers them
-    into (a, r, q) order through the index and multiplies by w_a.
-    """
-    n = f.space.size
-    blocks = _blocks(f, depth)
-    levels, index = f._levels
-    index = np.ascontiguousarray(_arq(index, n, blocks))
-    w = f.space.weights[:, None, None]
-    for beta, offset in zip(betas, offsets):
-        # every index is in range: mode="clip" only skips numpy's bounds check
-        ew_arq = np.take(np.exp(beta * levels - offset), index, mode="clip")
-        ew_arq *= w
-        ew_arq.flags.writeable = False
-        yield TransferKernel(
-            space=f.space,
-            potential=scale(f, beta),
-            depth=depth,
-            ew_arq=ew_arq,
-            blocks=blocks,
-            offset=float(offset),
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class Lumping:
     """An exactly lumpable partition of the depth-d words of a kernel.
@@ -389,7 +359,7 @@ def lumpable_partition(f, depth):
     _check_depth(k, depth)
     nd = check_cylinder_count(n, depth)
     words = np.arange(nd)
-    levels, index = f._levels
+    levels, index = np.unique(f.table, return_inverse=True)
     columns, count = _column_classes(index.reshape(n, -1), len(levels))
     labels = columns[_prefix(n, depth, k, words)]
     # the predecessors a q(u) depend only on q(u), the first d-1 symbols

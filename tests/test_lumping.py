@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import ruelleop as ro
 from conftest import models
 from ruelleop import scan
-from ruelleop.transfer import LINEAR_VALUE_CEILING
 
 
 def indicator(lumping):
@@ -60,6 +59,26 @@ def renewal(trunc):
     head = -math.log(1.0 / sum(j**-2.7 for j in range(1, 400_000))) / 0.9
     payoffs = [-head] + [-3.0 * math.log((j + 1) / j) for j in range(1, trunc - 1)] + [0.0]
     return ro.builtin_renewal(ro.uniform_space(2), payoffs)
+
+
+def assert_scanned_without_quotient(f, depth, partition, monkeypatch):
+    """Scan f over a partition that the table check rejects.
+
+    Every point is power-iterated, and the curve equals, array for array,
+    the curve of a scan routed to power iteration up front.
+    """
+    assert not scan._exact(f, partition)
+    monkeypatch.setattr(scan, "lumpable_partition", lambda g, d: partition)
+    betas = np.linspace(0.25, 2.0, 8)
+    curve = ro.pressure_curve(f, betas, depth)
+    assert np.all(curve.iterations > 0)
+    assert curve.converged.all()
+    monkeypatch.setattr(scan, "QUOTIENT_WORK_RATIO", 0)
+    ref = ro.pressure_curve(f, betas, depth)
+    for name in ("betas", "pressures", "lams", "converged", "iterations", "mismatch", "kink_flags"):
+        assert np.array_equal(getattr(curve, name), getattr(ref, name), equal_nan=True), name
+    assert np.array_equal(curve.noise_floor, ref.noise_floor, equal_nan=True)
+    assert curve.candidates == ref.candidates
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,40 +173,6 @@ def test_lumped_scan_matches_the_per_point_eigensolve(trunc, betas, midpoint, mo
     assert all(shape[0] <= block for shape in calls)
 
 
-@settings(max_examples=60, deadline=None)
-@given(models(), st.floats(-2.0, 2.0))
-def test_scan_kernels_are_the_kernels_of_the_scaled_potential(model, beta):
-    f, depth = model
-    osc = float(np.ptp(f.table))
-    # k (max f - min f) beta past LINEAR_VALUE_CEILING: the midpoint offset
-    far = 1.01 * LINEAR_VALUE_CEILING / (f.depth * osc) if osc > 0 else 3.0
-    betas = np.array(sorted({0.0, beta, far}))
-    kernels = []
-    scaled_kernels = scan._scaled_kernels
-
-    def recorded(*args):
-        for kernel in scaled_kernels(*args):
-            kernels.append(kernel)
-            yield kernel
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scan, "_scaled_kernels", recorded)
-        # only the kernels are read: a short iteration budget will do
-        ro.pressure_curve(f, betas, depth, max_iters=50)
-    assert len(kernels) == len(betas)
-    for b, kernel in zip(betas, kernels):
-        ref = ro.build_kernel(ro.scale(f, b), depth)
-        assert kernel.blocks == ref.blocks
-        # == rather than bytes: at beta = 0 the offsets may be zeros of opposite
-        # signs, and exp(v - offset) and offset + log(lam) read them alike
-        assert kernel.offset == ref.offset
-        assert kernel.ew_arq.shape == ref.ew_arq.shape
-        assert kernel.ew_arq.tobytes() == ref.ew_arq.tobytes()
-        assert kernel.potential.table.tobytes() == ref.potential.table.tobytes()
-    if osc > 0:
-        assert kernels[-1].offset != (betas[-1] * f.table).max()
-
-
 @pytest.mark.parametrize("betas", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
 def test_scan_rejects_a_grid_that_is_not_finite(two_space, betas):
     f = ro.Potential(two_space, 2, np.array([0.0, 1.0, 1.0, 0.0]))
@@ -197,9 +182,9 @@ def test_scan_rejects_a_grid_that_is_not_finite(two_space, betas):
 
 def test_certificate_reads_the_table_and_not_the_partition(monkeypatch):
     # merge the first two classes, whose words have different row weights:
-    # the quotient over the coarser labels is a different matrix, and the
-    # full-depth certificate must catch it at every point.  beta = 0 is
-    # left out: there every row has the weights w_a, and any partition lumps.
+    # the quotient over the coarser labels is a different matrix, and no
+    # point may be certified on it.  beta = 0 is left out of the grid:
+    # there every row has the weights w_a, and any partition lumps.
     f = renewal(8)
     depth = 7
     lumping = ro.lumpable_partition(f, depth)
@@ -210,17 +195,68 @@ def test_certificate_reads_the_table_and_not_the_partition(monkeypatch):
     labels -= labels > 1
     coarse = ro.Lumping(depth=depth, labels=labels, reps=np.unique(labels, return_index=True)[1])
     assert coarse.size == lumping.size - 1
-    monkeypatch.setattr(scan, "lumpable_partition", lambda g, d: coarse)
-    betas = np.linspace(0.25, 2.0, 8)
-    curve = ro.pressure_curve(f, betas, depth)
-    # every point fails its certificate and is solved on its true kernel
-    assert np.all(curve.iterations > 0)
-    assert curve.converged.all()
-    for beta, pressure, iterations in zip(betas, curve.pressures, curve.iterations):
-        kernel = ro.build_kernel(ro.scale(f, beta), depth)
-        ref = ro.power_iterate(kernel)
-        assert iterations == ref.iterations
-        assert pressure == kernel.offset + np.log(ref.lam)
+    assert scan._exact(f, lumping)
+    assert_scanned_without_quotient(f, depth, coarse, monkeypatch)
+
+
+def test_table_check_reads_the_row_weights(two_space, monkeypatch):
+    # one class for both words at depth 1: every predecessor a q(u) = a
+    # lies in it, but row 1 weighs symbol 0 by e and row 0 by 1
+    f = ro.Potential(two_space, 2, np.array([0.0, 1.0, 0.0, 0.0]))
+    one = ro.Lumping(depth=1, labels=np.zeros(2, dtype=np.int64), reps=np.array([0]))
+    assert_scanned_without_quotient(f, 1, one, monkeypatch)
+
+
+def test_table_check_reads_the_predecessor_classes(monkeypatch):
+    # split the largest class by each word's second-to-last symbol: the
+    # row weights within each class stay equal, but the predecessors a q(u)
+    # of one class now fall into different classes
+    f = renewal(8)
+    depth = 7
+    lumping = ro.lumpable_partition(f, depth)
+    largest = np.argmax(np.bincount(lumping.labels))
+    second_to_last = (np.arange(2**depth) // 2) % 2
+    split = lumping.labels + (lumping.labels == largest) * second_to_last * lumping.size
+    labels = np.unique(split, return_inverse=True)[1].reshape(-1)
+    finer = ro.Lumping(depth=depth, labels=labels, reps=np.unique(labels, return_index=True)[1])
+    assert finer.size == lumping.size + 1
+    weights = ro.build_kernel(f, depth)._row_weights(np.arange(2**depth))
+    for c in range(finer.size):
+        rows = weights[:, labels == c]
+        assert np.array_equal(rows, np.broadcast_to(rows[:, :1], rows.shape))
+    assert_scanned_without_quotient(f, depth, finer, monkeypatch)
+
+
+@settings(max_examples=100, deadline=None)
+@given(models(), st.floats(-2.0, 2.0))
+def test_quotient_residual_is_the_lifted_residual(model, beta):
+    # over the partition of lumpable_partition, which the table check
+    # accepts, Q's residual of its Perron vector g is the full-depth
+    # kernel's residual of g[labels], up to the rounding of regrouped sums
+    f, depth = model
+    lumping = ro.lumpable_partition(f, depth)
+    assert scan._exact(f, lumping)
+    kernel = ro.build_kernel(ro.scale(f, beta), depth)
+    q = lumping.quotient(rep_weights(kernel, lumping))
+    vals, vecs = np.linalg.eig(q)
+    top = int(np.argmax(vals.real))
+    lam = float(vals[top].real)
+    g = vecs[:, top].real
+    g = g / g[np.argmax(np.abs(g))]
+    h = g[lumping.labels]
+    quotient = np.max(np.abs(q @ g - lam * g)) / lam
+    full = np.max(np.abs(kernel.matvec(h) - lam * h)) / lam
+    assert abs(quotient - full) <= 1e-15
+
+
+def test_lumped_scan_builds_no_kernel(monkeypatch):
+    # every point of the criterion-10 scan at truncation 12 is certified
+    # on its quotient; no full-depth kernel is built
+    calls = []
+    monkeypatch.setattr(scan, "build_kernel", lambda *args: calls.append(args))
+    curve = ro.pressure_curve(renewal(12), np.linspace(0.0, 2.0, 101), 11)
+    assert curve.converged.all() and np.all(curve.iterations == 0)
+    assert calls == []
 
 
 @pytest.mark.parametrize("trunc", [8, 12, 14])
@@ -327,8 +363,8 @@ def test_blocked_lumped_scan_stays_within_product_memory(two_space):
     finally:
         tracemalloc.stop()
     assert curve.converged.all() and np.all(curve.iterations == 0)
-    # a scan holds a few arrays of product_size doubles at once: the
-    # partition's labels, a kernel's lifted vector and its product, and a
+    # a scan holds a few arrays of product_size entries at once: the
+    # partition's labels, the word vectors of the table check, and a
     # block's stacked quotients and eigenvectors; one stack of all 21
     # quotients would take 21 * 128**2 doubles, twice that for the
     # complex eigenvectors
