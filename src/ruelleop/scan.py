@@ -9,18 +9,17 @@ depend on beta, so each scan is routed once.  When a dense eigensolve of
 the quotient is cheaper than a few dozen power iterations on the full
 kernel (``_quotient_pays``) and one pass over f's table confirms that
 the partition is exact (``_exact``), the quotients of a block of grid
-points are built by one scatter and their Perron roots come from one
-stacked eigensolve.  A block holds at most product_size // c**2 points
-for c classes, so its stack of quotients is no larger than one product
-broadcast.  Each point is certified on its quotient: over an exact
-partition the quotient's residual is that of the lifted eigenvector on
-the full-depth kernel, which that route never builds.  A point whose
-certificate fails (at large beta the dense eigensolve of a badly graded
-quotient can return the right root with a wrong vector) is solved by
-power iteration on its kernel, ``build_kernel(scale(f, beta), depth)``,
-from the uniform start, and is non-converged only if that fails too.
-Otherwise each point is solved by power iteration on that kernel,
-starting from the previous point's eigenvectors.
+points are built by one scatter; one stacked ``eigvals`` gives their
+Perron roots and one stacked solve their certificate vectors.  A block
+holds at most product_size // c**2 points for c classes, so its stack of
+quotients is no larger than one product broadcast.  Each point is
+certified on its quotient: over an exact partition the quotient's
+residual is that of the lifted eigenvector on the full-depth kernel,
+which that route never builds.  A point whose certificate fails is
+solved by power iteration on its kernel, ``build_kernel(scale(f, beta),
+depth)``, from the uniform start, and is non-converged only if that
+fails too.  Otherwise each point is solved by power iteration on that
+kernel, starting from the previous point's eigenvectors.
 
 A genuine first-order transition would put a slope discontinuity into
 the limiting curve; at finite truncation the curve is analytic, so the
@@ -43,22 +42,23 @@ KINK_FACTOR = 5.0
 KINK_ABS_FLOOR = 1e-8
 
 # Routing between the two solvers, once per scan: neither the class count
-# nor the product size depends on beta.  The figures below were taken
-# with one eigensolve per point; the stacked solve of a block does the
-# same arithmetic with less fixed cost per point.  Measured on a 2-vCPU
-# Xeon with one BLAS thread: np.linalg.eig costs about 5-6 ns * c**3 on
-# c = 64-128 classes, and one power iteration about 9-12 ns per entry of
-# the kernel's product broadcast (1k-65k entries, random binary and
-# ternary tables) plus a fixed 18 us (about 2,000 entries).  The ratio
-# was chosen when an iteration cost 25 ns per entry and eig 10 ns * c**3,
-# so that the quotient is used when its eigensolve costs at most about 25
-# iterations; at the figures above that is about 30-45 iterations.  Warm-
-# started points took 2 (rotor on Gauss-Legendre nodes) to 122 (random
-# binary depth-8 table) iterations on average; at the original figures
-# no measured scan routed to the slower path by more than 4x, and none
-# was slower than on power iteration alone.
+# nor the product size depends on beta.  Measured one matrix per call on a
+# 2-vCPU Xeon with one BLAS thread: np.linalg.eigvals plus the certificate's
+# solve cost about 4-6 ns * c**3 on c = 64-128 classes (eig 6-9 ns * c**3),
+# and one power iteration about 9-12 ns per entry of the kernel's product
+# broadcast (1k-65k entries, random binary and ternary tables) plus a fixed
+# 18 us (about 2,000 entries).  The ratio was chosen when an iteration cost
+# 25 ns per entry and eig 10 ns * c**3, so that the quotient is used when
+# its eigensolve costs at most about 25 iterations; at the figures above
+# that is about 20-45.  Warm-started points took 2 (rotor on Gauss-Legendre
+# nodes) to 122 (random binary depth-8 table) iterations on average; at the
+# original figures no measured scan routed to the slower path by more than
+# 4x, and none was slower than on power iteration alone.
 QUOTIENT_WORK_RATIO = 64
 ITERATION_OVERHEAD = 2_000
+# renewal truncations 8-20 on [0, 2] and [-1.5, 60] left 166 points uncertified
+# at a shift of 4e-16, 5 at 1e-15, none at 1e-14 and 132 at 1e-12
+SOLVE_SHIFT = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +89,8 @@ def pressure_curve(f, betas, depth, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
     """Pressure log(lam) over a beta grid, with kink-candidate detection.
 
     One pass solves and certifies the lumped quotients; one loop then
-    power-iterates every point that still needs it: all points off the
-    lumped route, and the points whose quotient certificate failed on it.
-    ``iterations`` is 0 at points certified on the quotient.
+    power-iterates the points off the lumped route and those whose quotient
+    certificate failed.  ``iterations`` is 0 at points certified on Q.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 1 or len(betas) < 2:
@@ -128,22 +127,16 @@ def pressure_curve(f, betas, depth, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
     # slopes[i] is the finite-difference slope between points i and i + 1
     slopes = (pressures[1:] - pressures[:-1]) / (betas[1:] - betas[:-1])
     mismatch = np.full(m, np.nan)
-    with np.errstate(invalid="ignore"):
-        mismatch[1:-1] = np.abs(slopes[1:] - slopes[:-1])
-
-    level = _median(mismatch[1 : m - 1])
     flags = np.zeros(m, dtype=bool)
-    for i in range(1, m - 1):
-        floor = KINK_ABS_FLOOR * (1.0 + abs(slopes[i - 1]) + abs(slopes[i]))
-        if np.isfinite(mismatch[i]) and np.isfinite(level):
-            flags[i] = mismatch[i] > KINK_FACTOR * level + floor
+    floor = KINK_ABS_FLOOR * (1.0 + np.abs(slopes[:-1]) + np.abs(slopes[1:]))
+    with np.errstate(invalid="ignore"):
+        mismatch[1:-1] = inner = np.abs(slopes[1:] - slopes[:-1])
+        level = _median(inner)
+        flags[1:-1] = np.isfinite(inner) & np.isfinite(level) & (inner > KINK_FACTOR * level + floor)
 
-    hits = np.nonzero(flags)[0]
-    hits = hits[np.argsort(-mismatch[hits], kind="stable")]
+    hits = np.flatnonzero(flags)[np.argsort(-mismatch[flags], kind="stable")]
     candidates = [(float(betas[i]), "slope-mismatch") for i in hits]
-    candidates.extend(
-        (float(betas[i]), "non-converged") for i in np.nonzero(~converged)[0]
-    )
+    candidates.extend((float(betas[i]), "non-converged") for i in np.flatnonzero(~converged))
     return PressureCurve(
         betas=betas,
         pressures=pressures,
@@ -189,15 +182,18 @@ def _lumped_roots(f, lumping, betas, offsets, block, tol):
     """(roots, certified): each grid point's quotient Perron root, and its certificate.
 
     The quotient at beta has the rep-row weights w_a exp(beta f - offset),
-    with the grid's gauge offsets; the roots of ``block`` grid points at a
-    time come from one stacked eigensolve.  Over an exact partition
-    (:func:`_exact`) the quotient's Perron pair (lam, g) lifts to
-    h = g[labels], and M h - lam h = V (Q g - lam g).  Every class has a
-    word, so the full-depth certificate is read on Q: with g scaled so
-    that its largest magnitude is 1, g >= 0, max g > 0 and
-    max|Q g - lam g| / (lam max g) <= tol.
+    with the grid's gauge offsets.  For ``block`` points at a time, lam is
+    the largest real part of one stacked ``eigvals``, and one stacked solve
+    gives g = (sigma I - Q)^-1 1 at sigma = lam (1 + SOLVE_SHIFT).  For
+    Q >= 0 and sigma > rho(Q), sigma I - Q is a nonsingular M-matrix with
+    inverse sum_k Q^k / sigma^(k+1) >= 0: g >= 0 is one step of inverse
+    iteration from the ones vector.  A singular stack certifies none of its
+    points.  Over an exact partition (:func:`_exact`), h = g[labels] has
+    M h - lam h = V (Q g - lam g) and every class has a word, so the
+    full-depth certificate is read on Q: with g scaled to largest magnitude
+    1, g >= 0, max g > 0 and max|Q g - lam g| / (lam max g) <= tol.
     """
-    n = f.space.size
+    n, c = f.space.size, lumping.size
     cols = f.table.reshape(n, -1)[:, _prefix(n, lumping.depth, f.depth, lumping.reps)]
     w = f.space.weights[:, None]
     roots = np.empty(len(betas))
@@ -206,15 +202,19 @@ def _lumped_roots(f, lumping, betas, offsets, block, tol):
         b = betas[start : start + block, None, None]
         shift = offsets[start : start + block, None, None]
         q = lumping.quotient(w * np.exp(b * cols - shift))
-        vals, vecs = np.linalg.eig(q)
-        for j, top in enumerate(np.argmax(vals.real, axis=-1)):
-            lam = roots[start + j] = vals[j, top].real
-            g = vecs[j, :, top].real
-            g = g / g[np.abs(g).argmax()]
-            peak = g.max()
-            if lam > 0 and peak > 0 and g.min() >= 0:
-                defect = np.abs(q[j] @ g - lam * g).max()
-                certified[start + j] = defect / (lam * peak) <= tol
+        lam = roots[start : start + block] = np.linalg.eigvals(q).real.max(axis=-1)
+        sigma = lam[:, None, None] * (1.0 + SOLVE_SHIFT)
+        try:
+            # a (B, c, 1) right-hand side: numpy 1.x and 2.x read (B, c) differently
+            g = np.linalg.solve(sigma * np.eye(c) - q, np.ones((len(q), c, 1)))
+        except np.linalg.LinAlgError:
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = g / np.take_along_axis(g, np.abs(g).argmax(axis=1, keepdims=True), axis=1)
+            peak = g.max(axis=(1, 2))
+            defect = np.abs(q @ g - lam[:, None, None] * g).max(axis=(1, 2))
+            ok = (lam > 0) & (peak > 0) & (g.min(axis=(1, 2)) >= 0)
+            certified[start : start + block] = ok & (defect / (lam * peak) <= tol)
     return roots, certified
 
 

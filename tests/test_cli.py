@@ -643,11 +643,12 @@ def test_verify_builds_one_kernel_per_depth(tmp_path, monkeypatch):
 
 
 def test_eigensolver_failure_exits_4(tmp_path, monkeypatch, capsys):
-    # LinAlgError is a ValueError, but it is a numeric failure, not a config fault
+    # LinAlgError is a ValueError, but it is a numeric failure, not a config
+    # fault; the lumped scan takes its roots from eigvals
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eig", fail)
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
     cfg = dict(ISING)
     cfg["grid"] = {"start": 0.0, "stop": 1.0, "count": 3}
     assert main(["scan", "--config", write_cfg(tmp_path, cfg)]) == 4

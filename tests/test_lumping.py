@@ -1,5 +1,6 @@
 """The lumped quotient of the kernel, and the scan that solves on it."""
 
+import json
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import ruelleop as ro
 from conftest import models
 from ruelleop import scan
+from ruelleop.cli import main
 
 
 def indicator(lumping):
@@ -24,20 +26,22 @@ def rep_weights(kernel, lumping):
 
 
 def per_point_curve(f, betas, depth, tol=1e-12):
-    """(pressures, lams, converged, iterations): one quotient eigensolve per grid point.
+    """(pressures, lams, converged, iterations): one quotient solve per grid point.
 
-    The Perron pair of each point's quotient is lifted to the words and
-    certified on the point's full-depth kernel; a point whose certificate
-    fails is solved by power iteration on that kernel from the uniform start.
+    Each point's root lam is the largest real eigenvalue of its quotient Q,
+    and its vector g = (sigma I - Q)^-1 1 at sigma = lam (1 + SOLVE_SHIFT)
+    is lifted to the words and certified on the point's full-depth kernel;
+    a point whose certificate fails is solved by power iteration on that
+    kernel from the uniform start.
     """
     lumping = ro.lumpable_partition(f, depth)
+    c = lumping.size
     pressures, lams, converged, iterations = [], [], [], []
     for beta in betas:
         kernel = ro.build_kernel(ro.scale(f, beta), depth)
-        vals, vecs = np.linalg.eig(lumping.quotient(rep_weights(kernel, lumping)))
-        top = int(np.argmax(vals.real))
-        lam = float(vals[top].real)
-        g = vecs[:, top].real
+        q = lumping.quotient(rep_weights(kernel, lumping))
+        lam = float(np.max(np.linalg.eigvals(q).real))
+        g = np.linalg.solve(lam * (1.0 + scan.SOLVE_SHIFT) * np.eye(c) - q, np.ones(c))
         h = (g / g[np.argmax(np.abs(g))])[lumping.labels]
         ok = lam > 0 and h.max() > 0 and np.all(h >= 0)
         if ok:
@@ -54,11 +58,40 @@ def per_point_curve(f, betas, depth, tol=1e-12):
     return np.array(pressures), np.array(lams), np.array(converged), np.array(iterations)
 
 
+def renewal_payoffs(trunc):
+    """The payoffs of the criterion-10 renewal family at a truncation."""
+    head = -math.log(1.0 / sum(j**-2.7 for j in range(1, 400_000))) / 0.9
+    return [-head] + [-3.0 * math.log((j + 1) / j) for j in range(1, trunc - 1)] + [0.0]
+
+
 def renewal(trunc):
     """The criterion-10 renewal potential at a truncation."""
-    head = -math.log(1.0 / sum(j**-2.7 for j in range(1, 400_000))) / 0.9
-    payoffs = [-head] + [-3.0 * math.log((j + 1) / j) for j in range(1, trunc - 1)] + [0.0]
-    return ro.builtin_renewal(ro.uniform_space(2), payoffs)
+    return ro.builtin_renewal(ro.uniform_space(2), renewal_payoffs(trunc))
+
+
+def assert_root_is_eig_root_and_g_certifies(f, depth, beta, tol=1e-12):
+    """The scan's root and certificate vector at one beta, on its own quotient.
+
+    The root from ``eigvals`` is bit for bit the top real root of ``eig`` of
+    the same quotient, and g from the scan's solve is non-negative and,
+    lifted to g[labels], passes the certificate on the full-depth kernel.
+    """
+    lumping = ro.lumpable_partition(f, depth)
+    assert scan._exact(f, lumping)
+    kernel = ro.build_kernel(ro.scale(f, beta), depth)
+    seen = {}
+    eigvals, solve = np.linalg.eigvals, np.linalg.solve
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvals", lambda q: eigvals(seen.setdefault("q", q)))
+        mp.setattr(np.linalg, "solve", lambda a, b: seen.setdefault("g", solve(a, b)))
+        offsets = np.array([kernel.offset])
+        roots, certified = scan._lumped_roots(f, lumping, np.array([beta]), offsets, 1, tol)
+    lam = roots[0]
+    assert lam == np.max(np.linalg.eig(seen["q"])[0].real)
+    h = seen["g"][0, :, 0][lumping.labels]
+    assert h.min() >= 0 and h.max() > 0
+    assert np.max(np.abs(kernel.matvec(h) - lam * h)) / (lam * h.max()) <= tol
+    assert certified[0]
 
 
 def assert_scanned_without_quotient(f, depth, partition, monkeypatch):
@@ -155,19 +188,18 @@ def test_lumped_scan_matches_the_per_point_eigensolve(trunc, betas, midpoint, mo
     at_max = [ro.build_kernel(ro.scale(f, b), depth).offset == (b * f.table).max() for b in betas]
     assert all(at_max) != midpoint
     pressures, lams, converged, iterations = per_point_curve(f, betas, depth)
-    assert converged.all()
-    # the badly graded quotients at large beta give a Perron vector that fails
-    # its certificate; those points fall back to power iteration
-    assert (iterations > 0).any() == midpoint
+    # the solve certifies every point on its quotient, also the badly graded
+    # quotients at large beta; none falls back to power iteration
+    assert converged.all() and np.all(iterations == 0)
 
-    eig, calls = np.linalg.eig, []
-    monkeypatch.setattr(np.linalg, "eig", lambda q: calls.append(q.shape) or eig(q))
+    eigvals, calls = np.linalg.eigvals, []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda q: calls.append(q.shape) or eigvals(q))
     curve = ro.pressure_curve(f, betas, depth)
     assert np.array_equal(curve.pressures, pressures)
     assert np.array_equal(curve.lams, lams)
     assert np.array_equal(curve.converged, converged)
     assert np.array_equal(curve.iterations, iterations)
-    # one stacked eigensolve per block of at most product_size / c**2 points
+    # one stacked eigvals per block of at most product_size / c**2 points
     block = max(1, kernel.product_size // lumping.size**2)
     assert len(calls) == -(-len(betas) // block)
     assert all(shape[0] <= block for shape in calls)
@@ -260,12 +292,104 @@ def test_lumped_scan_builds_no_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("trunc", [8, 12, 14])
-def test_lumped_scan_converges_at_large_beta(trunc):
+def test_lumped_scan_converges_at_large_beta(trunc, monkeypatch):
     # past the transition the pressure of the criterion-10 family is -log 2
-    # to rounding; the quotient's Perron vectors there fail their certificate
+    # to rounding.  Its quotients there are badly graded, yet the solve's
+    # g = (sigma I - Q)^-1 1 passes the certificate: every point is
+    # certified on its quotient, and no kernel is built
+    calls = []
+    monkeypatch.setattr(scan, "build_kernel", lambda *args: calls.append(args))
     curve = ro.pressure_curve(renewal(trunc), np.array([10.0, 30.0, 45.0, 60.0]), trunc - 1)
-    assert curve.converged.all()
+    assert curve.converged.all() and np.all(curve.iterations == 0)
+    assert calls == []
     assert np.max(np.abs(curve.pressures + math.log(2.0))) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(models(), st.floats(-2.0, 2.0))
+def test_lumped_root_is_the_eig_root_and_g_certifies_the_kernel(model, beta):
+    f, depth = model
+    assert_root_is_eig_root_and_g_certifies(f, depth, beta)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+def test_lumped_root_is_the_eig_root_at_128_classes(two_space, beta):
+    f = ro.Potential(two_space, 8, np.random.default_rng(3).uniform(-1.0, 1.0, 256))
+    assert ro.lumpable_partition(f, 15).size == 128
+    assert_root_is_eig_root_and_g_certifies(f, 15, beta)
+
+
+@pytest.mark.parametrize("fault", ["singular", "negative entry"])
+def test_failed_certificate_solve_falls_back_to_power_iteration(fault, tmp_path, monkeypatch):
+    # the first block's solve raises, or returns g with its smallest entry
+    # negated: about 1e-14 of the largest at these betas, so only the sign
+    # test rejects it.  That block's points are power-iterated, each bit for
+    # bit on its own kernel from the uniform start; the other blocks stay
+    # certified on their quotients
+    f, depth = renewal(8), 7
+    betas = np.linspace(10.0, 60.0, 21)
+    block = ro.build_kernel(f, depth).product_size // ro.lumpable_partition(f, depth).size ** 2
+    assert 1 < block < len(betas)
+    solve, calls = np.linalg.solve, []
+
+    def faulty(a, b):
+        calls.append(a.shape)
+        if len(calls) > 1:
+            return solve(a, b)
+        if fault == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        g = solve(a, b)
+        g[np.arange(len(g)), np.abs(g[:, :, 0]).argmin(axis=1), 0] *= -1.0
+        return g
+
+    monkeypatch.setattr(np.linalg, "solve", faulty)
+    curve = ro.pressure_curve(f, betas, depth)
+    first = np.arange(len(betas)) < block
+    assert curve.converged.all() and np.all(curve.iterations[~first] == 0)
+    for i in np.flatnonzero(first):
+        kernel = ro.build_kernel(ro.scale(f, betas[i]), depth)
+        res = ro.power_iterate(kernel)
+        assert res.converged and curve.iterations[i] == res.iterations > 0
+        assert curve.pressures[i] == kernel.offset + np.log(res.lam)
+        assert curve.lams[i] == res.lam * np.exp(kernel.offset)
+
+    calls.clear()
+    cfg = {
+        "space": {"kind": "uniform", "size": 2},
+        "potential": {"kind": "renewal", "payoffs": renewal_payoffs(8)},
+        "grid": {"start": 10.0, "stop": 60.0, "count": 21},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["scan", "--config", str(path), "--out", str(tmp_path / "scan.txt")]) == 0
+    assert len(calls) > 1
+    assert "n_nonconverged  0" in (tmp_path / "scan.txt").read_text()
+
+
+def loop_kink_flags(curve):
+    """The kink flags of a curve's pressures, one interior point at a time."""
+    betas, pressures = curve.betas, curve.pressures
+    m = len(betas)
+    slopes = (pressures[1:] - pressures[:-1]) / (betas[1:] - betas[:-1])
+    mismatch = np.full(m, np.nan)
+    mismatch[1:-1] = np.abs(slopes[1:] - slopes[:-1])
+    level = scan._median(mismatch[1 : m - 1])
+    flags = np.zeros(m, dtype=bool)
+    for i in range(1, m - 1):
+        floor = scan.KINK_ABS_FLOOR * (1.0 + abs(slopes[i - 1]) + abs(slopes[i]))
+        if np.isfinite(mismatch[i]) and np.isfinite(level):
+            flags[i] = mismatch[i] > scan.KINK_FACTOR * level + floor
+    return flags
+
+
+@pytest.mark.parametrize(
+    "trunc, betas", [(8, np.linspace(0.0, 2.0, 101)), (12, np.linspace(-1.5, 60.0, 41))]
+)
+def test_kink_flags_match_the_pointwise_loop(trunc, betas):
+    curve = ro.pressure_curve(renewal(trunc), betas, trunc - 1)
+    flags = loop_kink_flags(curve)
+    assert flags.any() and not flags.all()
+    assert np.array_equal(curve.kink_flags, flags)
 
 
 @settings(max_examples=100, deadline=None)
@@ -365,9 +489,9 @@ def test_blocked_lumped_scan_stays_within_product_memory(two_space):
     assert curve.converged.all() and np.all(curve.iterations == 0)
     # a scan holds a few arrays of product_size entries at once: the
     # partition's labels, the word vectors of the table check, and a
-    # block's stacked quotients and eigenvectors; one stack of all 21
-    # quotients would take 21 * 128**2 doubles, twice that for the
-    # complex eigenvectors
+    # block's stacked quotients with the shifted copy that its solve
+    # factors; one stack of all 21 quotients would take 21 * 128**2
+    # doubles, and the solve's copy as many again
     assert peak < 16 * 8 * product_size
 
 
