@@ -32,8 +32,11 @@ potential's values appear there as their count and sha256 digest.
 ``assemble`` builds the potential and applies beta to it once, for
 every command but scan.  A renewal potential is built at its horizon,
 depth len(payoffs), with var_bound the spread of its tail band and last
-payoff.  ``_run`` writes the report header, then the body that the
-command function ``cmd_<command>`` returns.
+payoff.  ``_run`` builds the report header and frees the parsed config
+before the command function ``cmd_<command>`` runs.  That function
+returns the report body as pieces (lines, and csv table rows in blocks
+of ``TABLE_BLOCK_ROWS``), which ``_run`` writes after the header one by
+one, with a newline after each.
 """
 
 import argparse
@@ -86,6 +89,9 @@ DEFAULTS = {
 
 # names the table-row commands use for the cylinder label column
 WORD_COL = "word"
+
+# rows of a csv table formatted at once: one %-format, one piece of the report
+TABLE_BLOCK_ROWS = 2048
 
 
 def _require(cond, msg):
@@ -231,31 +237,47 @@ def _digits(fmt):
 def _cell_format(column, digits):
     """The %-format of one column's cells, or of one scalar given as a 0-d array.
 
-    Word labels print as given, flags and counts as integers, floats at
-    `digits` significant digits (the text of ``format_float``).
+    Word labels (any column that is not an array) print as given, flags
+    and counts as integers, floats at `digits` significant digits (the
+    text of ``format_float``).
     """
-    if isinstance(column, list):
+    if not isinstance(column, np.ndarray):
         return "%s"
     return f"%.{digits}g" if column.dtype.kind == "f" else "%d"
 
 
 def _column_cells(column, digits):
     """Text of each cell of one table column, from one %-format over the column."""
-    if isinstance(column, list):
-        return column
+    if not isinstance(column, np.ndarray):
+        return list(column)
     return ((_cell_format(column, digits) + "\n") * len(column) % tuple(column.tolist())).splitlines()
 
 
 def _table_lines(header, columns, fmt):
-    """One line per row of equal-length columns: comma-separated, or right-aligned.
+    """The header line and the rows of equal-length columns: comma-separated, or right-aligned.
 
-    The csv rows come from one %-format over the whole table, returned
-    as a single newline-separated block after the header line.
+    A column is an array or an iterable of word labels; at least one is
+    an array.  The csv rows come in blocks of ``TABLE_BLOCK_ROWS``, each
+    from one %-format over its rows and returned as one newline-separated
+    piece, so neither a Python object per cell of the whole table nor the
+    table's whole text is built at once; a label iterator is read one
+    block at a time.  The aligned rows come one line each: their column
+    widths read every cell.
     """
     if fmt == "csv":
-        row = "\n" + ",".join(_cell_format(c, MACHINE_DIGITS) for c in columns)
-        rows = zip(*(c if isinstance(c, list) else c.tolist() for c in columns))
-        return [",".join(header) + row * len(columns[0]) % tuple(itertools.chain.from_iterable(rows))]
+        row = ",".join(_cell_format(c, MACHINE_DIGITS) for c in columns)
+        count = next(len(c) for c in columns if isinstance(c, np.ndarray))
+        columns = [c if isinstance(c, np.ndarray) else iter(c) for c in columns]
+        lines = [",".join(header)]
+        for start in range(0, count, TABLE_BLOCK_ROWS):
+            stop = min(start + TABLE_BLOCK_ROWS, count)
+            block = [
+                c[start:stop].tolist() if isinstance(c, np.ndarray) else list(itertools.islice(c, stop - start))
+                for c in columns
+            ]
+            cells = tuple(itertools.chain.from_iterable(zip(*block)))
+            lines.append("\n".join([row] * (stop - start)) % cells)
+        return lines
     cols = [_column_cells(c, HUMAN_DIGITS) for c in columns]
     widths = [max(len(h), *map(len, c)) for h, c in zip(header, cols)]
     cols = [[c.rjust(w) for c in col] for col, w in zip(cols, widths)]
@@ -285,10 +307,10 @@ def _potential_echo(cfg):
     # imported here: hashlib loads OpenSSL (about 3.5 MB and 5 ms), which no other report needs
     import hashlib
 
-    values = np.asarray(cfg["values"], dtype="<f8")
+    values = np.ascontiguousarray(cfg["values"], dtype="<f8")
     echo = {key: val for key, val in cfg.items() if key != "values"}
     echo["count"] = values.size
-    echo["sha256"] = hashlib.sha256(values.tobytes()).hexdigest()
+    echo["sha256"] = hashlib.sha256(values).hexdigest()  # the array's bytes, not a copy
     return echo
 
 
@@ -552,18 +574,28 @@ def run(args):
         set_cylinder_cap(saved_cap)
 
 
+def _write(fh, pieces):
+    """Write each piece of a report (a line, or a block of csv rows) and a newline after it."""
+    for piece in pieces:
+        fh.write(piece)
+        fh.write("\n")
+
+
 def _run(args):
     cfg = load_config(args.config)
     f, params = assemble(cfg, args)
+    header = _header_lines(args.command, cfg, params)
+    # a table config holds a Python float per value, about 32 bytes each;
+    # nothing reads it past the header, so it is freed before the solve
+    del cfg
     # looked up at call time, so that whatever is bound to cmd_<command> runs
     out = globals()[f"cmd_{args.command}"](f, params, args.format)
     body, ok = out if args.command == "verify" else (out, True)
-    text = "\n".join(_header_lines(args.command, cfg, params) + body) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write(fh, itertools.chain(header, body))
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, itertools.chain(header, body))
     return 0 if ok else 1
 
 

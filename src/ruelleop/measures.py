@@ -228,13 +228,23 @@ def relative_entropy(mu, rho, depth=None):
     """Relative entropy of mu against rho on depth-n cylinders.
 
     Sum of mu * log(mu/rho) where mu > 0, with 0 * log(0/q) = 0; if mu
-    charges a cylinder that rho does not, the result is +inf.
+    charges a cylinder that rho does not, the result is +inf.  A measure
+    stored at the depth asked for is read in place.  When mu charges
+    every cylinder, a * (log a - log b) is formed in one array, with the
+    operations and summation order of the masked sum.
     """
     if depth is None:
         depth = min(mu.depth, rho.depth)
-    a = marginalize(mu, depth).weights
-    b = marginalize(rho, depth).weights
+    a = mu.weights if mu.depth == depth else marginalize(mu, depth).weights
+    b = rho.weights if rho.depth == depth else marginalize(rho, depth).weights
     pos = a > 0
+    if pos.all():
+        if np.any(b <= 0):
+            return math.inf
+        terms = np.log(a)
+        terms -= np.log(b)
+        terms *= a
+        return float(np.sum(terms))
     if np.any(b[pos] <= 0):
         return math.inf
     return float(np.sum(a[pos] * (np.log(a[pos]) - np.log(b[pos]))))

@@ -125,8 +125,10 @@ def index_word(idx, size, depth):
 def _word_labels(space, depth):
     """Text labels of all depth-d words in canonical order, symbols joined by ".".
 
-    The label of word (0, 1, 1) is "0.1.1"; depth 0 gives [""].  Refuses
-    depths whose cylinder count exceeds the package cap.
+    The label of word (0, 1, 1) is "0.1.1"; depth 0 gives [""].  The
+    labels come as an iterator that makes each one when it is read.
+    Refuses depths whose cylinder count exceeds the package cap, on the
+    call itself.
     """
     check_cylinder_count(space.size, depth)
-    return list(map(".".join, itertools.product([str(s) for s in range(space.size)], repeat=depth)))
+    return map(".".join, itertools.product([str(s) for s in range(space.size)], repeat=depth))

@@ -91,11 +91,15 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
 
     Stops when the forward residual, the adjoint residual and the
     relative eigenvalue step all fall below tol.  Non-convergence is
-    reported in the result, not raised.
+    reported in the result, not raised.  Each side alternates between two
+    vectors: a product writes over the iterate before its input, which the
+    period-2 averaging has read by then.  ``left0`` and ``right0`` are
+    never written.
     """
     nd = kernel.size
     left = np.full(nd, 1.0 / nd) if left0 is None else np.asarray(left0, float) / np.sum(left0)
     right = np.ones(nd) if right0 is None else np.asarray(right0, float).copy()
+    prev_left, prev_right = np.empty(nd), np.empty(nd)
     lam = math.nan
     resid_l = resid_r = math.inf
     converged = False
@@ -103,11 +107,11 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
     it = 0
     while it < max_iters:
         it += 1
-        t_left = kernel.tmatvec(left)
+        t_left = kernel.tmatvec(left, out=prev_left)
         mass = float(t_left.sum())
         if not (np.isfinite(mass) and mass > 0):
             raise NumericError(f"adjoint iteration produced mass {mass!r}")
-        t_right = kernel.matvec(right)
+        t_right = kernel.matvec(right, out=prev_right)
         dlam = abs(mass - lam) / mass if not math.isnan(lam) else math.inf
         if dlam < tol or it == max_iters:
             # the residuals matter only once the eigenvalue step is below tol;
@@ -127,10 +131,13 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
             step_2 = abs(history[-1] - history[-3])
             step_1 = abs(history[-1] - history[-2])
             if step_2 < OSC_DETECT_NEAR * step_1 and step_1 > OSC_DETECT_FAR * tol * mass:
-                # period-2 oscillation: project out the alternating mode
-                left = 0.5 * (left + prev_left)
+                # period-2 oscillation: project out the alternating mode,
+                # 0.5 * (left + prev_left) computed in place
+                np.add(left, prev_left, out=left)
+                left *= 0.5
                 left /= left.sum()
-                right = 0.5 * (right + prev_right)
+                np.add(right, prev_right, out=right)
+                right *= 0.5
                 history.clear()
         # keep the forward iterate in floating range; scale is fixed at the end
         peak = max(float(right.max()), -float(right.min()))  # max |right|

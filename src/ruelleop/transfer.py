@@ -155,6 +155,14 @@ class TransferKernel:
       * ``log_ew_arq`` is log w_a + (f - offset) in the same order.  Only
         ``log_matvec`` reads it, so it is derived (and cached) on first
         read.
+      * ``_terms`` is the kernel's scratch array, shape (n, rw, p0, p1),
+        allocated on first use: the products write their terms there and
+        then sum them into their output (the adjoint product of a deep
+        kernel needs no sum and writes straight into its output), so a
+        kernel runs one product at a time.  Each product takes an
+        optional ``out``, a contiguous float vector of ``size`` entries
+        that shares no memory with its input, and returns it; without
+        ``out`` it returns a new vector.
     """
 
     space: SymbolSpace
@@ -172,6 +180,12 @@ class TransferKernel:
         log_ew = np.add(np.log(w), table_arq, order="C")
         log_ew.flags.writeable = False
         return log_ew
+
+    @functools.cached_property
+    def _terms(self):
+        """Scratch for the terms of one product, shape (n, rw, p0, p1)."""
+        p0, p1, rw = self.blocks
+        return np.empty((self.space.size, rw, p0, p1))
 
     @property
     def size(self):
@@ -192,26 +206,45 @@ class TransferKernel:
         p0, p1, rw = self.blocks
         return table.reshape(n, rw, p0, 1), np.asarray(x, dtype=float).reshape(n, 1, p0, p1)
 
-    def _forward(self, reduce):
+    def _output(self, out):
+        """``out``, checked to be a contiguous float vector of ``size`` entries, or a new one."""
+        if out is None:
+            return np.empty(self.size)
+        if out.shape != (self.size,) or out.dtype != float or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a contiguous float vector of {self.size} entries")
+        return out
+
+    def _forward(self, reduce, out):
         """A forward product in row order; ``reduce(total)`` writes its (rw, p0, p1) sums."""
+        n = self.space.size
         p0, p1, rw = self.blocks
+        out = self._output(out)
         if rw == 1:
-            # deep kernel: the n rows (q, r) share the sum of q; np.repeat
-            # copies it faster than a broadcast assignment to (p0 * p1, n)
+            # deep kernel: the n rows (q, r) share the sum of q.  For a few
+            # symbols one strided copy per r is faster than np.repeat or a
+            # broadcast along the short r axis
             total = np.empty(p0 * p1)
             reduce(total.reshape(1, p0, p1))
-            return np.repeat(total, self.space.size)
-        out = np.empty(self.size)
+            rows = out.reshape(p0 * p1, n)
+            if n < 8:
+                for r in range(n):
+                    rows[:, r] = total
+            else:
+                rows[...] = total[:, None]
+            return out
         reduce(out.reshape(p0 * p1, rw).T.reshape(rw, p0, p1))
         return out
 
-    def matvec(self, x):
+    def matvec(self, x, out=None):
+        """Forward product M x, into ``out`` if given (see the class docstring)."""
         weights, pred = self._by_predecessor(self.ew_arq, x)
-        return self._forward(lambda total: (weights * pred).sum(axis=0, out=total))
+        terms = np.multiply(weights, pred, out=self._terms)
+        return self._forward(lambda total: terms.sum(axis=0, out=total), out)
 
-    def log_matvec(self, lx):
+    def log_matvec(self, lx, out=None):
+        """log(M exp(lx)), summed from each row's largest term; into ``out`` if given."""
         log_weights, log_pred = self._by_predecessor(self.log_ew_arq, lx)
-        terms = log_weights + log_pred
+        terms = np.add(log_weights, log_pred, out=self._terms)
         peak = terms.max(axis=0)
 
         def log_sum(total):
@@ -222,18 +255,22 @@ class TransferKernel:
             # a row whose largest term is not finite (all terms -inf) is -inf
             total[~np.isfinite(peak)] = -np.inf
 
-        return self._forward(log_sum)
+        return self._forward(log_sum, out)
 
-    def tmatvec(self, x):
-        """Adjoint product: (M^T x)[v] = sum_u M[u, v] x[u]."""
+    def tmatvec(self, x, out=None):
+        """Adjoint product: (M^T x)[v] = sum_u M[u, v] x[u]; into ``out`` if given."""
         n = self.space.size
         p0, p1, rw = self.blocks
+        out = self._output(out)
         if rw == 1:
             # the weight of row (q, r) does not depend on r: sum over r first
             sums = _block_sums(np.asarray(x, dtype=float), n)
-            return (self.ew_arq.reshape(n, p0, 1) * sums.reshape(p0, p1)).reshape(-1)
+            np.multiply(self.ew_arq.reshape(n, p0, 1), sums.reshape(p0, p1), out=out.reshape(n, p0, p1))
+            return out
         rows = np.asarray(x, dtype=float).reshape(-1, n)
-        return (self.ew_arq * rows.T).sum(axis=1).reshape(-1)
+        terms = np.multiply(self.ew_arq, rows.T, out=self._terms.reshape(n, rw, p0))
+        terms.sum(axis=1, out=out.reshape(n, p0))
+        return out
 
     def _row_weights(self, rows):
         """Weights of the given rows, shape (n,) + rows.shape: one per symbol a."""
@@ -420,17 +457,18 @@ def _iterate_ones(f, depth, steps, log_space=False):
     shifts = kernel.offset * np.arange(1, steps + 1)
     tops = np.empty(steps)
     bottoms = np.empty(steps)
+    spare = np.empty(kernel.size)  # each product writes over the iterate before its input
     if log_space or (f.depth - 1) * float(np.ptp(f.table)) > LINEAR_VALUE_CEILING:
         lv = np.zeros(kernel.size)
         for n in range(steps):
-            lv = kernel.log_matvec(lv)
+            lv, spare = kernel.log_matvec(lv, out=spare), lv
             tops[n] = lv.max()
             bottoms[n] = lv.min()
         return tops + shifts, bottoms + shifts, lv + steps * kernel.offset
     v = np.ones(kernel.size)
     log_scale = 0.0
     for n in range(steps):
-        v = kernel.matvec(v)
+        v, spare = kernel.matvec(v, out=spare), v
         peak = v.max()
         v /= peak
         log_scale += math.log(peak)

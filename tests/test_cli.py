@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,57 @@ def test_float_columns_format_like_format_float():
     ]
     assert text.splitlines() == want
     assert cli._table_lines(("x",), (np.array([]),), "csv") == ["x"]
+
+
+@pytest.mark.parametrize("command", ["spectral", "equilibrium"])
+def test_table_reports_do_not_depend_on_the_block_size(tmp_path, monkeypatch, command):
+    # a depth-13 table: 4,096 rows at the working depth 12, two csv blocks at
+    # the default size; the csv rows are also the cells of format_float
+    values = np.random.default_rng(5).uniform(-1.0, 1.0, 2**13)
+    cfg = {
+        "space": {"kind": "uniform", "size": 2},
+        "potential": {"kind": "table", "depth": 13, "values": values.tolist()},
+    }
+    path = write_cfg(tmp_path, cfg)
+    f = ro.Potential(ro.uniform_space(2), 13, values)
+    sd = ro.perron_eigendata(f)
+    if command == "spectral":
+        columns = (sd.nu.weights, sd.h.values)
+    else:
+        columns = (ro.extend_equilibrium(sd, f, 12).weights,)
+    words = ro.space._word_labels(f.space, 12)
+    rows = [",".join([w, *(ro.report.format_float(c[i]) for c in columns)]) for i, w in enumerate(words)]
+    for fmt in ("csv", "report"):
+        argv = [command, "--config", path, "--format", fmt]
+        code, want = run_to_file(tmp_path, argv, "want.txt")
+        assert code == 0
+        if fmt == "csv":
+            assert want.splitlines()[-len(rows):] == rows
+        for block in (1, 3, len(rows)):
+            monkeypatch.setattr(cli, "TABLE_BLOCK_ROWS", block)
+            assert run_to_file(tmp_path, argv, f"rows{block}.txt")[1] == want, (fmt, block)
+        monkeypatch.undo()
+
+
+def test_csv_table_text_is_built_in_blocks():
+    # 65,536 rows of a word column and two float columns, as spectral writes
+    # them: 4.7 MB of text.  One %-format over the whole table, after a list
+    # of the labels, peaked at 4.1 times the text; in blocks of rows, with
+    # the labels read from an iterator, the peak is 1.1 times the text
+    rng = np.random.default_rng(0)
+    nu, h = rng.uniform(size=(2, 2**16))
+    tracemalloc.start()
+    try:
+        words = ro.space._word_labels(ro.uniform_space(2), 16)
+        lines = cli._table_lines((cli.WORD_COL, "nu", "h"), (words, nu, h), "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = "\n".join(lines)
+    assert len(lines) == 1 + -(-2**16 // cli.TABLE_BLOCK_ROWS)
+    assert text.count("\n") == 2**16
+    assert text.splitlines()[-1] == "1." * 15 + "1," + ",".join(ro.report.format_float(v) for v in (nu[-1], h[-1]))
+    assert peak <= 1.5 * len(text)
 
 
 def test_pressure_of_a_huge_constant_is_exact(tmp_path):

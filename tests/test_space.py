@@ -79,11 +79,11 @@ def test_index_word_roundtrip():
 
 
 def test_word_labels_match_canonical_order(three_space):
-    labels = _word_labels(three_space, 2)
+    labels = list(_word_labels(three_space, 2))
     assert len(labels) == 9
     for i, label in enumerate(labels):
         assert ro.word_index(tuple(int(s) for s in label.split(".")), 3) == i
-    assert _word_labels(three_space, 0) == [""]
+    assert list(_word_labels(three_space, 0)) == [""]
 
 
 def test_word_labels_respect_cap(two_space):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ruelleop as ro
 from conftest import models
@@ -197,14 +198,17 @@ def test_bracket_takes_log_path_past_the_ceiling(two_space, monkeypatch):
 
 
 class TwoCycleKernel:
-    """Matrix [[0, 2], [0.5, 0]]: period two, leading eigenvalue 1."""
+    """Matrix [[0, 2], [0.5, 0]]: period two, leading eigenvalue 1.
+
+    Its products ignore ``out``: power_iterate reads the vector a product returns.
+    """
 
     size = 2
 
-    def matvec(self, v):
+    def matvec(self, v, out=None):
         return np.array([2.0 * v[1], 0.5 * v[0]])
 
-    def tmatvec(self, v):
+    def tmatvec(self, v, out=None):
         return np.array([0.5 * v[1], 2.0 * v[0]])
 
 
@@ -222,10 +226,10 @@ class FlipKernel:
 
     size = 2
 
-    def matvec(self, v):
+    def matvec(self, v, out=None):
         return v[::-1].copy()
 
-    def tmatvec(self, v):
+    def tmatvec(self, v, out=None):
         return v[::-1].copy()
 
 
@@ -254,6 +258,90 @@ def test_power_iteration_reports_the_residuals_of_its_last_step(two_space):
         left = np.max(np.abs(kernel.tmatvec(prev.left) - res.lam * prev.left))
         assert res.residual_right == right / res.lam
         assert res.residual_left == left / res.lam
+
+
+def allocating_power_iterate(kernel, tol, max_iters, left0=None, right0=None):
+    """The iteration of power_iterate with a new vector per product and per average.
+
+    Returns its result fields and the number of period-2 averages.
+    """
+    nd = kernel.size
+    left = np.full(nd, 1.0 / nd) if left0 is None else np.asarray(left0, float) / np.sum(left0)
+    right = np.ones(nd) if right0 is None else np.asarray(right0, float).copy()
+    lam = math.nan
+    resid_l = resid_r = math.inf
+    converged = False
+    history = []
+    averages = 0
+    it = 0
+    while it < max_iters:
+        it += 1
+        t_left = kernel.tmatvec(left)
+        mass = float(t_left.sum())
+        t_right = kernel.matvec(right)
+        dlam = abs(mass - lam) / mass if not math.isnan(lam) else math.inf
+        if dlam < tol or it == max_iters:
+            resid_l = float(np.max(np.abs(t_left - mass * left))) / mass
+            resid_r = float(np.max(np.abs(t_right - mass * right))) / mass
+        lam = mass
+        t_left /= mass
+        t_right /= mass
+        prev_left, left = left, t_left
+        prev_right, right = right, t_right
+        if max(resid_l, resid_r, dlam) < tol:
+            converged = True
+            break
+        history.append(mass)
+        if len(history) >= 3:
+            step_2 = abs(history[-1] - history[-3])
+            step_1 = abs(history[-1] - history[-2])
+            near, far = ro.spectral.OSC_DETECT_NEAR, ro.spectral.OSC_DETECT_FAR
+            if step_2 < near * step_1 and step_1 > far * tol * mass:
+                averages += 1
+                left = 0.5 * (left + prev_left)
+                left /= left.sum()
+                right = 0.5 * (right + prev_right)
+                history.clear()
+        peak = max(float(right.max()), -float(right.min()))
+        if peak > 1e100 or (0 < peak < 1e-100):
+            right /= peak
+    return (lam, right, left, resid_r, resid_l, it, converged), averages
+
+
+def assert_same_iteration(res, want):
+    lam, right, left, resid_r, resid_l, it, converged = want
+    assert (res.lam, res.residual_right, res.residual_left) == (lam, resid_r, resid_l)
+    assert (res.iterations, res.converged) == (it, converged)
+    assert res.right.tobytes() == right.tobytes() and res.left.tobytes() == left.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_power_iterate_equals_the_allocating_loop_bit_for_bit(model, warm, seed):
+    # the products write into two vectors per side; the warm starts are never written
+    f, depth = model
+    kernel = ro.build_kernel(f, depth)
+    rng = np.random.default_rng(seed)
+    starts = {}
+    if warm:
+        starts = {"left0": rng.uniform(0.1, 1.0, kernel.size), "right0": rng.uniform(0.1, 1.0, kernel.size)}
+    kept = {key: val.copy() for key, val in starts.items()}
+    for max_iters in (3, ro.spectral.DEFAULT_MAX_ITERS):
+        want, _ = allocating_power_iterate(kernel, ro.spectral.DEFAULT_TOL, max_iters, **starts)
+        assert_same_iteration(ro.power_iterate(kernel, max_iters=max_iters, **starts), want)
+    for key, val in starts.items():
+        assert val.tobytes() == kept[key].tobytes()
+
+
+@pytest.mark.parametrize("coupling, field", [(-5.0, 0.3), (-8.0, 0.3), (-12.0, 0.05)])
+def test_period_two_averaging_reads_the_previous_iterates(two_space, coupling, field):
+    # an antiferromagnetic depth-1 kernel from a skewed start oscillates, and
+    # the averages read the iterate before the last, which no product has overwritten
+    kernel = ro.build_kernel(ro.builtin_ising(two_space, coupling, field), 1)
+    starts = {"left0": np.array([0.8, 0.2]), "right0": np.array([1.0, 3.0])}
+    want, averages = allocating_power_iterate(kernel, 1e-12, 1000, **starts)
+    assert averages >= 3 and want[-1]
+    assert_same_iteration(ro.power_iterate(kernel, tol=1e-12, max_iters=1000, **starts), want)
 
 
 def test_nonconverged_eigendata_is_flagged(two_space):
