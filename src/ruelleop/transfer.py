@@ -155,14 +155,10 @@ class TransferKernel:
       * ``log_ew_arq`` is log w_a + (f - offset) in the same order.  Only
         ``log_matvec`` reads it, so it is derived (and cached) on first
         read.
-      * ``_terms`` is the kernel's scratch array, shape (n, rw, p0, p1),
-        allocated on first use: the products write their terms there and
-        then sum them into their output (the adjoint product of a deep
-        kernel needs no sum and writes straight into its output), so a
-        kernel runs one product at a time.  Each product takes an
-        optional ``out``, a contiguous float vector of ``size`` entries
-        that shares no memory with its input, and returns it; without
-        ``out`` it returns a new vector.
+      * Each product takes an optional ``out``, a contiguous float
+        vector of ``size`` entries, and returns it; without ``out`` it
+        returns a new vector.  A product reads all of its input before
+        it writes ``out``, so ``out`` may be the input itself.
     """
 
     space: SymbolSpace
@@ -180,12 +176,6 @@ class TransferKernel:
         log_ew = np.add(np.log(w), table_arq, order="C")
         log_ew.flags.writeable = False
         return log_ew
-
-    @functools.cached_property
-    def _terms(self):
-        """Scratch for the terms of one product, shape (n, rw, p0, p1)."""
-        p0, p1, rw = self.blocks
-        return np.empty((self.space.size, rw, p0, p1))
 
     @property
     def size(self):
@@ -220,17 +210,10 @@ class TransferKernel:
         p0, p1, rw = self.blocks
         out = self._output(out)
         if rw == 1:
-            # deep kernel: the n rows (q, r) share the sum of q.  For a few
-            # symbols one strided copy per r is faster than np.repeat or a
-            # broadcast along the short r axis
+            # deep kernel: the n rows (q, r) share the sum of q
             total = np.empty(p0 * p1)
             reduce(total.reshape(1, p0, p1))
-            rows = out.reshape(p0 * p1, n)
-            if n < 8:
-                for r in range(n):
-                    rows[:, r] = total
-            else:
-                rows[...] = total[:, None]
+            out.reshape(p0 * p1, n)[...] = total[:, None]
             return out
         reduce(out.reshape(p0 * p1, rw).T.reshape(rw, p0, p1))
         return out
@@ -238,13 +221,13 @@ class TransferKernel:
     def matvec(self, x, out=None):
         """Forward product M x, into ``out`` if given (see the class docstring)."""
         weights, pred = self._by_predecessor(self.ew_arq, x)
-        terms = np.multiply(weights, pred, out=self._terms)
+        terms = weights * pred
         return self._forward(lambda total: terms.sum(axis=0, out=total), out)
 
     def log_matvec(self, lx, out=None):
         """log(M exp(lx)), summed from each row's largest term; into ``out`` if given."""
         log_weights, log_pred = self._by_predecessor(self.log_ew_arq, lx)
-        terms = np.add(log_weights, log_pred, out=self._terms)
+        terms = log_weights + log_pred
         peak = terms.max(axis=0)
 
         def log_sum(total):
@@ -268,8 +251,7 @@ class TransferKernel:
             np.multiply(self.ew_arq.reshape(n, p0, 1), sums.reshape(p0, p1), out=out.reshape(n, p0, p1))
             return out
         rows = np.asarray(x, dtype=float).reshape(-1, n)
-        terms = np.multiply(self.ew_arq, rows.T, out=self._terms.reshape(n, rw, p0))
-        terms.sum(axis=1, out=out.reshape(n, p0))
+        (self.ew_arq * rows.T).sum(axis=1, out=out.reshape(n, p0))
         return out
 
     def _row_weights(self, rows):
