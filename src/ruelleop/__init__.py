@@ -32,7 +32,6 @@ from .potential import (
     builtin_renewal,
     builtin_xy,
     scale,
-    truncate,
 )
 from .scan import PressureCurve, pressure_curve
 from .space import (
@@ -110,7 +109,6 @@ __all__ = [
     "scale",
     "set_cylinder_cap",
     "specific_entropy",
-    "truncate",
     "uniform_space",
     "variational_gap",
     "word_index",

@@ -78,38 +78,6 @@ def scale(f, beta):
     return Potential(f.space, f.depth, float(beta) * f.table, abs(float(beta)) * f.var_bound)
 
 
-def _anchor_indices(n_symbols, k, m):
-    """Canonical depth-m indices of the anchor extensions of all depth-k words.
-
-    The anchor extension repeats the last symbol until depth m.
-    """
-    idx = np.arange(n_symbols**k, dtype=np.int64)
-    last = idx % n_symbols
-    out = idx.copy()
-    for _ in range(m - k):
-        out = out * n_symbols + last
-    return out
-
-
-def truncate(g, k):
-    """Truncate a potential to depth k.
-
-    The depth-k table takes the value at each word's anchor extension
-    (last symbol repeated).  The bound is the worst tablewise
-    oscillation within a depth-k cylinder plus twice the carried
-    var_bound.  Truncating to the potential's own depth is the identity.
-    """
-    if not 1 <= k <= g.depth:
-        raise ValueError(f"truncation depth {k} outside 1..{g.depth}")
-    if k == g.depth:
-        return g
-    n = g.space.size
-    table = g.table[_anchor_indices(n, k, g.depth)]
-    blocks = g.table.reshape(n**k, n ** (g.depth - k))
-    osc = float(np.max(blocks.max(axis=1) - blocks.min(axis=1)))
-    return Potential(g.space, k, table, osc + 2.0 * g.var_bound)
-
-
 def builtin_constant(space, c):
     """The constant potential f = c, stored at depth 1."""
     return Potential(space, 1, np.full(space.size, float(c)))
@@ -153,8 +121,7 @@ def builtin_renewal(space, payoffs, tail="constant"):
     :class:`Potential` has depth K = len(payoffs).  Only the all-zeros
     cylinder oscillates: there the true value is the limit, something
     in the tail band or payoffs[K-1], so ``var_bound`` is the spread of
-    {limit - bound, limit + bound, payoffs[K-1]}.  Shallower depths come
-    from :func:`truncate`.
+    {limit - bound, limit + bound, payoffs[K-1]}.
 
     ``tail`` is ``"constant"`` (payoffs continue at their last value,
     making the depth-K table exact) or a :class:`RenewalTail`.

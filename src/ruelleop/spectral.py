@@ -14,11 +14,12 @@ Eigendata come from simultaneous power iteration on the kernel of
 f - offset at the canonical depth max(k-1, 1): the adjoint iteration
 renormalizes by total mass, whose limit is the kernel's root, and the
 forward iteration rescales by the same estimate; log lam is the log of
-that root plus the offset.  Near-degenerate second eigenvalues of
-opposite sign show up as a period-2 oscillation of the mass sequence;
-averaging two consecutive iterates removes the alternating mode and the
-iteration then proceeds normally.  A run that exhausts its iteration
-budget returns flagged data instead of raising.
+that root plus the offset.  The iteration runs on M + sigma I with
+sigma > 0: for M >= 0 the root lam + sigma strictly dominates |mu + sigma|
+for every other eigenvalue mu, so an eigenvalue near -lam leaves no
+periodic mode.  The residual (M + sigma I) x - (lam + sigma) x is
+M x - lam x, so the certificates read the unshifted kernel.  A run that
+exhausts its iteration budget returns flagged data instead of raising.
 """
 
 import math
@@ -33,8 +34,18 @@ from .transfer import CylinderFunction, _iterate_ones, build_kernel
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITERS = 100_000
 
-OSC_DETECT_NEAR = 1e-3  # period-2 detector: lam[t] vs lam[t-2] this much closer...
-OSC_DETECT_FAR = 1e2 * OSC_DETECT_NEAR  # ...than lam[t] vs lam[t-1]
+# sigma = SHIFT_RATIO * lam, with lam the current adjoint mass.  Near an
+# eigenvalue -lam an error then contracts by about (1 - s) / (1 + s) per step;
+# every other kernel pays a little.  Iterations to tol 1e-12 with no shift
+# (and the former period-2 detector) / s = 0.02 / 0.05 / 0.1: the table-battery
+# table at depth 15 143 / 145 / 149 / 155; xy on 400 nodes, J=8, 283 / 289 /
+# 298 / 312; renewal 14 at beta 1 398 / 407 / 419 / 439; Ising J=-1, h=0.2 at
+# depth 8 97 / 83 / 69 / 53; Ising J=-5, h=0 from the starts (0.8, 0.2) and
+# (1, 3) 100,000 (not converged) / 708 / 284 / 143.  A sigma fixed at s times
+# the first mass stalls instead: that mass is a weighted mean of the row sums,
+# which can exceed lam by e^400 (the coboundary 400 (x0 - x1)), and M + sigma I
+# is then nearly the identity.
+SHIFT_RATIO = 0.05
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,12 +100,14 @@ class PowerIterationResult:
 def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=None, right0=None):
     """Simultaneous forward/adjoint power iteration on a built kernel.
 
+    Iterates on M + sigma I, sigma = SHIFT_RATIO times the adjoint mass of
+    the step; ``lam``, the eigenvalue step and both residuals are those of M.
     Stops when the forward residual, the adjoint residual and the
     relative eigenvalue step all fall below tol.  Non-convergence is
     reported in the result, not raised.  Each side alternates between two
-    vectors: a product writes over the iterate before its input, which the
-    period-2 averaging has read by then.  ``left0`` and ``right0`` are
-    never written.
+    vectors: a product writes over the iterate before its input, and the
+    shift then adds in its input.  ``left0`` and ``right0`` are never
+    written.
     """
     nd = kernel.size
     left = np.full(nd, 1.0 / nd) if left0 is None else np.asarray(left0, float) / np.sum(left0)
@@ -103,7 +116,6 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
     lam = math.nan
     resid_l = resid_r = math.inf
     converged = False
-    history = []
     it = 0
     while it < max_iters:
         it += 1
@@ -119,26 +131,22 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
             resid_l = float(np.max(np.abs(t_left - mass * left))) / mass
             resid_r = float(np.max(np.abs(t_right - mass * right))) / mass
         lam = mass
-        t_left /= mass
-        t_right /= mass
+        # t = (M x + sigma x) / (lam + sigma), written over M x; x, the outgoing
+        # iterate, is the spare vector from here on.  Multiplies, as a divide
+        # per entry costs about 2.5 times as much
+        sigma = SHIFT_RATIO * mass
+        scale = 1.0 / (mass + sigma)
+        left *= sigma * scale
+        t_left *= scale
+        t_left += left
+        right *= sigma * scale
+        t_right *= scale
+        t_right += right
         prev_left, left = left, t_left
         prev_right, right = right, t_right
         if max(resid_l, resid_r, dlam) < tol:
             converged = True
             break
-        history.append(mass)
-        if len(history) >= 3:
-            step_2 = abs(history[-1] - history[-3])
-            step_1 = abs(history[-1] - history[-2])
-            if step_2 < OSC_DETECT_NEAR * step_1 and step_1 > OSC_DETECT_FAR * tol * mass:
-                # period-2 oscillation: project out the alternating mode,
-                # 0.5 * (left + prev_left) computed in place
-                np.add(left, prev_left, out=left)
-                left *= 0.5
-                left /= left.sum()
-                np.add(right, prev_right, out=right)
-                right *= 0.5
-                history.clear()
         # keep the forward iterate in floating range; scale is fixed at the end
         peak = max(float(right.max()), -float(right.min()))  # max |right|
         if peak > 1e100 or (0 < peak < 1e-100):
@@ -196,11 +204,16 @@ def perron_eigendata(f, *, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
     d0 = max(f.depth - 1, 1)
     kernel = build_kernel(f, d0)
     raw = power_iterate(kernel, tol=tol, max_iters=max_iters)
-    lam = raw.lam
     # pairwise sums, not BLAS dot products, so that no thread count changes the digits
     nu = raw.left
     mass = nu.sum()
     nu /= mass
+    # lam is the mass of M^T nu for the nu reported: one step past raw.lam, the
+    # mass of nu's input, for the product that the adjoint residual reads anyway
+    adjoint = kernel.tmatvec(nu)
+    lam = float(adjoint.sum())
+    residual_left = float(np.max(np.abs(adjoint - lam * nu))) / lam
+    del adjoint  # not held through the forward product
     h = raw.right
     scale = float((h * nu).sum())
     if not (np.isfinite(scale) and scale > 0):
@@ -213,7 +226,7 @@ def perron_eigendata(f, *, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
         h=CylinderFunction(f.space, d0, h),
         nu=CylinderMeasure(f.space, d0, nu),
         residual_right=float(np.max(np.abs(kernel.matvec(h_unit) - lam * h_unit))) / lam,
-        residual_left=float(np.max(np.abs(kernel.tmatvec(nu) - lam * nu))) / lam,
+        residual_left=residual_left,
         iterations=raw.iterations,
         converged=raw.converged,
         mass_dev=abs(mass - 1.0),

@@ -415,6 +415,45 @@ def test_renewal_words_lump_by_leading_zeros(two_space):
     assert curve.converged.all() and np.all(curve.iterations == 0)
 
 
+def quotient_perron_pair(f, lumping, beta):
+    """(g, pi): Q's right Perron vector with pi . g = 1, and its left one with sum 1.
+
+    Over an exact partition g[labels] is the eigenfunction h of beta f with
+    integral 1 against nu, and pi holds the class masses V^T nu of nu.
+    """
+    kernel = ro.build_kernel(ro.scale(f, beta), lumping.depth)
+    q = lumping.quotient(rep_weights(kernel, lumping))
+    vals, vecs = np.linalg.eig(q)
+    left_vals, left_vecs = np.linalg.eig(q.T)
+    g = np.abs(vecs[:, np.argmax(vals.real)].real)
+    pi = np.abs(left_vecs[:, np.argmax(left_vals.real)].real)
+    pi /= pi.sum()
+    return g / (pi @ g), pi
+
+
+def test_renewal_eigenfunction_leaves_the_continuous_functions_past_the_transition():
+    # the paper's eigenfunction in L^1(nu): below beta_c = 0.9 the spread
+    # max h / min h of the criterion-10 truncations converges; above it, it grows
+    # without bound while h keeps integral 1 against nu
+    spreads = {0.5: [], 1.0: [], 1.5: []}
+    for trunc in (8, 10, 12, 16, 20):
+        f = renewal(trunc)
+        lumping = ro.lumpable_partition(f, trunc - 1)
+        for beta, row in spreads.items():
+            g, pi = quotient_perron_pair(f, lumping, beta)
+            if trunc % 4 == 0:
+                row.append(g.max() / g.min())
+            if trunc in (10, 12):
+                sd = ro.perron_eigendata(ro.scale(f, beta))
+                masses = np.bincount(lumping.labels, weights=sd.nu.weights, minlength=lumping.size)
+                np.testing.assert_allclose(masses, pi, rtol=0, atol=1e-12)
+                h = sd.h.values
+                np.testing.assert_allclose(g[lumping.labels], h, rtol=0, atol=1e-11 * h.max())
+    assert abs(spreads[0.5][-1] / spreads[0.5][1] - 1.0) < 0.02
+    for beta in (1.0, 1.5):
+        assert np.all(np.diff(np.log(spreads[beta])) >= math.log(1.5))
+
+
 def test_large_potentials_do_not_overflow(two_space):
     # beta * f reaches 800, past exp's range; the gauge shift keeps the weights at most 1
     f = ro.builtin_constant(two_space, 400.0)

@@ -73,37 +73,6 @@ def test_potential_validation(two_space):
         ro.Potential(two_space, 1, np.zeros(2), var_bound=-0.1)
 
 
-def test_truncate_to_own_depth_is_identity(two_space):
-    f = ro.builtin_ising(two_space, 0.7)
-    assert ro.truncate(f, 2) is f
-
-
-def test_truncate_table_and_bound_against_blockwise_oracle(two_space):
-    rng = np.random.default_rng(21)
-    table = rng.uniform(-2.0, 2.0, 8)
-    f = ro.Potential(two_space, 3, table, var_bound=0.05)
-    g = ro.truncate(f, 2)
-    assert g.depth == 2
-    # table entry at (u1, u2) is the value at the anchor word (u1, u2, u2)
-    for i, (u1, u2) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-        assert g.table[i] == f.evaluate((u1, u2, u2))
-    # bound: worst oscillation of the two depth-3 refinements, plus carried slack
-    osc = max(
-        abs(f.evaluate((u1, u2, 0)) - f.evaluate((u1, u2, 1)))
-        for u1 in (0, 1)
-        for u2 in (0, 1)
-    )
-    assert g.var_bound == pytest.approx(osc + 2 * 0.05, abs=1e-15)
-
-
-def test_truncate_rejects_bad_depths(two_space):
-    f = ro.builtin_ising(two_space, 1.0)
-    with pytest.raises(ValueError):
-        ro.truncate(f, 0)
-    with pytest.raises(ValueError):
-        ro.truncate(f, 3)
-
-
 def test_renewal_table_placement(two_space):
     a, b, c = 0.3, -0.7, 0.1
     f = ro.builtin_renewal(two_space, [a, b, c])
@@ -123,11 +92,12 @@ def test_renewal_variation_bounds_shrink_with_depth(two_space):
     payoffs = [0.5, -0.25, 0.125, 0.0]
     g = ro.builtin_renewal(two_space, payoffs)
     assert g.var_bound == 0.0
-    # the depth-2 truncation pins two symbols, leaving the spread of
-    # {payoffs[2:], tail} on the cylinder 00
-    mid = ro.truncate(g, 2)
-    assert mid.var_bound == pytest.approx(0.125, abs=1e-15)
-    assert ro.truncate(g, 1).var_bound == pytest.approx(0.375, abs=1e-15)
+    # payoffs 2^-j with limit 0: past horizon K they stay within 2^-K of it, so
+    # the all-zeros cylinder spreads over {-2^-K, 2^-K, 2^-(K-1)}, 3 * 2^-K wide
+    for horizon in range(1, 8):
+        tail = ro.RenewalTail(0.0, 2.0**-horizon)
+        f = ro.builtin_renewal(two_space, 2.0 ** -np.arange(horizon), tail=tail)
+        assert f.var_bound == 3.0 * 2.0**-horizon
 
 
 def test_renewal_custom_tail_band(two_space):
