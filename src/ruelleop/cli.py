@@ -18,7 +18,9 @@ top-level scalars.  Keys:
     depth       cylinder depth of the bracket and scan kernels and of the
                 equilibrium table (default and minimum: max(potential
                 depth - 1, 1)); eigendata are solved at that minimum
-    tol         power iteration tolerance (default 1e-12)
+    tol         bound on the scale-free residuals of power iteration and
+                of the scan's quotient certificate, not on the error of
+                lam or of the eigendata (default 1e-12)
     max_iters   power iteration cap (default 100000)
     n_max       bracket / entropy horizon (default 8)
     cylinder_cap  override for the table-size guard, for this run only

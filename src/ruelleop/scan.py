@@ -2,24 +2,23 @@
 
 Each grid point solves for the leading eigenvalue of the operator for
 beta * f, from the kernel of beta * f minus its gauge offset so that
-large potentials cannot overflow.  The offsets of the grid are computed
-once.  The partition of the depth-d words into exactly lumpable classes
+large potentials cannot overflow; the grid's offsets are computed once.
+The partition of the depth-d words into exactly lumpable classes
 (``transfer.lumpable_partition``) and the kernel's product size do not
-depend on beta, so each scan is routed once.  When a dense eigensolve of
-the quotient is cheaper than a few dozen power iterations on the full
-kernel (``_quotient_pays``) and one pass over f's table confirms that
-the partition is exact (``_exact``), the quotients of a block of grid
-points are built by one scatter; one stacked ``eigvals`` gives their
-Perron roots and one stacked solve their certificate vectors.  A block
-holds at most product_size // c**2 points for c classes, so its stack of
-quotients is no larger than one product broadcast.  Each point is
-certified on its quotient: over an exact partition the quotient's
-residual is that of the lifted eigenvector on the full-depth kernel,
-which that route never builds.  A point whose certificate fails is
-solved by power iteration on its kernel, ``build_kernel(scale(f, beta),
-depth)``, from the uniform start, and is non-converged only if that
-fails too.  Otherwise each point is solved by power iteration on that
-kernel, starting from the previous point's eigenvectors.
+depend on beta, so each scan is routed once.  When solving the quotient
+is cheaper than a few power iterations on the full kernel
+(``_quotient_pays``) and one pass over f's table confirms that the
+partition is exact (``_exact``), the quotients of a block of grid points
+are built by one scatter; repeated squaring of the stack gives their
+Perron roots and non-negative certificate vectors together.  A block
+holds at most product_size // c**2 points for c classes, so its stack is
+no larger than one product broadcast.  Each point is certified on its
+quotient: over an exact partition the quotient's residual is that of the
+lifted eigenvector on the full-depth kernel, never built there.  A point
+whose certificate fails is power-iterated on its kernel,
+``build_kernel(scale(f, beta), depth)``, from the uniform start, and is
+non-converged only if that fails too.  Otherwise each point is solved
+by power iteration on that kernel, from the previous point's vectors.
 
 A genuine first-order transition would put a slope discontinuity into
 the limiting curve; at finite truncation the curve is analytic, so the
@@ -35,30 +34,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .potential import scale
-from .spectral import DEFAULT_MAX_ITERS, power_iterate
+from .spectral import DEFAULT_MAX_ITERS, SHIFT_RATIO, power_iterate
 from .transfer import _blocks, _gauge_offset, _prefix, build_kernel, lumpable_partition
 
 KINK_FACTOR = 5.0
 KINK_ABS_FLOOR = 1e-8
 
 # Routing between the two solvers, once per scan: neither the class count
-# nor the product size depends on beta.  Measured one matrix per call on a
-# 2-vCPU Xeon with one BLAS thread: np.linalg.eigvals plus the certificate's
-# solve cost about 4-6 ns * c**3 on c = 64-128 classes (eig 6-9 ns * c**3),
-# and one power iteration about 9-12 ns per entry of the kernel's product
-# broadcast (1k-65k entries, random binary and ternary tables) plus a fixed
-# 18 us (about 2,000 entries).  The ratio was chosen when an iteration cost
-# 25 ns per entry and eig 10 ns * c**3, so that the quotient is used when
-# its eigensolve costs at most about 25 iterations; at the figures above
-# that is about 20-45.  Warm-started points took 2 (rotor on Gauss-Legendre
-# nodes) to 122 (random binary depth-8 table) iterations on average; at the
-# original figures no measured scan routed to the slower path by more than
-# 4x, and none was slower than on power iteration alone.
+# nor the product size depends on beta.  Measured on a 2-vCPU Xeon with one
+# BLAS thread: a squaring costs 0.07-0.1 ns * c**3 per point on c = 64-128
+# classes and a point takes 6-10 (0.55 ns * c**3 in all at c = 128; LAPACK's
+# eigvals alone took 3.7-4.1); a power iteration about 9-12 ns per entry of
+# the kernel's product broadcast plus a fixed 18 us (about 2,000 entries).
+# So the quotient is used when it costs at most 3-7 iterations; warm-started
+# points took 2 (rotor) to 122 (random binary depth-8 table) on average.
 QUOTIENT_WORK_RATIO = 64
 ITERATION_OVERHEAD = 2_000
-# renewal truncations 8-20 on [0, 2] and [-1.5, 60] left 166 points uncertified
-# at a shift of 4e-16, 5 at 1e-15, none at 1e-14 and 132 at 1e-12
-SOLVE_SHIFT = 1e-14
+# squarings per pass: 2**64 powers take a mode at ratio r <= 1 - 2**-58 to the
+# root below 2**-53 of it.  Checking from the 6th, not after every squaring, cut
+# renewal-scan pressure_curve from 6.4-10.0 to 4.8-7.8 ms (medians of 40, 6 runs)
+SQUARINGS, FIRST_CHECK = 64, 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +105,7 @@ def pressure_curve(f, betas, depth, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
     lumped = _quotient_pays(lumping.size, product_size) and _exact(f, lumping)
     if lumped:
         block = max(1, product_size // lumping.size**2)
-        roots, converged = _lumped_roots(f, lumping, betas, offsets, block, tol)
+        roots, _, converged = _lumped_roots(f, lumping, betas, offsets, block, tol)
     else:
         roots, converged = np.empty(m), np.zeros(m, dtype=bool)
     left = right = None
@@ -151,7 +146,7 @@ def pressure_curve(f, betas, depth, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
 
 
 def _quotient_pays(classes, product_size):
-    """Whether a dense eigensolve on the quotient beats a few dozen power iterations."""
+    """Whether solving the quotient beats a few power iterations on the full kernel."""
     return classes**3 <= QUOTIENT_WORK_RATIO * (product_size + ITERATION_OVERHEAD)
 
 
@@ -179,43 +174,48 @@ def _exact(f, lumping):
 
 
 def _lumped_roots(f, lumping, betas, offsets, block, tol):
-    """(roots, certified): each grid point's quotient Perron root, and its certificate.
+    """(roots, vectors, certified): each grid point's quotient Perron root and vector g.
 
-    The quotient at beta has the rep-row weights w_a exp(beta f - offset),
-    with the grid's gauge offsets.  For ``block`` points at a time, lam is
-    the largest real part of one stacked ``eigvals``, and one stacked solve
-    gives g = (sigma I - Q)^-1 1 at sigma = lam (1 + SOLVE_SHIFT).  For
-    Q >= 0 and sigma > rho(Q), sigma I - Q is a nonsingular M-matrix with
-    inverse sum_k Q^k / sigma^(k+1) >= 0: g >= 0 is one step of inverse
-    iteration from the ones vector.  A singular stack certifies none of its
-    points.  Over an exact partition (:func:`_exact`), h = g[labels] has
-    M h - lam h = V (Q g - lam g) and every class has a word, so the
-    full-depth certificate is read on Q: with g scaled to largest magnitude
-    1, g >= 0, max g > 0 and max|Q g - lam g| / (lam max g) <= tol.
+    For ``block`` points at a time, S = Q + sigma I, Q the quotient of rep-row
+    weights w_a exp(beta f - offset), is scaled and squared, S <- S S / max(S
+    S): it stays non-negative, with no cancellation, and tends to Q's Perron
+    projector.  g = S 1, lam = 1^T S Q g / 1^T S g, and g[labels] is certified
+    on Q (:func:`_exact`): g >= 0, max g > 0, max|Q g - lam g| <= tol lam max
+    g.  Pass 1 has sigma = 0.  Squares of a Q with a mode near -lam can stall,
+    so pass 2 retries the uncertified points with sigma = SHIFT_RATIO times Q's
+    least row sum (at most lam).  A pass ends when all its points pass.
     """
-    n, c = f.space.size, lumping.size
+    n = f.space.size
     cols = f.table.reshape(n, -1)[:, _prefix(n, lumping.depth, f.depth, lumping.reps)]
     w = f.space.weights[:, None]
-    roots = np.empty(len(betas))
-    certified = np.zeros(len(betas), dtype=bool)
-    for start in range(0, len(betas), block):
-        b = betas[start : start + block, None, None]
-        shift = offsets[start : start + block, None, None]
-        q = lumping.quotient(w * np.exp(b * cols - shift))
-        lam = roots[start : start + block] = np.linalg.eigvals(q).real.max(axis=-1)
-        sigma = lam[:, None, None] * (1.0 + SOLVE_SHIFT)
-        try:
-            # a (B, c, 1) right-hand side: numpy 1.x and 2.x read (B, c) differently
-            g = np.linalg.solve(sigma * np.eye(c) - q, np.ones((len(q), c, 1)))
-        except np.linalg.LinAlgError:
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = g / np.take_along_axis(g, np.abs(g).argmax(axis=1, keepdims=True), axis=1)
-            peak = g.max(axis=(1, 2))
-            defect = np.abs(q @ g - lam[:, None, None] * g).max(axis=(1, 2))
-            ok = (lam > 0) & (peak > 0) & (g.min(axis=(1, 2)) >= 0)
-            certified[start : start + block] = ok & (defect / (lam * peak) <= tol)
-    return roots, certified
+    roots, certified = np.empty(len(betas)), np.zeros(len(betas), dtype=bool)
+    vectors = np.empty((len(betas), lumping.size))
+    for at in np.split(np.arange(len(betas)), range(block, len(betas), block)):
+        q = lumping.quotient(w * np.exp(betas[at, None, None] * cols - offsets[at, None, None]))
+        for shift in (0.0, SHIFT_RATIO):
+            s = q.copy() if not shift else (
+                q + shift * q.sum(axis=2).min(axis=1)[:, None, None] * np.eye(lumping.size))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s /= s.max(axis=(1, 2), keepdims=True)
+                for k in range(1, SQUARINGS + 1):
+                    s = s @ s
+                    s /= s.max(axis=(1, 2), keepdims=True)
+                    if k < FIRST_CHECK:
+                        continue
+                    g, u = s.sum(axis=2, keepdims=True), s.sum(axis=1, keepdims=True)
+                    qg = q @ g
+                    lam = roots[at] = (u @ qg / (u @ g))[:, 0, 0]
+                    vectors[at] = g[:, :, 0]
+                    defect = np.abs(qg - lam[:, None, None] * g).max(axis=(1, 2))
+                    peak = g.max(axis=(1, 2))
+                    ok = (lam > 0) & (peak > 0) & (g.min(axis=(1, 2)) >= 0)
+                    ok = certified[at] = ok & (defect / (lam * peak) <= tol)
+                    if ok.all():
+                        break
+            if certified[at].all():
+                break
+            at, q = at[~certified[at]], q[~certified[at]]
+    return roots, vectors, certified
 
 
 def _median(x):

@@ -103,8 +103,10 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
     Iterates on M + sigma I, sigma = SHIFT_RATIO times the adjoint mass of
     the step; ``lam``, the eigenvalue step and both residuals are those of M.
     Stops when the forward residual, the adjoint residual and the
-    relative eigenvalue step all fall below tol.  Non-convergence is
-    reported in the result, not raised.  Each side alternates between two
+    relative eigenvalue step all fall below tol.  tol bounds those, not
+    the error of lam or of the vectors, which is about the residual over
+    the spectral gap.  Non-convergence is reported in the result, not
+    raised.  Each side alternates between two
     vectors: a product writes over the iterate before its input, and the
     shift then adds in its input.  ``left0`` and ``right0`` are never
     written.
@@ -199,7 +201,9 @@ def perron_eigendata(f, *, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
     max(k-1, 1) coordinates to themselves, so the eigenfunction is one
     of them, and the eigenmeasure is fixed by its weights at that depth
     (deeper weights follow in closed form, ``extend_eigenmeasure``).
-    Both are solved on the kernel of that depth and no deeper.
+    Both are solved on the kernel of that depth and no deeper.  ``tol``
+    bounds the residuals of :func:`power_iterate`; the error of lam and
+    of the eigendata is about those residuals over the spectral gap.
     """
     d0 = max(f.depth - 1, 1)
     kernel = build_kernel(f, d0)

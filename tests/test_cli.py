@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ruelleop as ro
-from ruelleop import cli
+from ruelleop import cli, scan
 from ruelleop.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -696,11 +696,11 @@ def test_verify_builds_one_kernel_per_depth(tmp_path, monkeypatch):
 
 def test_eigensolver_failure_exits_4(tmp_path, monkeypatch, capsys):
     # LinAlgError is a ValueError, but it is a numeric failure, not a config
-    # fault; the lumped scan takes its roots from eigvals
-    def fail(a):
+    # fault; the Ising scan below takes its roots from the lumped quotients
+    def fail(*args):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    monkeypatch.setattr(scan, "_lumped_roots", fail)
     cfg = dict(ISING)
     cfg["grid"] = {"start": 0.0, "stop": 1.0, "count": 3}
     assert main(["scan", "--config", write_cfg(tmp_path, cfg)]) == 4

@@ -25,37 +25,26 @@ def rep_weights(kernel, lumping):
     return kernel._row_weights(lumping.reps)
 
 
-def per_point_curve(f, betas, depth, tol=1e-12):
-    """(pressures, lams, converged, iterations): one quotient solve per grid point.
+# the scan's roots agree with LAPACK's dense Perron roots to this relative
+# bound; over 9,000 random points of models() they differed by at most 9.5e-15
+DENSE_ROOT_RTOL = 1e-13
 
-    Each point's root lam is the largest real eigenvalue of its quotient Q,
-    and its vector g = (sigma I - Q)^-1 1 at sigma = lam (1 + SOLVE_SHIFT)
-    is lifted to the words and certified on the point's full-depth kernel;
-    a point whose certificate fails is solved by power iteration on that
-    kernel from the uniform start.
+
+def per_point_curve(f, betas, depth):
+    """(pressures, lams): each point's root from a dense eigensolve of its own quotient.
+
+    lam is the largest real eigenvalue of the quotient Q of the point's
+    full-depth kernel.
     """
     lumping = ro.lumpable_partition(f, depth)
-    c = lumping.size
-    pressures, lams, converged, iterations = [], [], [], []
+    pressures, lams = [], []
     for beta in betas:
         kernel = ro.build_kernel(ro.scale(f, beta), depth)
-        q = lumping.quotient(rep_weights(kernel, lumping))
-        lam = float(np.max(np.linalg.eigvals(q).real))
-        g = np.linalg.solve(lam * (1.0 + scan.SOLVE_SHIFT) * np.eye(c) - q, np.ones(c))
-        h = (g / g[np.argmax(np.abs(g))])[lumping.labels]
-        ok = lam > 0 and h.max() > 0 and np.all(h >= 0)
-        if ok:
-            ok = float(np.max(np.abs(kernel.matvec(h) - lam * h))) / (lam * float(h.max())) <= tol
-        n = 0
-        if not ok:
-            res = ro.power_iterate(kernel, tol=tol)
-            lam, ok, n = res.lam, res.converged, res.iterations
-        converged.append(bool(ok))
-        iterations.append(n)
+        lam = float(np.max(np.linalg.eigvals(lumping.quotient(rep_weights(kernel, lumping))).real))
         pressures.append(kernel.offset + np.log(lam))
         with np.errstate(over="ignore"):
             lams.append(lam * np.exp(kernel.offset))
-    return np.array(pressures), np.array(lams), np.array(converged), np.array(iterations)
+    return np.array(pressures), np.array(lams)
 
 
 def renewal_payoffs(trunc):
@@ -72,23 +61,19 @@ def renewal(trunc):
 def assert_root_is_eig_root_and_g_certifies(f, depth, beta, tol=1e-12):
     """The scan's root and certificate vector at one beta, on its own quotient.
 
-    The root from ``eigvals`` is bit for bit the top real root of ``eig`` of
-    the same quotient, and g from the scan's solve is non-negative and,
+    The root agrees with the top real root of ``eig`` of the point's
+    quotient to DENSE_ROOT_RTOL, and the scan's g is non-negative and,
     lifted to g[labels], passes the certificate on the full-depth kernel.
     """
     lumping = ro.lumpable_partition(f, depth)
     assert scan._exact(f, lumping)
     kernel = ro.build_kernel(ro.scale(f, beta), depth)
-    seen = {}
-    eigvals, solve = np.linalg.eigvals, np.linalg.solve
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.linalg, "eigvals", lambda q: eigvals(seen.setdefault("q", q)))
-        mp.setattr(np.linalg, "solve", lambda a, b: seen.setdefault("g", solve(a, b)))
-        offsets = np.array([kernel.offset])
-        roots, certified = scan._lumped_roots(f, lumping, np.array([beta]), offsets, 1, tol)
+    offsets = np.array([kernel.offset])
+    roots, vectors, certified = scan._lumped_roots(f, lumping, np.array([beta]), offsets, 1, tol)
     lam = roots[0]
-    assert lam == np.max(np.linalg.eig(seen["q"])[0].real)
-    h = seen["g"][0, :, 0][lumping.labels]
+    dense = np.max(np.linalg.eig(lumping.quotient(rep_weights(kernel, lumping)))[0].real)
+    assert abs(lam - dense) <= DENSE_ROOT_RTOL * dense
+    h = vectors[0][lumping.labels]
     assert h.min() >= 0 and h.max() > 0
     assert np.max(np.abs(kernel.matvec(h) - lam * h)) / (lam * h.max()) <= tol
     assert certified[0]
@@ -187,22 +172,35 @@ def test_lumped_scan_matches_the_per_point_eigensolve(trunc, betas, midpoint, mo
     assert scan._quotient_pays(lumping.size, kernel.product_size)
     at_max = [ro.build_kernel(ro.scale(f, b), depth).offset == (b * f.table).max() for b in betas]
     assert all(at_max) != midpoint
-    pressures, lams, converged, iterations = per_point_curve(f, betas, depth)
-    # the solve certifies every point on its quotient, also the badly graded
-    # quotients at large beta; none falls back to power iteration
-    assert converged.all() and np.all(iterations == 0)
+    pressures, lams = per_point_curve(f, betas, depth)
 
-    eigvals, calls = np.linalg.eigvals, []
-    monkeypatch.setattr(np.linalg, "eigvals", lambda q: calls.append(q.shape) or eigvals(q))
+    quotient, calls = ro.Lumping.quotient, []
+
+    def counted(self, weights):
+        calls.append(weights.shape)
+        return quotient(self, weights)
+
+    monkeypatch.setattr(ro.Lumping, "quotient", counted)
     curve = ro.pressure_curve(f, betas, depth)
-    assert np.array_equal(curve.pressures, pressures)
-    assert np.array_equal(curve.lams, lams)
-    assert np.array_equal(curve.converged, converged)
-    assert np.array_equal(curve.iterations, iterations)
-    # one stacked eigvals per block of at most product_size / c**2 points
+    # squaring certifies every point on its quotient, also the badly graded
+    # quotients at large beta; none falls back to power iteration
+    assert curve.converged.all() and np.all(curve.iterations == 0)
+    np.testing.assert_allclose(curve.lams, lams, rtol=DENSE_ROOT_RTOL, atol=0)
+    np.testing.assert_allclose(curve.pressures, pressures, rtol=0, atol=DENSE_ROOT_RTOL)
+    # one stack of quotients per block of at most product_size / c**2 points
     block = max(1, kernel.product_size // lumping.size**2)
     assert len(calls) == -(-len(betas) // block)
     assert all(shape[0] <= block for shape in calls)
+    # the scan's vector g of each point, lifted to g[labels], certifies the
+    # point's full-depth kernel
+    kernels = [ro.build_kernel(ro.scale(f, beta), depth) for beta in betas]
+    offsets = np.array([k.offset for k in kernels])
+    roots, vectors, certified = scan._lumped_roots(f, lumping, betas, offsets, block, 1e-12)
+    assert certified.all() and np.array_equal(offsets + np.log(roots), curve.pressures)
+    for k, lam, g in zip(kernels, roots, vectors):
+        h = g[lumping.labels]
+        assert h.min() >= 0 and h.max() > 0
+        assert np.max(np.abs(k.matvec(h) - lam * h)) / (lam * h.max()) <= 1e-12
 
 
 @pytest.mark.parametrize("betas", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
@@ -294,15 +292,33 @@ def test_lumped_scan_builds_no_kernel(monkeypatch):
 @pytest.mark.parametrize("trunc", [8, 12, 14])
 def test_lumped_scan_converges_at_large_beta(trunc, monkeypatch):
     # past the transition the pressure of the criterion-10 family is -log 2
-    # to rounding.  Its quotients there are badly graded, yet the solve's
-    # g = (sigma I - Q)^-1 1 passes the certificate: every point is
-    # certified on its quotient, and no kernel is built
+    # to rounding.  Its quotients there are badly graded, yet the squared
+    # quotient's g = S 1 passes the certificate: every point is certified
+    # on its quotient, and no kernel is built
     calls = []
     monkeypatch.setattr(scan, "build_kernel", lambda *args: calls.append(args))
     curve = ro.pressure_curve(renewal(trunc), np.array([10.0, 30.0, 45.0, 60.0]), trunc - 1)
     assert curve.converged.all() and np.all(curve.iterations == 0)
     assert calls == []
     assert np.max(np.abs(curve.pressures + math.log(2.0))) <= 1e-12
+
+
+@pytest.mark.parametrize("depth", [2, 4])
+def test_shifted_squaring_certifies_quotients_with_a_mode_near_minus_lam(depth, monkeypatch):
+    # the antiferromagnetic spin quotient on a non-uniform space has
+    # eigenvalues near lam and -lam.  Its squares, near a diagonal matrix,
+    # round the gap away: at these betas plain squaring stalls above tol or
+    # needs more than SQUARINGS.  The second pass squares Q + sigma I, which
+    # contracts the mode near -lam, and certifies every point on its quotient
+    f = ro.builtin_ising(ro.finite_space([0.3, 0.7]), -1.0)
+    betas = np.array([8.0, 10.0, 12.0, 23.0, 30.0, 40.0])
+    curve = ro.pressure_curve(f, betas, depth)
+    assert curve.converged.all() and np.all(curve.iterations == 0)
+    for beta in betas:
+        assert_root_is_eig_root_and_g_certifies(f, depth, beta)
+    monkeypatch.setattr(scan, "SHIFT_RATIO", 0.0)
+    plain = ro.pressure_curve(f, betas, depth)
+    assert plain.converged.all() and np.all(plain.iterations > 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -319,34 +335,104 @@ def test_lumped_root_is_the_eig_root_at_128_classes(two_space, beta):
     assert_root_is_eig_root_and_g_certifies(f, 15, beta)
 
 
-@pytest.mark.parametrize("fault", ["singular", "negative entry"])
-def test_failed_certificate_solve_falls_back_to_power_iteration(fault, tmp_path, monkeypatch):
-    # the first block's solve raises, or returns g with its smallest entry
-    # negated: about 1e-14 of the largest at these betas, so only the sign
-    # test rejects it.  That block's points are power-iterated, each bit for
-    # bit on its own kernel from the uniform start; the other blocks stay
-    # certified on their quotients
+@settings(max_examples=100, deadline=None)
+@given(models(), st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=5, unique=True))
+def test_lumped_roots_are_the_dense_perron_roots_in_their_collatz_wielandt_bracket(model, betas):
+    # one stack of quotients: g >= 0, lam within DENSE_ROOT_RTOL of the
+    # spectral radius of the dense full-depth kernel, and lam in the
+    # Collatz-Wielandt bracket [min Q g / g, max Q g / g] over g > 0, up to
+    # the rounding of Q g / g (at most 4.1e-16 over 9,000 random points)
+    f, depth = model
+    betas = np.sort(betas)
+    lumping = ro.lumpable_partition(f, depth)
+    assert scan._exact(f, lumping)
+    kernels = [ro.build_kernel(ro.scale(f, beta), depth) for beta in betas]
+    offsets = np.array([kernel.offset for kernel in kernels])
+    roots, vectors, certified = scan._lumped_roots(f, lumping, betas, offsets, len(betas), 1e-12)
+    assert certified.all()
+    for kernel, lam, g in zip(kernels, roots, vectors):
+        assert g.min() >= 0
+        radius = np.max(np.abs(np.linalg.eigvals(kernel.to_dense())))
+        assert abs(lam - radius) <= DENSE_ROOT_RTOL * radius
+        q = lumping.quotient(rep_weights(kernel, lumping))
+        ratios = (q @ g)[g > 0] / g[g > 0]
+        assert ratios.min() * (1 - 1e-15) <= lam <= ratios.max() * (1 + 1e-15)
+
+
+def renewal_pressure(payoffs, beta):
+    """log lam of the criterion-10 renewal quotient, from its scalar renewal equation.
+
+    With a_j = exp(beta s_j) / 2 the quotient's left Perron vector gives
+    1 = sum_{j <= K-3} a_0 a_1 ... a_j / lam^(j+1)
+        + a_0 a_1 ... a_(K-2) / (lam^(K-2) (lam - a_(K-1))),
+    whose right side falls from infinity at lam = a_(K-1).  Bisection brings
+    lam to adjacent doubles; the sum of positive terms is correctly rounded
+    and each term's relative error is at most its number of factors in ulps,
+    so lam is within a few ulps of the root for the rounded a_j.
+    """
+    a = [0.5 * math.exp(beta * s) for s in payoffs]
+
+    def excess(lam):
+        terms, t = [], a[0] / lam
+        for x in a[1:-1]:
+            terms.append(t)
+            t *= x / lam
+        terms.append(t * lam / (lam - a[-1]))
+        return math.fsum(terms) - 1.0
+
+    lo, hi = a[-1], a[0] + max(a)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+    return math.log(lo)
+
+
+@pytest.mark.parametrize("trunc", range(8, 21, 2))
+def test_lumped_scan_solves_the_renewal_equation(trunc):
+    # the criterion-10 pressures agree with the renewal equation to 2e-15:
+    # squaring read at most 8.1e-16 at truncations 8-20, while the stacked
+    # eigvals it replaced read 4.0e-15 at truncation 8, 8.6e-15 at 12 and
+    # 2.1e-14 at 18
+    betas = np.linspace(0.0, 2.0, 101)
+    payoffs = renewal_payoffs(trunc)
+    curve = ro.pressure_curve(renewal(trunc), betas, trunc - 1)
+    assert curve.converged.all() and np.all(curve.iterations == 0)
+    want = np.array([renewal_pressure(payoffs, beta) for beta in betas])
+    assert np.max(np.abs(curve.pressures - want)) <= 2e-15
+    # beta = 0 weighs every row by its symbol's weight: a stochastic quotient
+    assert curve.pressures[0] == 0.0
+    beta, reason = curve.candidates[0]
+    assert reason == "slope-mismatch"
+    assert abs(beta - 0.9) <= (betas[1] - betas[0]) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("fault", ["cap", "nan"])
+def test_uncertified_quotients_fall_back_to_power_iteration(fault, tmp_path, monkeypatch):
+    # with the squarings capped at 1, before the first check, no block is
+    # certified; with a NaN in each quotient of the first block, that block
+    # is not.  Those points are power-iterated, each bit for bit on its own
+    # kernel from the uniform start; the other blocks stay certified on
+    # their quotients
     f, depth = renewal(8), 7
     betas = np.linspace(10.0, 60.0, 21)
     block = ro.build_kernel(f, depth).product_size // ro.lumpable_partition(f, depth).size ** 2
     assert 1 < block < len(betas)
-    solve, calls = np.linalg.solve, []
+    quotient, calls = ro.Lumping.quotient, []
 
-    def faulty(a, b):
-        calls.append(a.shape)
-        if len(calls) > 1:
-            return solve(a, b)
-        if fault == "singular":
-            raise np.linalg.LinAlgError("Singular matrix")
-        g = solve(a, b)
-        g[np.arange(len(g)), np.abs(g[:, :, 0]).argmin(axis=1), 0] *= -1.0
-        return g
+    def faulty(self, weights):
+        q = quotient(self, weights)
+        calls.append(q.shape)
+        if len(calls) == 1:
+            q[:, 0, 0] = np.nan
+        return q
 
-    monkeypatch.setattr(np.linalg, "solve", faulty)
+    if fault == "cap":
+        monkeypatch.setattr(scan, "SQUARINGS", 1)
+    else:
+        monkeypatch.setattr(ro.Lumping, "quotient", faulty)
     curve = ro.pressure_curve(f, betas, depth)
-    first = np.arange(len(betas)) < block
-    assert curve.converged.all() and np.all(curve.iterations[~first] == 0)
-    for i in np.flatnonzero(first):
+    failed = np.arange(len(betas)) < (len(betas) if fault == "cap" else block)
+    assert curve.converged.all() and np.all(curve.iterations[~failed] == 0)
+    for i in np.flatnonzero(failed):
         kernel = ro.build_kernel(ro.scale(f, betas[i]), depth)
         res = ro.power_iterate(kernel)
         assert res.converged and curve.iterations[i] == res.iterations > 0
@@ -362,8 +448,9 @@ def test_failed_certificate_solve_falls_back_to_power_iteration(fault, tmp_path,
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["scan", "--config", str(path), "--out", str(tmp_path / "scan.txt")]) == 0
-    assert len(calls) > 1
-    assert "n_nonconverged  0" in (tmp_path / "scan.txt").read_text()
+    text = (tmp_path / "scan.txt").read_text()
+    assert "n_nonconverged  0" in text
+    assert fault == "cap" or len(calls) > 1
 
 
 def loop_kink_flags(curve):
