@@ -15,9 +15,9 @@ top-level scalars.  Keys:
     beta        scalar multiplier applied to the potential (default 1;
                 the scan command ignores it and sweeps the grid instead)
     grid        {"start": 0.0, "stop": 2.0, "count": 101}   (scan only)
-    depth       cylinder depth of the bracket and scan kernels and of the
-                equilibrium table (default and minimum: max(potential
-                depth - 1, 1)); eigendata are solved at that minimum
+    depth       cylinder depth of the equilibrium table (default and
+                minimum: max(potential depth - 1, 1)); every solve runs
+                at that minimum, so no other report depends on it
     tol         bound on the scale-free residuals of power iteration and
                 of the scan's quotient certificate, not on the error of
                 lam or of the eigendata (default 1e-12)
@@ -333,7 +333,7 @@ def _header_lines(command, cfg, params):
 
 
 def cmd_pressure(f, params, fmt):
-    est = pressure_bracket(f, params["depth"], params["n_max"])
+    est = pressure_bracket(f, params["n_max"])
     lines = _table_lines(
         ("n", "p_inf", "p_sup", "width"),
         (np.arange(1, est.n_max + 1), est.p_inf, est.p_sup, est.p_sup - est.p_inf),
@@ -417,9 +417,7 @@ def cmd_entropy(f, params, fmt):
 def cmd_scan(f, params, fmt):
     grid = params["grid"]
     betas = np.linspace(grid["start"], grid["stop"], grid["count"])
-    curve = pressure_curve(
-        f, betas, params["depth"], tol=params["tol"], max_iters=params["max_iters"]
-    )
+    curve = pressure_curve(f, betas, tol=params["tol"], max_iters=params["max_iters"])
     lines = _scalar_lines(
         [
             ("grid_start", grid["start"]),
@@ -470,7 +468,7 @@ def _verify_checks(f, params):
     with np.errstate(over="ignore"):
         checks.append(("eigenvalue-band", in_band, sd.lam, float(np.exp(f.sup_norm))))
 
-    est = pressure_bracket(f, params["depth"], params["n_max"])
+    est = pressure_bracket(f, params["n_max"])
     pad = 1e-10 * max(1.0, abs(sd.log_lam))
     bracketed = (est.p_inf[-1] - pad <= sd.log_lam <= est.p_sup[-1] + pad)
     checks.append(("bracket-contains-pressure", bracketed, sd.log_lam, float(est.p_sup[-1])))

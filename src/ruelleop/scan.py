@@ -1,22 +1,20 @@
 """Pressure curves over an inverse-temperature grid, with kink candidates.
 
 Each grid point solves for the leading eigenvalue of the operator for
-beta * f, from the kernel of beta * f minus its gauge offset so that
-large potentials cannot overflow; the grid's offsets are computed once.
-The partition of the depth-d words into exactly lumpable classes
-(``transfer.lumpable_partition``) and the kernel's product size do not
-depend on beta, so each scan is routed once.  When solving the quotient
-is cheaper than a few power iterations on the full kernel
-(``_quotient_pays``) and one pass over f's table confirms that the
-partition is exact (``_exact``), the quotients of a block of grid points
-are built by one scatter; repeated squaring of the stack gives their
-Perron roots and non-negative certificate vectors together.  A block
-holds at most product_size // c**2 points for c classes, so its stack is
-no larger than one product broadcast.  Each point is certified on its
-quotient: over an exact partition the quotient's residual is that of the
-lifted eigenvector on the full-depth kernel, never built there.  A point
-whose certificate fails is power-iterated on its kernel,
-``build_kernel(scale(f, beta), depth)``, from the uniform start, and is
+beta * f, from the kernel of beta * f minus its gauge offset at depth
+d0 = max(k-1, 1) (a deeper kernel only adds zero eigenvalues); the
+grid's offsets are computed once.  The partition of the depth-d0 words
+into exactly lumpable classes (``transfer.lumpable_partition``) and the
+kernel's product size do not depend on beta, so each scan is routed
+once.  When solving the quotient is cheaper than a few power iterations
+on the full kernel (``_quotient_pays``) and one pass over f's table
+confirms that the partition is exact (``_exact``), the quotients of a
+block of grid points are built by one scatter; repeated squaring of the
+stack gives their Perron roots and non-negative certificate vectors
+together.  Each point is certified on its own quotient, whose residual
+is that of the lifted eigenvector on the full kernel, never built there.
+A point whose certificate fails is power-iterated on its kernel,
+``build_kernel(scale(f, beta), d0)``, from the uniform start, and is
 non-converged only if that fails too.  Otherwise each point is solved
 by power iteration on that kernel, from the previous point's vectors.
 
@@ -54,6 +52,10 @@ ITERATION_OVERHEAD = 2_000
 # root below 2**-53 of it.  Checking from the 6th, not after every squaring, cut
 # renewal-scan pressure_curve from 6.4-10.0 to 4.8-7.8 ms (medians of 40, 6 runs)
 SQUARINGS, FIRST_CHECK = 64, 6
+# a block of lumped points holds at most max(product_size, STACK_ENTRIES) entries of
+# weights (n c per point) or quotients (c**2): no more than one product broadcast or
+# 512 kB.  It bounds memory only: stacked matmul, max and sums act on each matrix alone
+STACK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,12 +82,12 @@ class PressureCurve:
     candidates: list = field(default_factory=list)
 
 
-def pressure_curve(f, betas, depth, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
+def pressure_curve(f, betas, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
     """Pressure log(lam) over a beta grid, with kink-candidate detection.
 
-    One pass solves and certifies the lumped quotients; one loop then
-    power-iterates the points off the lumped route and those whose quotient
-    certificate failed.  ``iterations`` is 0 at points certified on Q.
+    One pass solves and certifies each lumped point on its own quotient, so no
+    lumped pressure depends on the grid; one loop then power-iterates the other
+    points.  ``iterations`` is 0 at points certified on Q.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 1 or len(betas) < 2:
@@ -100,11 +102,13 @@ def pressure_curve(f, betas, depth, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
     # beta f spans [beta lo, beta hi], reversed when beta < 0: scaling is monotone
     lo, hi = float(f.table.min()), float(f.table.max())
     offsets = np.array([_gauge_offset(*sorted((beta * lo, beta * hi)), f.depth) for beta in betas])
+    depth = max(f.depth - 1, 1)
     lumping = lumpable_partition(f, depth)
     product_size = f.space.size * math.prod(_blocks(f, depth))  # TransferKernel.product_size
     lumped = _quotient_pays(lumping.size, product_size) and _exact(f, lumping)
     if lumped:
-        block = max(1, product_size // lumping.size**2)
+        per_point = lumping.size * max(lumping.size, f.space.size)  # quotient or weights
+        block = max(1, max(product_size, STACK_ENTRIES) // per_point)
         roots, _, converged = _lumped_roots(f, lumping, betas, offsets, block, tol)
     else:
         roots, converged = np.empty(m), np.zeros(m, dtype=bool)
@@ -176,14 +180,13 @@ def _exact(f, lumping):
 def _lumped_roots(f, lumping, betas, offsets, block, tol):
     """(roots, vectors, certified): each grid point's quotient Perron root and vector g.
 
-    For ``block`` points at a time, S = Q + sigma I, Q the quotient of rep-row
-    weights w_a exp(beta f - offset), is scaled and squared, S <- S S / max(S
-    S): it stays non-negative, with no cancellation, and tends to Q's Perron
-    projector.  g = S 1, lam = 1^T S Q g / 1^T S g, and g[labels] is certified
-    on Q (:func:`_exact`): g >= 0, max g > 0, max|Q g - lam g| <= tol lam max
-    g.  Pass 1 has sigma = 0.  Squares of a Q with a mode near -lam can stall,
-    so pass 2 retries the uncertified points with sigma = SHIFT_RATIO times Q's
-    least row sum (at most lam).  A pass ends when all its points pass.
+    For ``block`` points at a time, the quotients Q of rep-row weights w_a
+    exp(beta f - offset) are shifted, S = Q + sigma I, and squared, S <- S S /
+    max(S S): non-negative, tending to Q's Perron projector.  g = S 1 and lam =
+    1^T S Q g / 1^T S g; a point keeps both from the first check that certifies
+    it on Q (g >= 0, max g > 0, max|Q g - lam g| <= tol lam max g) and leaves
+    the stack.  Pass 1 has sigma = 0; squares of a Q with a mode near -lam can
+    stall, so pass 2 retries the rest at sigma = SHIFT_RATIO times Q's least row sum.
     """
     n = f.space.size
     cols = f.table.reshape(n, -1)[:, _prefix(n, lumping.depth, f.depth, lumping.reps)]
@@ -198,6 +201,8 @@ def _lumped_roots(f, lumping, betas, offsets, block, tol):
             with np.errstate(divide="ignore", invalid="ignore"):
                 s /= s.max(axis=(1, 2), keepdims=True)
                 for k in range(1, SQUARINGS + 1):
+                    if not len(at):
+                        break
                     s = s @ s
                     s /= s.max(axis=(1, 2), keepdims=True)
                     if k < FIRST_CHECK:
@@ -210,11 +215,8 @@ def _lumped_roots(f, lumping, betas, offsets, block, tol):
                     peak = g.max(axis=(1, 2))
                     ok = (lam > 0) & (peak > 0) & (g.min(axis=(1, 2)) >= 0)
                     ok = certified[at] = ok & (defect / (lam * peak) <= tol)
-                    if ok.all():
-                        break
-            if certified[at].all():
-                break
-            at, q = at[~certified[at]], q[~certified[at]]
+                    if ok.any():
+                        at, q, s = at[~ok], q[~ok], s[~ok]
     return roots, vectors, certified
 
 

@@ -50,7 +50,7 @@ SHIFT_RATIO = 0.05
 
 @dataclass(frozen=True, eq=False)
 class PressureEstimate:
-    """Bracket sequences for the pressure at one working depth.
+    """Bracket sequences for the pressure, from the canonical-depth kernel.
 
     ``p_sup[n-1]`` and ``p_inf[n-1]`` bound log(radius) after n
     applications; ``estimate`` is the final midpoint, ``width`` the
@@ -66,11 +66,11 @@ class PressureEstimate:
     trunc_bound: float
 
 
-def pressure_bracket(f, depth, n_max):
-    """Bracket the pressure by iterating the constant function 1 n_max times."""
+def pressure_bracket(f, n_max):
+    """Bracket the pressure from n_max applications to 1 on the depth-max(k-1, 1) kernel."""
     if n_max < 1:
         raise ValueError("need at least one application")
-    tops, bottoms, _ = _iterate_ones(f, depth, n_max)
+    tops, bottoms, _ = _iterate_ones(f, max(f.depth - 1, 1), n_max)
     steps = np.arange(1, n_max + 1)
     p_sup = tops / steps
     p_inf = bottoms / steps

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -29,6 +31,12 @@ def models(draw):
     table = draw(st.lists(st.sampled_from(VALUES), min_size=n**k, max_size=n**k))
     depth = draw(st.integers(max(k - 1, 1), 4))
     return ro.Potential(space, k, np.array(table)), depth
+
+
+def renewal_payoffs(trunc):
+    """The payoffs of the criterion-10 renewal family at a truncation."""
+    head = -math.log(1.0 / sum(j**-2.7 for j in range(1, 400_000))) / 0.9
+    return [-head] + [-3.0 * math.log((j + 1) / j) for j in range(1, trunc - 1)] + [0.0]
 
 
 def deep_eigenmeasure(f, depth):

@@ -65,7 +65,7 @@ def test_criterion_01_constant_potentials():
         for n_sym in (2, 5):
             sp = ro.uniform_space(n_sym)
             f = ro.builtin_constant(sp, c)
-            est = ro.pressure_bracket(f, 1, 8)
+            est = ro.pressure_bracket(f, 8)
             sd = ro.perron_eigendata(f)
             worst = max(
                 worst,
@@ -115,7 +115,7 @@ def test_criterion_03_brute_force_oracle():
 def test_criterion_04_bracket_approaches_eigenvalue():
     f = ro.builtin_ising(ro.uniform_space(2), 1.0)
     p = math.log(ro.perron_eigendata(f).lam)
-    est = ro.pressure_bracket(f, 2, 1000)  # runs in log space at this length
+    est = ro.pressure_bracket(f, 1000)  # runs in log space at this length
     err = np.abs(est.p_sup - p)
     bound = 2.0 * f.sup_norm * (f.depth - 1) / np.arange(1, 1001)
     ok_bound = bool(np.all(err <= bound + 1e-15))
@@ -243,7 +243,7 @@ def test_criterion_10_phase_transition_scan():
         payoffs.extend(-3.0 * math.log((j + 1) / j) for j in range(1, trunc - 1))
         payoffs.append(0.0)
         f = ro.builtin_renewal(sp, payoffs)
-        curve = ro.pressure_curve(f, betas, trunc - 1)
+        curve = ro.pressure_curve(f, betas)
         kinks = [b for b, reason in curve.candidates if reason == "slope-mismatch"]
         assert kinks, f"no kink candidate at truncation {trunc}"
         strongest.append(kinks[0])

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import ruelleop as ro
+from conftest import renewal_payoffs
 from ruelleop import cli, scan
 from ruelleop.cli import main
 
@@ -133,11 +134,9 @@ def test_report_layout_matches_golden_texts(tmp_path):
 def test_renewal_scan_matches_its_golden_text_byte_for_byte(tmp_path):
     # the criterion-10 renewal scan at truncation 12, every digit of every
     # column: a change of one ulp anywhere in the curve shows here
-    head = -math.log(1.0 / sum(j**-2.7 for j in range(1, 400_000))) / 0.9
-    payoffs = [-head] + [-3.0 * math.log((j + 1) / j) for j in range(1, 11)] + [0.0]
     cfg = {
         "space": {"kind": "uniform", "size": 2},
-        "potential": {"kind": "renewal", "payoffs": payoffs},
+        "potential": {"kind": "renewal", "payoffs": renewal_payoffs(12)},
     }
     path = write_cfg(tmp_path, cfg)
     code, text = run_to_file(tmp_path, ["scan", "--config", path, "--format", "csv"])
@@ -455,6 +454,50 @@ def report_body(text):
     lines = text.splitlines()
     assert lines[3].startswith("# params beta=")
     return lines[4:]
+
+
+@pytest.mark.parametrize(
+    "space, potential",
+    [
+        (2, ISING["potential"]),
+        (2, {"kind": "table", "depth": 3, "values": np.random.default_rng(21).uniform(-1.0, 1.0, 8).tolist()}),
+        (3, {"kind": "table", "depth": 2, "values": np.random.default_rng(22).uniform(-1.0, 1.0, 9).tolist()}),
+        (2, {"kind": "renewal", "payoffs": renewal_payoffs(8)}),
+    ],
+)
+def test_depth_sets_only_the_equilibrium_table(tmp_path, space, potential):
+    # every solve runs at d0 = max(k-1, 1): the bodies of the other reports
+    # are the same bytes at every depth, and equilibrium prints n^depth rows
+    cfg = {"space": {"kind": "uniform", "size": space}, "potential": potential}
+    path = write_cfg(tmp_path, cfg)
+    d0 = max(cli.build_potential(potential, ro.uniform_space(space)).depth - 1, 1)
+    bodies = {}
+    for depth in range(d0, d0 + 4):
+        for command in ("pressure", "scan", "spectral", "entropy", "verify", "equilibrium"):
+            argv = [command, "--config", path, "--depth", str(depth), "--format", "csv"]
+            code, text = run_to_file(tmp_path, argv, f"{command}.txt")
+            assert code == 0, (command, depth)
+            assert f"depth={depth} " in text.splitlines()[3]
+            body = report_body(text)
+            if command == "equilibrium":
+                assert sum(not line.startswith("#") for line in body) == 1 + space**depth
+            else:
+                assert body == bodies.setdefault(command, body), (command, depth)
+
+
+def test_default_depth_scan_stacks_its_grid_once(tmp_path, monkeypatch):
+    # the Ising scan at d0 = 1: its 101 quotients are one stack
+    quotient, calls = ro.Lumping.quotient, []
+
+    def counted(self, weights):
+        calls.append(weights.shape)
+        return quotient(self, weights)
+
+    monkeypatch.setattr(ro.Lumping, "quotient", counted)
+    cfg = {"space": ISING["space"], "potential": ISING["potential"]}
+    code, text = run_to_file(tmp_path, ["scan", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0 and "n_nonconverged  0" in text
+    assert [shape[0] for shape in calls] == [101]
 
 
 def test_beta_is_applied_once(tmp_path):

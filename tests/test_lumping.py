@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ruelleop as ro
-from conftest import models
+from conftest import models, renewal_payoffs
 from ruelleop import scan
 from ruelleop.cli import main
 
@@ -47,10 +47,12 @@ def per_point_curve(f, betas, depth):
     return np.array(pressures), np.array(lams)
 
 
-def renewal_payoffs(trunc):
-    """The payoffs of the criterion-10 renewal family at a truncation."""
-    head = -math.log(1.0 / sum(j**-2.7 for j in range(1, 400_000))) / 0.9
-    return [-head] + [-3.0 * math.log((j + 1) / j) for j in range(1, trunc - 1)] + [0.0]
+def padded(f, extra):
+    """f as a depth-(k + extra) potential that does not read its last ``extra`` symbols.
+
+    The same function on the shift space, so the same pressures.
+    """
+    return ro.Potential(f.space, f.depth + extra, np.repeat(f.table, f.space.size**extra), f.var_bound)
 
 
 def renewal(trunc):
@@ -79,7 +81,7 @@ def assert_root_is_eig_root_and_g_certifies(f, depth, beta, tol=1e-12):
     assert certified[0]
 
 
-def assert_scanned_without_quotient(f, depth, partition, monkeypatch):
+def assert_scanned_without_quotient(f, partition, monkeypatch):
     """Scan f over a partition that the table check rejects.
 
     Every point is power-iterated, and the curve equals, array for array,
@@ -88,11 +90,11 @@ def assert_scanned_without_quotient(f, depth, partition, monkeypatch):
     assert not scan._exact(f, partition)
     monkeypatch.setattr(scan, "lumpable_partition", lambda g, d: partition)
     betas = np.linspace(0.25, 2.0, 8)
-    curve = ro.pressure_curve(f, betas, depth)
+    curve = ro.pressure_curve(f, betas)
     assert np.all(curve.iterations > 0)
     assert curve.converged.all()
     monkeypatch.setattr(scan, "QUOTIENT_WORK_RATIO", 0)
-    ref = ro.pressure_curve(f, betas, depth)
+    ref = ro.pressure_curve(f, betas)
     for name in ("betas", "pressures", "lams", "converged", "iterations", "mismatch", "kink_flags"):
         assert np.array_equal(getattr(curve, name), getattr(ref, name), equal_nan=True), name
     assert np.array_equal(curve.noise_floor, ref.noise_floor, equal_nan=True)
@@ -142,9 +144,10 @@ def test_quotient_perron_root_is_the_spectral_radius(model, beta):
 @settings(max_examples=30, deadline=None)
 @given(models())
 def test_scan_matches_power_iteration(model):
+    # the scan solves at depth max(k-1, 1); a deeper kernel has the same root
     f, depth = model
     betas = np.array([0.0, 0.4, 0.8, 1.2])
-    curve = ro.pressure_curve(f, betas, depth)
+    curve = ro.pressure_curve(f, betas)
     assert curve.converged.all()
     for beta, lam in zip(betas, curve.lams):
         kernel = ro.build_kernel(ro.scale(f, beta), depth)
@@ -181,16 +184,16 @@ def test_lumped_scan_matches_the_per_point_eigensolve(trunc, betas, midpoint, mo
         return quotient(self, weights)
 
     monkeypatch.setattr(ro.Lumping, "quotient", counted)
-    curve = ro.pressure_curve(f, betas, depth)
+    curve = ro.pressure_curve(f, betas)
     # squaring certifies every point on its quotient, also the badly graded
     # quotients at large beta; none falls back to power iteration
     assert curve.converged.all() and np.all(curve.iterations == 0)
     np.testing.assert_allclose(curve.lams, lams, rtol=DENSE_ROOT_RTOL, atol=0)
     np.testing.assert_allclose(curve.pressures, pressures, rtol=0, atol=DENSE_ROOT_RTOL)
-    # one stack of quotients per block of at most product_size / c**2 points
-    block = max(1, kernel.product_size // lumping.size**2)
-    assert len(calls) == -(-len(betas) // block)
-    assert all(shape[0] <= block for shape in calls)
+    # one stack of quotients per block of at most max(product_size,
+    # STACK_ENTRIES) / c**2 points: here one stack for the whole grid
+    block = max(kernel.product_size, scan.STACK_ENTRIES) // lumping.size**2
+    assert block >= len(betas) and [shape[0] for shape in calls] == [len(betas)]
     # the scan's vector g of each point, lifted to g[labels], certifies the
     # point's full-depth kernel
     kernels = [ro.build_kernel(ro.scale(f, beta), depth) for beta in betas]
@@ -203,11 +206,42 @@ def test_lumped_scan_matches_the_per_point_eigensolve(trunc, betas, midpoint, mo
         assert np.max(np.abs(k.matvec(h) - lam * h)) / (lam * h.max()) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "f, betas",
+    [
+        (renewal(12), np.linspace(0.0, 2.0, 101)),
+        (ro.builtin_ising(ro.uniform_space(2), 1.0, 0.3), np.linspace(0.0, 2.0, 101)),
+        # points that only the shifted pass certifies
+        (ro.builtin_ising(ro.finite_space([0.3, 0.7]), -1.0), np.array([1.0, 8.0, 10.0, 12.0, 23.0, 40.0])),
+    ],
+)
+def test_a_lumped_point_does_not_depend_on_its_grid(f, betas):
+    # each point is certified on its own quotient and leaves the stack at
+    # the first check it passes, and the stacked products act on each
+    # matrix alone: a point has the same bits in its own two-point grid
+    curve = ro.pressure_curve(f, betas)
+    assert np.all(curve.iterations == 0)
+    for i, beta in enumerate(betas):
+        own = ro.pressure_curve(f, np.array([beta, beta + 1.0]))
+        assert own.pressures[0] == curve.pressures[i] and own.lams[0] == curve.lams[i], beta
+
+
+def test_a_lumped_point_does_not_depend_on_its_block(two_space):
+    # 4 points per stack at 128 classes: dropping the first point of the
+    # grid moves every other point to another block and another place in it
+    f = padded(ro.Potential(two_space, 8, np.random.default_rng(3).uniform(-1.0, 1.0, 256)), 8)
+    betas = np.linspace(0.0, 2.0, 11)
+    curve = ro.pressure_curve(f, betas)
+    shifted = ro.pressure_curve(f, betas[1:])
+    assert np.all(curve.iterations == 0) and np.all(shifted.iterations == 0)
+    assert np.array_equal(shifted.pressures, curve.pressures[1:])
+
+
 @pytest.mark.parametrize("betas", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
 def test_scan_rejects_a_grid_that_is_not_finite(two_space, betas):
     f = ro.Potential(two_space, 2, np.array([0.0, 1.0, 1.0, 0.0]))
     with pytest.raises(ValueError, match="beta grid must be finite"):
-        ro.pressure_curve(f, betas, 2)
+        ro.pressure_curve(f, betas)
 
 
 def test_certificate_reads_the_table_and_not_the_partition(monkeypatch):
@@ -226,7 +260,7 @@ def test_certificate_reads_the_table_and_not_the_partition(monkeypatch):
     coarse = ro.Lumping(depth=depth, labels=labels, reps=np.unique(labels, return_index=True)[1])
     assert coarse.size == lumping.size - 1
     assert scan._exact(f, lumping)
-    assert_scanned_without_quotient(f, depth, coarse, monkeypatch)
+    assert_scanned_without_quotient(f, coarse, monkeypatch)
 
 
 def test_table_check_reads_the_row_weights(two_space, monkeypatch):
@@ -234,7 +268,7 @@ def test_table_check_reads_the_row_weights(two_space, monkeypatch):
     # lies in it, but row 1 weighs symbol 0 by e and row 0 by 1
     f = ro.Potential(two_space, 2, np.array([0.0, 1.0, 0.0, 0.0]))
     one = ro.Lumping(depth=1, labels=np.zeros(2, dtype=np.int64), reps=np.array([0]))
-    assert_scanned_without_quotient(f, 1, one, monkeypatch)
+    assert_scanned_without_quotient(f, one, monkeypatch)
 
 
 def test_table_check_reads_the_predecessor_classes(monkeypatch):
@@ -254,7 +288,7 @@ def test_table_check_reads_the_predecessor_classes(monkeypatch):
     for c in range(finer.size):
         rows = weights[:, labels == c]
         assert np.array_equal(rows, np.broadcast_to(rows[:, :1], rows.shape))
-    assert_scanned_without_quotient(f, depth, finer, monkeypatch)
+    assert_scanned_without_quotient(f, finer, monkeypatch)
 
 
 @settings(max_examples=100, deadline=None)
@@ -284,7 +318,7 @@ def test_lumped_scan_builds_no_kernel(monkeypatch):
     # on its quotient; no full-depth kernel is built
     calls = []
     monkeypatch.setattr(scan, "build_kernel", lambda *args: calls.append(args))
-    curve = ro.pressure_curve(renewal(12), np.linspace(0.0, 2.0, 101), 11)
+    curve = ro.pressure_curve(renewal(12), np.linspace(0.0, 2.0, 101))
     assert curve.converged.all() and np.all(curve.iterations == 0)
     assert calls == []
 
@@ -297,7 +331,7 @@ def test_lumped_scan_converges_at_large_beta(trunc, monkeypatch):
     # on its quotient, and no kernel is built
     calls = []
     monkeypatch.setattr(scan, "build_kernel", lambda *args: calls.append(args))
-    curve = ro.pressure_curve(renewal(trunc), np.array([10.0, 30.0, 45.0, 60.0]), trunc - 1)
+    curve = ro.pressure_curve(renewal(trunc), np.array([10.0, 30.0, 45.0, 60.0]))
     assert curve.converged.all() and np.all(curve.iterations == 0)
     assert calls == []
     assert np.max(np.abs(curve.pressures + math.log(2.0))) <= 1e-12
@@ -309,15 +343,17 @@ def test_shifted_squaring_certifies_quotients_with_a_mode_near_minus_lam(depth, 
     # eigenvalues near lam and -lam.  Its squares, near a diagonal matrix,
     # round the gap away: at these betas plain squaring stalls above tol or
     # needs more than SQUARINGS.  The second pass squares Q + sigma I, which
-    # contracts the mode near -lam, and certifies every point on its quotient
+    # contracts the mode near -lam, and certifies every point on its
+    # quotient: in the scan, at depth 1, and at deeper depths, whose
+    # quotient is the same 2 x 2 matrix
     f = ro.builtin_ising(ro.finite_space([0.3, 0.7]), -1.0)
     betas = np.array([8.0, 10.0, 12.0, 23.0, 30.0, 40.0])
-    curve = ro.pressure_curve(f, betas, depth)
+    curve = ro.pressure_curve(f, betas)
     assert curve.converged.all() and np.all(curve.iterations == 0)
     for beta in betas:
         assert_root_is_eig_root_and_g_certifies(f, depth, beta)
     monkeypatch.setattr(scan, "SHIFT_RATIO", 0.0)
-    plain = ro.pressure_curve(f, betas, depth)
+    plain = ro.pressure_curve(f, betas)
     assert plain.converged.all() and np.all(plain.iterations > 0)
 
 
@@ -386,15 +422,95 @@ def renewal_pressure(payoffs, beta):
     return math.log(lo)
 
 
+def renewal_perron_pair(payoffs, beta):
+    """(pi, g): the left and right Perron vectors of the renewal quotient, in closed form.
+
+    With a_j = exp(beta s_j) / 2, the quotient of the criterion-10
+    truncation at K = len(payoffs) has K-1 classes, a_0 in its first
+    column, a_j at (j-1, j) and a_(K-1) in its last diagonal entry.  Its
+    left vector is the distribution of the cycle length: pi_0 = a_0 / lam,
+    pi_j = pi_(j-1) a_j / lam, and the tail class pi_(K-2) = pi_(K-3)
+    a_(K-2) / (lam - a_(K-1)).  pi sums to 1 at the root: the renewal
+    equation of :func:`renewal_pressure`, bisected here on the gap
+    lam - a_(K-1), which past beta_c is far below lam and would lose its
+    digits in lam itself.  Q y = lam y, solved from the tail class back
+    with y_(K-2) = 1 / (lam - a_(K-1)), has pi . y = sum_l (l + 1) pi_l / lam
+    = m / lam, m the mean cycle length; g = lam y / m.
+    """
+    a = np.array([0.5 * math.exp(beta * s) for s in payoffs])
+
+    def left(gap):
+        lam = a[-1] + gap
+        return lam, np.cumprod(np.append(a[:-2], a[-2] * lam / gap) / lam)
+
+    lo, hi = 0.0, a[0] + a.max()
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if math.fsum(left(mid)[1]) > 1.0 else (lo, mid)
+    lam, pi = left(hi)
+    y = np.empty(len(a) - 1)
+    y[-1] = 1.0 / hi
+    for i in range(len(a) - 3, -1, -1):
+        y[i] = (1.0 + a[i + 1] * y[i + 1]) / lam
+    lengths = np.arange(1.0, len(a))
+    lengths[-1] += a[-1] / hi  # the tail class's mean length, geometric at ratio a_(K-1) / lam
+    return pi, lam * y / math.fsum(lengths * pi)
+
+
+def test_renewal_limit_has_a_slope_jump_and_an_eigenfunction_only_in_l1():
+    # the paper's limit K -> infinity, from the renewal equation of the
+    # quotient, which needs no 2^K table.  Past beta_c = 0.9 the limit
+    # pressure is -log 2; below it the left slope at beta_c is
+    # -(head zeta(2.7) - 3 zeta'(2.7)) / zeta(1.7) = -0.592, finite since the
+    # mean cycle length zeta(1.7) / zeta(2.7) is.  So the limit has a slope
+    # jump of 0.592, and the mismatch at beta_c's grid cell rises toward it:
+    # 0.140, 0.488 and 0.603 at K = 20, 100 and 1,000 (0.608 at 10^4), the
+    # jump plus the curvature of the 0.02 grid
+    j = np.arange(1.0, 400_000.0)
+    zeta27 = math.fsum(j**-2.7)
+    zeta17 = math.fsum(j**-1.7) + j[-1] ** -0.7 / 0.7  # with its integral tail
+    jump = (math.log(zeta27) / 0.9 * zeta27 + 3.0 * math.fsum(np.log(j) * j**-2.7)) / zeta17
+    assert abs(jump - 0.592) < 5e-4
+    betas = 0.9 + 0.02 * np.arange(-2, 3)
+    cell = []
+    for trunc in (20, 100, 1000):
+        slopes = np.diff([renewal_pressure(renewal_payoffs(trunc), beta) for beta in betas]) / np.diff(betas)
+        mismatch = np.abs(np.diff(slopes))
+        assert np.argmax(mismatch) == 1
+        cell.append(mismatch[1])
+    assert cell[0] < 0.3 * jump and np.all(np.diff(cell) > 0.1) and abs(cell[-1] - jump) < 0.02
+
+    # the closed-form pair is the quotient's Perron pair
+    for trunc in (8, 12):
+        f = renewal(trunc)
+        lumping = ro.lumpable_partition(f, trunc - 1)
+        for beta in (0.5, 1.0, 1.5):
+            g, pi = quotient_perron_pair(f, lumping, beta)
+            pi_cf, g_cf = renewal_perron_pair(renewal_payoffs(trunc), beta)
+            np.testing.assert_allclose(pi_cf, pi, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(g_cf, g, rtol=0, atol=1e-13 * g.max())
+    # h = g[labels] has integral pi . g = 1 against nu at every K; its sup-norm
+    # spread converges below beta_c (2.7433 at K = 250-1,000) and grows past
+    # it, 8 and 23 times per doubling of K at beta 1 and 1.5
+    spreads = {0.5: [], 1.0: [], 1.5: []}
+    for trunc in (250, 500, 1000):
+        for beta, row in spreads.items():
+            pi, g = renewal_perron_pair(renewal_payoffs(trunc), beta)
+            assert abs(pi.sum() - 1.0) <= 1e-12 and abs(pi @ g - 1.0) <= 1e-12
+            row.append(g.max() / g.min())
+    assert abs(spreads[0.5][-1] / spreads[0.5][0] - 1.0) < 1e-9
+    for beta in (1.0, 1.5):
+        assert np.all(np.diff(np.log(spreads[beta])) >= math.log(4.0))
+
+
 @pytest.mark.parametrize("trunc", range(8, 21, 2))
 def test_lumped_scan_solves_the_renewal_equation(trunc):
     # the criterion-10 pressures agree with the renewal equation to 2e-15:
-    # squaring read at most 8.1e-16 at truncations 8-20, while the stacked
+    # squaring read at most 1.0e-15 at truncations 8-20, while the stacked
     # eigvals it replaced read 4.0e-15 at truncation 8, 8.6e-15 at 12 and
     # 2.1e-14 at 18
     betas = np.linspace(0.0, 2.0, 101)
     payoffs = renewal_payoffs(trunc)
-    curve = ro.pressure_curve(renewal(trunc), betas, trunc - 1)
+    curve = ro.pressure_curve(renewal(trunc), betas)
     assert curve.converged.all() and np.all(curve.iterations == 0)
     want = np.array([renewal_pressure(payoffs, beta) for beta in betas])
     assert np.max(np.abs(curve.pressures - want)) <= 2e-15
@@ -407,30 +523,28 @@ def test_lumped_scan_solves_the_renewal_equation(trunc):
 
 @pytest.mark.parametrize("fault", ["cap", "nan"])
 def test_uncertified_quotients_fall_back_to_power_iteration(fault, tmp_path, monkeypatch):
-    # with the squarings capped at 1, before the first check, no block is
-    # certified; with a NaN in each quotient of the first block, that block
-    # is not.  Those points are power-iterated, each bit for bit on its own
-    # kernel from the uniform start; the other blocks stay certified on
-    # their quotients
+    # with the squarings capped at 1, before the first check, no point is
+    # certified; with a NaN in the quotient of every third point, those
+    # points are not.  They are power-iterated, each bit for bit on its own
+    # kernel from the uniform start; the other points of the same stack stay
+    # certified on their quotients
     f, depth = renewal(8), 7
     betas = np.linspace(10.0, 60.0, 21)
-    block = ro.build_kernel(f, depth).product_size // ro.lumpable_partition(f, depth).size ** 2
-    assert 1 < block < len(betas)
     quotient, calls = ro.Lumping.quotient, []
 
     def faulty(self, weights):
         q = quotient(self, weights)
         calls.append(q.shape)
-        if len(calls) == 1:
-            q[:, 0, 0] = np.nan
+        q[::3, 0, 0] = np.nan
         return q
 
     if fault == "cap":
         monkeypatch.setattr(scan, "SQUARINGS", 1)
     else:
         monkeypatch.setattr(ro.Lumping, "quotient", faulty)
-    curve = ro.pressure_curve(f, betas, depth)
-    failed = np.arange(len(betas)) < (len(betas) if fault == "cap" else block)
+    curve = ro.pressure_curve(f, betas)
+    failed = np.arange(len(betas)) % (1 if fault == "cap" else 3) == 0
+    assert fault == "cap" or calls == [(len(betas), 7, 7)]
     assert curve.converged.all() and np.all(curve.iterations[~failed] == 0)
     for i in np.flatnonzero(failed):
         kernel = ro.build_kernel(ro.scale(f, betas[i]), depth)
@@ -450,7 +564,7 @@ def test_uncertified_quotients_fall_back_to_power_iteration(fault, tmp_path, mon
     assert main(["scan", "--config", str(path), "--out", str(tmp_path / "scan.txt")]) == 0
     text = (tmp_path / "scan.txt").read_text()
     assert "n_nonconverged  0" in text
-    assert fault == "cap" or len(calls) > 1
+    assert fault == "cap" or calls == [(len(betas), 7, 7)]
 
 
 def loop_kink_flags(curve):
@@ -473,7 +587,7 @@ def loop_kink_flags(curve):
     "trunc, betas", [(8, np.linspace(0.0, 2.0, 101)), (12, np.linspace(-1.5, 60.0, 41))]
 )
 def test_kink_flags_match_the_pointwise_loop(trunc, betas):
-    curve = ro.pressure_curve(renewal(trunc), betas, trunc - 1)
+    curve = ro.pressure_curve(renewal(trunc), betas)
     flags = loop_kink_flags(curve)
     assert flags.any() and not flags.all()
     assert np.array_equal(curve.kink_flags, flags)
@@ -498,7 +612,7 @@ def test_renewal_words_lump_by_leading_zeros(two_space):
     zeros = [min(ro.index_word(i, 2, 4).index(1) if i else 4, 3) for i in range(16)]
     assert lumping.size == 4
     assert len(set(zip(lumping.labels, zeros))) == 4
-    curve = ro.pressure_curve(f, np.linspace(0.0, 2.0, 11), 4)
+    curve = ro.pressure_curve(f, np.linspace(0.0, 2.0, 11))
     assert curve.converged.all() and np.all(curve.iterations == 0)
 
 
@@ -545,7 +659,7 @@ def test_large_potentials_do_not_overflow(two_space):
     # beta * f reaches 800, past exp's range; the gauge shift keeps the weights at most 1
     f = ro.builtin_constant(two_space, 400.0)
     betas = np.linspace(0.0, 2.0, 5)
-    curve = ro.pressure_curve(f, betas, 1)
+    curve = ro.pressure_curve(f, betas)
     assert curve.converged.all()
     np.testing.assert_allclose(curve.pressures, 400.0 * betas, rtol=1e-14)
 
@@ -556,11 +670,11 @@ def test_scan_falls_back_to_power_iteration_on_costly_quotients(two_space, monke
     # 128 classes of 128 words: the eigensolve costs more than the iterations
     assert ro.lumpable_partition(f, 7).size == 128
     assert not scan._quotient_pays(128, ro.build_kernel(f, 7).product_size)
-    power = ro.pressure_curve(f, betas, 7)
+    power = ro.pressure_curve(f, betas)
     assert np.all(power.iterations > 0)
     # the same table through the quotient path gives the same curve and kinks
     monkeypatch.setattr(scan, "QUOTIENT_WORK_RATIO", 10**9)
-    lumped = ro.pressure_curve(f, betas, 7)
+    lumped = ro.pressure_curve(f, betas)
     assert np.all(lumped.iterations == 0)
     assert power.converged.all() and lumped.converged.all()
     np.testing.assert_allclose(lumped.lams, power.lams, rtol=1e-10)
@@ -569,27 +683,33 @@ def test_scan_falls_back_to_power_iteration_on_costly_quotients(two_space, monke
 
 
 def test_scan_uses_the_quotient_when_the_kernel_is_much_larger(two_space, monkeypatch):
-    # the same 128 classes over 32,768 words: one eigensolve replaces
-    # products with the full kernel
-    f = ro.Potential(two_space, 8, np.random.default_rng(3).uniform(-1.0, 1.0, 256))
+    # the same table read as a depth-16 potential: its 128 classes now lump
+    # 32,768 words at the canonical depth 15, and squaring the quotients
+    # replaces products with the full kernel
+    table = ro.Potential(two_space, 8, np.random.default_rng(3).uniform(-1.0, 1.0, 256))
+    f = padded(table, 8)
     betas = np.array([0.0, 0.5, 1.0])
     assert ro.lumpable_partition(f, 15).size == 128
-    lumped = ro.pressure_curve(f, betas, 15)
+    assert scan._quotient_pays(128, ro.build_kernel(f, 15).product_size)
+    lumped = ro.pressure_curve(f, betas)
     assert lumped.converged.all() and np.all(lumped.iterations == 0)
     monkeypatch.setattr(scan, "QUOTIENT_WORK_RATIO", 0)
-    power = ro.pressure_curve(f, betas, 15)
+    power = ro.pressure_curve(f, betas)
     assert np.all(power.iterations > 0)
     np.testing.assert_allclose(lumped.lams, power.lams, rtol=1e-10)
+    # it is the function of the depth-8 table, power-iterated at depth 7
+    np.testing.assert_allclose(lumped.lams, ro.pressure_curve(table, betas).lams, rtol=1e-10)
 
 
 def test_wide_alphabet_scan_stays_within_vector_memory():
-    # 400 symbols at working depth 2: 160,000 words of 1.3 MB per
-    # vector; a (symbols x words) index array would take 512 MB
+    # 400 symbols: at depth 2, 160,000 words of 1.3 MB per vector, where a
+    # (symbols x words) index array would take 512 MB; the scan itself runs
+    # at the canonical depth 1, on 400 words of 400 classes
     f = ro.builtin_xy(ro.gauss_legendre_space(400), 8.0)
     tracemalloc.start()
     try:
         lumping = ro.lumpable_partition(f, 2)
-        curve = ro.pressure_curve(f, np.array([0.0, 1.0]), 2)
+        curve = ro.pressure_curve(f, np.array([0.0, 1.0]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -599,32 +719,49 @@ def test_wide_alphabet_scan_stays_within_vector_memory():
 
 
 def test_blocked_lumped_scan_stays_within_product_memory(two_space):
-    # 128 classes of 256 words each: 2 points per stacked eigensolve, so
-    # the 21 points take 11 blocks
-    f = ro.Potential(two_space, 8, np.random.default_rng(3).uniform(-1.0, 1.0, 256))
-    betas = np.linspace(0.0, 2.0, 21)
+    # 128 classes of 256 words each at the canonical depth 15: 4 points per
+    # stack, so the 41 points take 11 blocks
+    f = padded(ro.Potential(two_space, 8, np.random.default_rng(3).uniform(-1.0, 1.0, 256)), 8)
+    betas = np.linspace(0.0, 2.0, 41)
     product_size = ro.build_kernel(f, 15).product_size
     assert ro.lumpable_partition(f, 15).size == 128
-    assert max(1, product_size // 128**2) == 2
+    assert max(product_size, scan.STACK_ENTRIES) // 128**2 == 4
     tracemalloc.start()
     try:
-        curve = ro.pressure_curve(f, betas, 15)
+        curve = ro.pressure_curve(f, betas)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert curve.converged.all() and np.all(curve.iterations == 0)
     # a scan holds a few arrays of product_size entries at once: the
     # partition's labels, the word vectors of the table check, and a
-    # block's stacked quotients with the shifted copy that its solve
-    # factors; one stack of all 21 quotients would take 21 * 128**2
-    # doubles, and the solve's copy as many again
+    # block's stacked quotients with their squares; one stack of all 41
+    # quotients would take 41 * 128**2 doubles per copy
     assert peak < 16 * 8 * product_size
+
+
+def test_wide_alphabet_lumped_scan_bounds_its_weights_too():
+    # one class of 400 words on 400 symbols: a point's rep-row weights, n c
+    # entries, outnumber its quotient's c**2, and they bound the block too;
+    # blocks of STACK_ENTRIES // c**2 points would hold 5,001 x 400 weights
+    f = ro.builtin_constant(ro.uniform_space(400), 0.5)
+    betas = np.linspace(0.0, 2.0, 5001)
+    assert ro.lumpable_partition(f, 1).size == 1
+    tracemalloc.start()
+    try:
+        curve = ro.pressure_curve(f, betas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.converged.all() and np.all(curve.iterations == 0)
+    np.testing.assert_allclose(curve.pressures, 0.5 * betas, rtol=0, atol=1e-13)
+    assert peak < 16 * 8 * scan.STACK_ENTRIES
 
 
 def test_large_scans_do_not_overflow_on_the_power_iteration_path(two_space):
     # beta * f reaches past 709, where exp overflows; the gauge shift holds on both paths
     f = ro.Potential(two_space, 8, 400.0 * np.random.default_rng(3).uniform(-1.0, 1.0, 256))
     assert 2.0 * f.table.max() > 709.0
-    curve = ro.pressure_curve(f, np.linspace(0.0, 2.0, 5), 7)
+    curve = ro.pressure_curve(f, np.linspace(0.0, 2.0, 5))
     assert np.all(curve.iterations > 0) and curve.converged.all()
     assert np.all(np.isfinite(curve.pressures))

@@ -107,7 +107,7 @@ def test_pressure_bracket_contains_eigenvalue(two_space):
     for _ in range(5):
         f = ro.Potential(two_space, 2, rng.uniform(-1.5, 1.5, 4))
         sd = ro.perron_eigendata(f)
-        est = ro.pressure_bracket(f, 2, 12)
+        est = ro.pressure_bracket(f, 12)
         p = math.log(sd.lam)
         assert est.p_inf[-1] <= p + 1e-12
         assert est.p_sup[-1] >= p - 1e-12
@@ -118,14 +118,14 @@ def test_pressure_bracket_contains_eigenvalue(two_space):
 
 
 def test_bracket_width_zero_for_constant(two_space):
-    est = ro.pressure_bracket(ro.builtin_constant(two_space, 0.7), 1, 10)
+    est = ro.pressure_bracket(ro.builtin_constant(two_space, 0.7), 10)
     assert est.width == 0.0
     assert est.estimate == pytest.approx(0.7, rel=1e-13)
 
 
 def test_bracket_log_path_matches_linear_path(two_space):
     f = ro.builtin_ising(two_space, 0.9, 0.4)
-    lin = ro.pressure_bracket(f, 2, 8)  # (k-1) * osc f = 2.6: linear path
+    lin = ro.pressure_bracket(f, 8)  # (k-1) * osc f = 2.6: linear path
     # the same iterates forced through log space over many more
     # applications: the early entries must agree between the two routes
     tops, bottoms, _ = _iterate_ones(f, 2, 300, log_space=True)
@@ -150,7 +150,7 @@ def test_linear_bracket_matches_log_path(f, depth, monkeypatch):
     n_max = 200
     with monkeypatch.context() as m:
         m.setattr(ro.TransferKernel, "log_matvec", _forbidden)
-        est = ro.pressure_bracket(f, depth, n_max)
+        est = ro.pressure_bracket(f, n_max)
     tops, bottoms, _ = _iterate_ones(f, depth, n_max, log_space=True)
     steps = np.arange(1, n_max + 1)
     np.testing.assert_allclose(est.p_sup, tops / steps, rtol=0, atol=1e-13)
@@ -187,7 +187,7 @@ def test_bracket_takes_log_path_past_the_ceiling(two_space, monkeypatch):
     f = ro.Potential(two_space, 3, 400.0 * np.array([1, -1, -1, 1, -1, 1, 1, -1], dtype=float))
     n_max = 40
     monkeypatch.setattr(ro.TransferKernel, "matvec", _forbidden)
-    est = ro.pressure_bracket(f, 2, n_max)
+    est = ro.pressure_bracket(f, n_max)
     tops, bottoms, log_m = dense_log_iterates(f, 2, n_max)
     steps = np.arange(1, n_max + 1)
     np.testing.assert_allclose(est.p_sup, tops / steps, rtol=1e-14, atol=0)
@@ -441,9 +441,9 @@ def test_deeper_kernels_reduce_to_the_canonical_eigendata(model):
 def test_adding_a_constant_shifts_only_the_pressure(model):
     # f + c has lam * e^c and the same eigenfunction, eigenmeasure and
     # iteration count: the kernel offset absorbs c, so f + c - offset is f - offset
-    f, depth = model
+    f, _ = model
     sd = ro.perron_eigendata(f)
-    est = ro.pressure_bracket(f, depth, 6)
+    est = ro.pressure_bracket(f, 6)
     for c in (-400.0, 0.0, 400.0, 800.0):
         g = ro.Potential(f.space, f.depth, f.table + c)
         sg = ro.perron_eigendata(g)
@@ -451,7 +451,7 @@ def test_adding_a_constant_shifts_only_the_pressure(model):
         assert sg.iterations == sd.iterations
         np.testing.assert_allclose(sg.h.values, sd.h.values, rtol=0, atol=1e-12)
         np.testing.assert_allclose(sg.nu.weights, sd.nu.weights, rtol=0, atol=1e-12)
-        shifted = ro.pressure_bracket(g, depth, 6)
+        shifted = ro.pressure_bracket(g, 6)
         np.testing.assert_allclose(shifted.p_sup, est.p_sup + c, rtol=1e-13, atol=0)
         np.testing.assert_allclose(shifted.p_inf, est.p_inf + c, rtol=1e-13, atol=0)
 
@@ -481,5 +481,5 @@ def test_a_coboundary_with_a_wide_range_has_pressure_zero(f):
     assert abs(sd.log_lam) <= 1e-12
     for depth in range(sd.nu.depth + 1, 4):
         assert abs(deep_log_lam(f, depth)) <= 1e-12
-    est = ro.pressure_bracket(f, 3, 40)
+    est = ro.pressure_bracket(f, 40)
     assert est.p_inf[-1] <= 0.0 <= est.p_sup[-1]
