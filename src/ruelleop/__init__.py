@@ -19,6 +19,7 @@ from .measures import (
     integral_term,
     invariance_defect,
     marginalize,
+    markov_entropy_gap,
     product_measure,
     relative_entropy,
     specific_entropy,
@@ -100,6 +101,7 @@ __all__ = [
     "iterate_one",
     "lumpable_partition",
     "marginalize",
+    "markov_entropy_gap",
     "perron_eigendata",
     "power_iterate",
     "pressure_bracket",

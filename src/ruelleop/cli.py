@@ -29,9 +29,12 @@ Exit codes: 0 success, 1 failed verification, 2 bad config, 3 resource
 cap exceeded, 4 numeric failure.  Output contains no timestamps, so a
 fixed config and environment reproduce reports byte for byte.  The
 report header echoes the space and potential configs; a table
-potential's values appear there as their count and sha256 digest.
+potential's values appear there as their count and sha256 digest, from
+CPython's builtin sha256 module rather than ``hashlib``, which would
+load OpenSSL.
 
-``assemble`` builds the potential and applies beta to it once, for
+``assemble`` builds the potential, takes the header's potential echo
+from the table it built, and applies beta to the potential once, for
 every command but scan.  A renewal potential is built at its horizon,
 depth len(payoffs), with var_bound the spread of its tail band and last
 payoff.  ``_run`` builds the report header and frees the parsed config
@@ -39,6 +42,10 @@ before the command function ``cmd_<command>`` runs.  That function
 returns the report body as pieces (lines, and csv table rows in blocks
 of ``TABLE_BLOCK_ROWS``), which ``_run`` writes after the header one by
 one, with a newline after each.
+
+``entropy`` reads the equilibrium state at depth D = max(k, 2), where
+it is (k-1)-step Markov: rows up to D come from its marginals, later
+rows from the closed form H_n = H_D + (n - D)(H_D - H_{D-1}).
 """
 
 import argparse
@@ -61,6 +68,7 @@ from .measures import (
     extend_eigenmeasure,
     extend_equilibrium,
     invariance_defect,
+    markov_entropy_gap,
     variational_gap,
 )
 from .potential import (
@@ -214,11 +222,16 @@ def _merged_params(cfg, args):
 
 
 def assemble(cfg, args):
-    """(f, params): the potential, times beta unless the command is scan, and the parameters."""
+    """(f, params, echo): the potential, the parameters and the header's potential config.
+
+    f is multiplied by beta unless the command is scan; ``echo`` (see
+    ``_potential_echo``) is taken from the table before that.
+    """
     _require("space" in cfg, "config needs a 'space' entry")
     _require("potential" in cfg, "config needs a 'potential' entry")
     space = build_space(cfg["space"])
     f = build_potential(cfg["potential"], space)
+    echo = _potential_echo(cfg["potential"], f.table)
     params = _merged_params(cfg, args)
     d0 = max(f.depth - 1, 1)
     if params["depth"] is None:
@@ -229,7 +242,7 @@ def assemble(cfg, args):
         _require(params["n_max"] + 1 >= f.depth, f"entropy needs 'n_max' at least {f.depth - 1}")
     if args.command != "scan" and params["beta"] != 1.0:
         f = scale(f, params["beta"])
-    return f, params
+    return f, params, echo
 
 
 def _digits(fmt):
@@ -297,27 +310,42 @@ def _scalar_lines(pairs, fmt):
     return [f"{k.ljust(width)}  {c}" for k, c in cells]
 
 
-def _potential_echo(cfg):
-    """The potential config for the report header.
+def _sha256_hex(data):
+    """The hex SHA-256 digest of a buffer, from CPython's builtin module when it has one.
+
+    ``hashlib`` loads OpenSSL, which raises the peak resident set by
+    about 3 MB; the builtin ``_sha2`` (Python 3.12 and later) or
+    ``_sha256`` (3.10, 3.11) gives the same digest without it.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
+def _potential_echo(cfg, table):
+    """The potential config for the report header, given the potential's table before beta.
 
     A ``table`` potential is echoed without its values, which can run to
     millions of characters: their ``count`` and the ``sha256`` of their
-    little-endian float64 bytes stand in for them.
+    little-endian float64 bytes stand in for them.  Those bytes are the
+    table ``build_potential`` made from the values.
     """
     if cfg.get("kind") != "table":
         return cfg
-    # imported here: hashlib loads OpenSSL (about 3.5 MB and 5 ms), which no other report needs
-    import hashlib
-
-    values = np.ascontiguousarray(cfg["values"], dtype="<f8")
+    values = np.ascontiguousarray(table, dtype="<f8")  # no copy on a little-endian host
     echo = {key: val for key, val in cfg.items() if key != "values"}
     echo["count"] = values.size
-    echo["sha256"] = hashlib.sha256(values).hexdigest()  # the array's bytes, not a copy
+    echo["sha256"] = _sha256_hex(values)  # the array's bytes, not a copy
     return echo
 
 
-def _header_lines(command, cfg, params):
-    pot = json.dumps(_potential_echo(cfg["potential"]), sort_keys=True)
+def _header_lines(command, cfg, params, echo):
+    pot = json.dumps(echo, sort_keys=True)
     spc = json.dumps(cfg["space"], sort_keys=True)
     return [
         f"# ruelleop {__version__} {command}",
@@ -395,8 +423,10 @@ def cmd_equilibrium(f, params, fmt):
 def cmd_entropy(f, params, fmt):
     sd = perron_eigendata(f, tol=params["tol"], max_iters=params["max_iters"])
     n_max = params["n_max"]
-    mu = extend_equilibrium(sd, f, n_max + 1)
-    rep = variational_gap(mu, f, sd, n_max)
+    # mu is (k-1)-step Markov: rows past depth max(k, 2), which assemble holds to n_max + 1
+    # or less, follow in closed form
+    mu = extend_equilibrium(sd, f, max(f.depth, 2))
+    rep = markov_entropy_gap(mu, f, sd, n_max)
     lines = _scalar_lines(
         [
             ("lam", sd.lam),
@@ -450,6 +480,30 @@ def cmd_scan(f, params, fmt):
     return lines
 
 
+def _negative_controls(f, sd, mu, kernel, res_tol):
+    """The two negative controls of the invariance check: a list of (name, ok, value, bound).
+
+    Each control feeds the check a measure m that is not invariant; its
+    preimage of [u] is nu(u) (M h')(u) / lam for h' = m / nu, so the check
+    must read max_u nu(u) |(M h')(u) / lam - h'(u)|, from one forward product.
+    A control passes at half that prediction; below res_tol it does not apply.
+    """
+    lam = math.exp(sd.log_lam - kernel.offset)  # the eigenvalue on the kernel's scale
+    w = mu.weights * (1.0 + 0.5 * (-1.0) ** np.arange(len(mu.weights)))
+    controls = (
+        ("negative-control-eigenmeasure", sd.nu),
+        ("negative-control-perturbed", CylinderMeasure(mu.space, mu.depth, w / w.sum())),
+    )
+    checks = []
+    for name, m in controls:
+        h_m = m.weights / sd.nu.weights
+        predicted = float(np.max(sd.nu.weights * np.abs(kernel.matvec(h_m) / lam - h_m)))
+        seen = check_invariance(m, f, sd.log_lam, sd.nu)
+        bound = 0.5 * predicted if predicted > res_tol else 0.0
+        checks.append((name, seen >= bound, seen, bound))
+    return checks
+
+
 def _verify_checks(f, params):
     """Run the internal consistency checklist: a list of (name, ok, value, bound)."""
     tol = params["tol"]
@@ -498,22 +552,9 @@ def _verify_checks(f, params):
     inv = check_invariance(mu, f, sd.log_lam, sd.nu)
     checks.append(("equilibrium-invariance", inv <= res_tol, inv, res_tol))
 
-    # each control feeds the check a measure m that is not invariant; its
-    # preimage of [u] is nu(u) (M h')(u) / lam for h' = m / nu, so the check
-    # must read max_u nu(u) |(M h')(u) / lam - h'(u)|, from one forward product.
-    # A control passes at half that prediction; below res_tol it does not apply.
-    lam = math.exp(sd.log_lam - kernel.offset)  # the eigenvalue on the kernel's scale
-    w = mu.weights * (1.0 + 0.5 * (-1.0) ** np.arange(len(mu.weights)))
-    controls = (
-        ("negative-control-eigenmeasure", sd.nu),
-        ("negative-control-perturbed", CylinderMeasure(mu.space, mu.depth, w / w.sum())),
-    )
-    for name, m in controls:
-        h_m = m.weights / sd.nu.weights
-        predicted = float(np.max(sd.nu.weights * np.abs(kernel.matvec(h_m) / lam - h_m)))
-        seen = check_invariance(m, f, sd.log_lam, sd.nu)
-        bound = 0.5 * predicted if predicted > res_tol else 0.0
-        checks.append((name, seen >= bound, seen, bound))
+    checks += _negative_controls(f, sd, mu, kernel, res_tol)
+    # the checks below read neither; freed before they build deeper levels
+    del kernel, mu
 
     if nu_ext is not None:
         # words one level shallower than the stored measure, per the check
@@ -521,6 +562,7 @@ def _verify_checks(f, params):
         words = [index_word(i, n, d) for i in range(min(n**d, 16))]
         worst = check_intertwine(build_kernel(f, nu_ext.depth), sd.log_lam, nu_ext, words)
         checks.append(("adjoint-intertwine", worst <= res_tol, worst, res_tol))
+    del nu_ext
 
     # mu is (k-1)-step Markov, so its entropy rate is exact at n = k-1
     n_gap = max(f.depth - 1, 1)
@@ -583,8 +625,8 @@ def _write(fh, pieces):
 
 def _run(args):
     cfg = load_config(args.config)
-    f, params = assemble(cfg, args)
-    header = _header_lines(args.command, cfg, params)
+    f, params, echo = assemble(cfg, args)
+    header = _header_lines(args.command, cfg, params, echo)
     # a table config holds a Python float per value, about 32 bytes each;
     # nothing reads it past the header, so it is freed before the solve
     del cfg

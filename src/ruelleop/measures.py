@@ -81,23 +81,42 @@ def marginalize(mu, depth):
 
 
 def _extend_raw(f, log_lam, weights, depth):
-    """One eigen-extension step without renormalization (length n**(depth+1))."""
+    """One eigen-extension step without renormalization (length n**(depth+1)).
+
+    Entry a u is w_a * exp(f(a u) - log_lam) * weights[u]: the factor
+    reads the first k-1 symbols of u, so one broadcast of shape
+    (n, n**(k-1), n**(depth+1-k)) writes every entry into the result.
+    """
     n = f.space.size
     k = f.depth
     if depth < k - 1:
         raise ValueError(f"measure depth {depth} too shallow for a depth-{k} potential")
     check_cylinder_count(n, depth + 1)
-    ew_col = np.repeat(f.space.weights, n ** (k - 1)) * np.exp(f.table - log_lam)
-    return np.repeat(ew_col, n ** (depth + 1 - k)) * np.tile(weights, n)
+    ew = _extension_factors(f, log_lam)
+    prefixes = ew.shape[1]
+    out = np.empty(n ** (depth + 1))
+    np.multiply(ew[:, :, None], weights.reshape(1, prefixes, -1), out=out.reshape(n, prefixes, -1))
+    return out
+
+
+def _extension_factors(f, log_lam):
+    """w_a * exp(f(a m) - log_lam), shape (n, n**(k-1)): symbol a, depth-(k-1) word m."""
+    n = f.space.size
+    return f.space.weights[:, None] * np.exp(f.table - log_lam).reshape(n, -1)
 
 
 def _unit_mass(space, depth, w, what):
-    """The measure w / sum(w), recording how far sum(w) is from 1; refused past 1e-6."""
+    """The measure w / sum(w), normalized in place, recording how far sum(w) is from 1.
+
+    ``w`` must be a fresh array: the measure keeps it.  A sum more than
+    1e-6 from 1 is refused.
+    """
     mass = w.sum()
     dev = abs(mass - 1.0)
     if dev > EXTENSION_MASS_ABORT:
         raise NumericError(f"{what} mass deviates from 1 by {dev:.3e}")
-    return CylinderMeasure(space, depth, w / mass, mass_dev=dev)
+    w /= mass
+    return CylinderMeasure(space, depth, w, mass_dev=dev)
 
 
 def check_eigenmeasure(kernel, log_lam, nu, test_depth):
@@ -155,8 +174,14 @@ def extend_equilibrium(spec, f, depth):
     while d < depth:
         nu_w = _extend_raw(f, spec.log_lam, nu_w, d)
         d += 1
-    reps = f.space.size ** (depth - spec.h.depth)
-    return _unit_mass(f.space, depth, np.repeat(spec.h.values, reps) * nu_w, "equilibrium")
+    # h weights every word that extends its cylinder; an extended nu_w is reweighted in place
+    h = spec.h.values[:, None]
+    by_cylinder = nu_w.reshape(len(h), -1)
+    if depth == spec.nu.depth:
+        w = h * by_cylinder
+    else:
+        w = np.multiply(h, by_cylinder, out=by_cylinder)
+    return _unit_mass(f.space, depth, w.reshape(-1), "equilibrium")
 
 
 def check_invariance(mu, f, log_lam, nu):
@@ -166,18 +191,29 @@ def check_invariance(mu, f, log_lam, nu):
     by h = mu/nu on the first d coordinates; for the true equilibrium
     state both sides agree.  No renormalization is applied, so feeding a
     non-eigenmeasure here shows up as a large residual rather than an
-    exception.
+    exception.  The preimage of [u] sums the weights of a u over the
+    first symbol a; they are formed and added one symbol at a time, so
+    no vector of the n**(d+1) extended weights is built.
     """
     if mu.depth != nu.depth:
         raise ValueError("mu and nu must share a depth")
     if np.any(nu.weights <= 0):
         raise ValueError("nu must be strictly positive on cylinders")
-    n = mu.space.size
-    h = mu.weights / nu.weights
-    nu_ext = _extend_raw(f, log_lam, nu.weights, nu.depth)
-    mu_ext = np.repeat(h, n) * nu_ext  # h of the first d symbols of each word
-    preimage = mu_ext.reshape(n, -1).sum(axis=0)
-    return float(np.max(np.abs(preimage - mu.weights)))
+    n, d, k = mu.space.size, mu.depth, f.depth
+    if d < max(k - 1, 1):
+        raise ValueError(f"measure depth {d} too shallow for a depth-{k} potential")
+    check_cylinder_count(n, d + 1)
+    h = (mu.weights / nu.weights).reshape(n, -1, 1)  # h of a u_1..u_{d-1}, per symbol a
+    ew = _extension_factors(f, log_lam)[:, :, None]  # its factor reads the first k-1 symbols of u
+    by_prefix = nu.weights.reshape(1, ew.shape[1], -1)
+    preimage = np.zeros(n**d)
+    term = np.empty(n**d)
+    for a in range(n):
+        np.multiply(ew[a], by_prefix, out=term.reshape(by_prefix.shape))
+        np.multiply(h[a], term.reshape(-1, n), out=term.reshape(-1, n))
+        preimage += term
+    preimage -= mu.weights
+    return float(np.max(np.abs(preimage, out=preimage)))
 
 
 def check_intertwine(kernel, log_lam, nu, words):
@@ -196,6 +232,13 @@ def check_intertwine(kernel, log_lam, nu, words):
     use the kernel's scale (f - offset), the second is divided by lam
     between its two products and the residual by lam, so it neither
     overflows nor grows with f's scale.
+
+    Each restriction has n nonzero weights, so each side is an n x n
+    array of terms, from the kernel's weights of 2n rows: the term
+    (a, r) lands on the word a r word_1..word_(d-1).  Past d = 2 each
+    depth-(d-1) cylinder holds one of them, and the terms are compared
+    one to one; at d <= 2 they are placed in a vector of the n**(d+1)
+    deep words (at most n**3) and summed over the cylinders as before.
     """
     d = kernel.depth - 1
     k = kernel.potential.depth
@@ -206,22 +249,37 @@ def check_intertwine(kernel, log_lam, nu, words):
     n = kernel.space.size
     deep = nu.weights if nu.depth == d + 1 else marginalize(nu, d + 1).weights
     lam = math.exp(log_lam - kernel.offset)  # the eigenvalue on the kernel's scale
+    symbols = np.arange(n)
     worst = 0.0
     for word in words:
         if len(word) != d:
             raise ValueError(f"word {tuple(word)} is not of length {d}, kernel depth - 1")
         idx = word_index(word, n)
-        shifted = np.zeros(n ** (d + 1))
-        sel = np.arange(n) * n**d + idx  # words r.word for each first symbol r
-        shifted[sel] = deep[sel]
-        lhs = _block_sums(kernel.tmatvec(shifted), n * n)
-
-        pointed = np.zeros(n ** (d + 1))
-        sel = idx * n + np.arange(n)  # words word.b for each last symbol b
-        pointed[sel] = deep[sel]
-        rhs = _block_sums(kernel.tmatvec(kernel.tmatvec(pointed) / lam), n * n)
+        # adjoint of the shifted restriction: words r.word weighted by symbol a
+        rows = symbols * n**d + idx
+        lhs = kernel._row_weights(rows) * deep[rows]
+        # the pointed restriction sums to nu(word) over its last symbol b; the
+        # first adjoint puts it on a.word, the second on c.a.word_1..word_(d-1)
+        mass = _block_sums(deep[idx * n : (idx + 1) * n], n)
+        first = kernel._row_weights(np.array([idx * n]))[:, 0] * mass / lam
+        rhs = kernel._row_weights((symbols * n ** (d - 1) + idx // n) * n) * first
+        if d <= 2:
+            lhs, rhs = (_deep_block_sums(t, idx, n, d) for t in (lhs, rhs))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))) / lam)
     return worst
+
+
+def _deep_block_sums(terms, idx, n, d):
+    """Block sums over n*n words of a depth-(d+1) level, d <= 2.
+
+    The level holds terms[a, r] at the word a r word_1..word_(d-1) and
+    zeros elsewhere.
+    """
+    level = terms  # at d = 1 the words a r are the whole level
+    if d == 2:
+        level = np.zeros((n, n, n))
+        level[:, :, idx // n] = terms
+    return _block_sums(level.reshape(-1), n * n)
 
 
 def relative_entropy(mu, rho, depth=None):
@@ -320,24 +378,50 @@ def variational_gap(mu, f, spec, n):
     """
     if mu.depth < n + 1:
         raise ValueError(f"need mu at depth {n + 1} for the increment at n={n}")
+    ent = specific_entropy(mu, n + 1)
+    return _gap_report(mu, f, spec, ent.H[:n], ent.entropy_rate[:n], ent.flags["finite"])
+
+
+def markov_entropy_gap(mu, f, spec, n):
+    """``variational_gap`` at n of a Markov measure, read at its stored depth m.
+
+    ``mu`` is taken as the (m-1)-step Markov measure with these depth-m
+    weights, as the equilibrium state of a depth-k potential is for any
+    m >= max(k, 2) (Parry, Trans. AMS 112, 1964).  Its entropy increment
+    H_{j+1} - H_j is then the same for every j >= m - 1, so the rows past
+    m follow in closed form, H_j = H_m + (j - m)(H_m - H_{m-1}), and the
+    rate is -(H_m - H_{m-1}) from j = m - 1 on.  H_1..H_m come from the
+    marginals of mu; the integral and the invariance defect are read at
+    depth m, so no deeper extension is built.
+    """
+    m = mu.depth
+    if m < 2:
+        raise ValueError(f"need mu at depth 2 or deeper, got {m}")
+    ent = specific_entropy(mu, m)
+    step = ent.H[-1] - ent.H[-2]
+    with np.errstate(invalid="ignore"):
+        H = np.concatenate([ent.H[:n], ent.H[-1] + np.arange(1, n - m + 1) * step])
+        rate = np.concatenate([ent.entropy_rate[:n], np.full(max(n - m + 1, 0), -step)])
+    return _gap_report(mu, f, spec, H, rate, ent.flags["finite"])
+
+
+def _gap_report(mu, f, spec, H, rate, finite):
+    """The entropy report of rows 1..len(H): the gaps, the integral and mu's invariance flags."""
     if mu.depth < f.depth:
         raise ValueError("measure too shallow to integrate the potential")
-    ent = specific_entropy(mu, n + 1)
     integral, err = integral_term(f, mu)
-    gaps = spec.log_lam - (ent.entropy_rate[:n] + integral)
+    gaps = spec.log_lam - (rate + integral)
     defect = invariance_defect(mu)
-    flags = dict(ent.flags)
-    flags.update(
-        {
-            "invariant": bool(defect <= INVARIANCE_TOL),
-            "invariance_defect": defect,
-            "spec_converged": bool(spec.converged),
-        }
-    )
+    flags = {
+        "finite": finite,
+        "invariant": bool(defect <= INVARIANCE_TOL),
+        "invariance_defect": defect,
+        "spec_converged": bool(spec.converged),
+    }
     return EntropyReport(
-        n=ent.n[:n],
-        H=ent.H[:n],
-        entropy_rate=ent.entropy_rate[:n],
+        n=np.arange(1, len(H) + 1),
+        H=H,
+        entropy_rate=rate,
         integral=integral,
         integral_err=err,
         gaps=gaps,

@@ -255,10 +255,11 @@ class TransferKernel:
         return out
 
     def _row_weights(self, rows):
-        """Weights of the given rows, shape (n,) + rows.shape: one per symbol a."""
-        _, p1, rw = self.blocks
-        q, r = np.divmod(rows, self.space.size)
-        return self.ew_arq[:, r % rw, q // p1]
+        """Weights of the given rows, C-contiguous of shape (n,) + rows.shape: one per symbol a."""
+        n = self.space.size
+        p0, p1, rw = self.blocks
+        q, r = np.divmod(rows, n)
+        return np.take(self.ew_arq.reshape(n, rw * p0), (r % rw) * p0 + q // p1, axis=1)
 
     def to_dense(self):
         """Materialize M as a dense array (small instances only)."""

@@ -229,11 +229,17 @@ def test_table_header_echoes_a_digest_instead_of_the_values(tmp_path):
         "space": {"kind": "uniform", "size": 2},
         "potential": {"kind": "table", "depth": 4, "values": values.tolist(), "var_bound": 0.0},
     }
-    code, text = run_to_file(tmp_path, ["pressure", "--config", write_cfg(tmp_path, cfg)])
+    path = write_cfg(tmp_path, cfg)
+    code, text = run_to_file(tmp_path, ["pressure", "--config", path])
     assert code == 0
     echo = header_potential(text)
     digest = hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()
     assert echo == {"count": 16, "depth": 4, "kind": "table", "sha256": digest, "var_bound": 0.0}
+    # the digest is of the values as given, before beta scales the potential
+    for beta in ("2.5", "-0.75"):
+        code, text = run_to_file(tmp_path, ["pressure", "--config", path, "--beta", beta])
+        assert code == 0
+        assert header_potential(text) == echo, beta
     # one changed value changes the digest
     cfg["potential"]["values"][7] = np.nextafter(values[7], 2.0)
     _, text = run_to_file(tmp_path, ["pressure", "--config", write_cfg(tmp_path, cfg, "b.json")])
@@ -415,19 +421,9 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert outputs[0] == outputs[1], argv[0]
 
 
-def test_scan_does_not_import_numpy_ma(tmp_path):
-    # np.median imports numpy.ma on its first call, about 20 ms of a scan
-    cfg = {
-        "space": {"kind": "uniform", "size": 2},
-        "potential": {"kind": "renewal", "payoffs": [-1.5, -1.0, -0.25, 0.0]},
-    }
-    path = write_cfg(tmp_path, cfg)
-    out = str(tmp_path / "scan.txt")
-    script = (
-        "import sys\n"
-        "from ruelleop.cli import main\n"
-        f"print(main(['scan', '--config', {path!r}, '--out', {out!r}]), 'numpy.ma' in sys.modules)"
-    )
+def main_in_a_fresh_interpreter(argv, module):
+    """[exit code, whether ``module`` was imported] of ``main(argv)`` in a new interpreter."""
+    script = f"import sys\nfrom ruelleop.cli import main\nprint(main({argv!r}), {module!r} in sys.modules)"
     pythonpath = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -436,7 +432,32 @@ def test_scan_does_not_import_numpy_ma(tmp_path):
         env=dict(os.environ, PYTHONPATH=pythonpath),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"]
+    return proc.stdout.split()
+
+
+def test_scan_does_not_import_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call, about 20 ms of a scan
+    cfg = {
+        "space": {"kind": "uniform", "size": 2},
+        "potential": {"kind": "renewal", "payoffs": [-1.5, -1.0, -0.25, 0.0]},
+    }
+    argv = ["scan", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "scan.txt")]
+    assert main_in_a_fresh_interpreter(argv, "numpy.ma") == ["0", "False"]
+
+
+def test_table_header_does_not_load_openssl(tmp_path):
+    # hashlib maps OpenSSL into the process, about 3 MB of peak resident set;
+    # the digest comes from CPython's builtin sha256 module instead
+    values = np.random.default_rng(9).uniform(-1.0, 1.0, 16)
+    cfg = {
+        "space": {"kind": "uniform", "size": 2},
+        "potential": {"kind": "table", "depth": 4, "values": values.tolist()},
+    }
+    out = tmp_path / "spectral.txt"
+    argv = ["spectral", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
+    assert main_in_a_fresh_interpreter(argv, "_hashlib") == ["0", "False"]
+    digest = hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()
+    assert header_potential(out.read_text())["sha256"] == digest
 
 
 def test_flags_override_config(tmp_path):

@@ -4,9 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ruelleop as ro
-from conftest import deep_eigenmeasure
+from conftest import deep_eigenmeasure, models
+from ruelleop.measures import _extend_raw
+from ruelleop.transfer import _block_sums
 
 
 def word_idx(word, n):
@@ -340,3 +344,143 @@ def test_variational_gap_flags_and_guards(two_space):
     mu = ro.extend_equilibrium(sd, f, 3)
     with pytest.raises(ValueError):
         ro.variational_gap(mu, f, sd, 3)  # needs depth n+1
+
+
+# The dense formulas of the eigen-extension and of the two certificates:
+# whole deeper levels from np.repeat / np.tile, and adjoint products of
+# vectors with n nonzero entries.  The library forms the same products
+# without those levels; these oracles pin it to them bit for bit.
+
+
+def dense_extension(f, log_lam, weights, depth):
+    n, k = f.space.size, f.depth
+    ew_col = np.repeat(f.space.weights, n ** (k - 1)) * np.exp(f.table - log_lam)
+    return np.repeat(ew_col, n ** (depth + 1 - k)) * np.tile(weights, n)
+
+
+def dense_invariance(mu, f, log_lam, nu):
+    n = mu.space.size
+    h = mu.weights / nu.weights
+    mu_ext = np.repeat(h, n) * dense_extension(f, log_lam, nu.weights, nu.depth)
+    preimage = mu_ext.reshape(n, -1).sum(axis=0)
+    return float(np.max(np.abs(preimage - mu.weights)))
+
+
+def dense_intertwine(kernel, log_lam, nu, words):
+    n, d = kernel.space.size, kernel.depth - 1
+    deep = nu.weights if nu.depth == d + 1 else ro.marginalize(nu, d + 1).weights
+    lam = math.exp(log_lam - kernel.offset)
+    worst = 0.0
+    for word in words:
+        idx = ro.word_index(word, n)
+        shifted = np.zeros(n ** (d + 1))
+        sel = np.arange(n) * n**d + idx
+        shifted[sel] = deep[sel]
+        lhs = _block_sums(kernel.tmatvec(shifted), n * n)
+        pointed = np.zeros(n ** (d + 1))
+        sel = idx * n + np.arange(n)
+        pointed[sel] = deep[sel]
+        rhs = _block_sums(kernel.tmatvec(kernel.tmatvec(pointed) / lam), n * n)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / lam)
+    return worst
+
+
+def random_measure(rng, space, depth):
+    w = rng.uniform(0.1, 1.0, space.size**depth)
+    return ro.CylinderMeasure(space, depth, w / w.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(), st.integers(0, 2**32 - 1))
+def test_certificates_equal_their_dense_formulas_bit_for_bit(model, seed):
+    f, depth = model
+    n = f.space.size
+    rng = np.random.default_rng(seed)
+    words = [ro.index_word(i, n, depth) for i in range(n**depth)]
+    kernel = ro.build_kernel(f, depth + 1)
+    # arbitrary positive measures, and the eigendata they certify
+    log_lam = float(rng.uniform(-1.0, 1.0))
+    mu, nu = random_measure(rng, f.space, depth), random_measure(rng, f.space, depth)
+    deep = random_measure(rng, f.space, depth + 1)
+    assert np.array_equal(
+        _extend_raw(f, log_lam, nu.weights, depth), dense_extension(f, log_lam, nu.weights, depth)
+    )
+    assert ro.check_invariance(mu, f, log_lam, nu) == dense_invariance(mu, f, log_lam, nu)
+    assert ro.check_intertwine(kernel, log_lam, deep, words) == dense_intertwine(kernel, log_lam, deep, words)
+    sd = ro.perron_eigendata(f)
+    mu_eq = ro.extend_equilibrium(sd, f, depth)
+    nu_w = sd.nu.weights
+    for d in range(sd.nu.depth, depth):
+        nu_w = dense_extension(f, sd.log_lam, nu_w, d)
+    want = np.repeat(sd.h.values, n ** (depth - sd.h.depth)) * nu_w
+    assert np.array_equal(mu_eq.weights, want / want.sum())
+    nu_d = sd.nu
+    while nu_d.depth < depth:
+        nu_d = ro.extend_eigenmeasure(f, sd.log_lam, nu_d)
+    assert ro.check_invariance(mu_eq, f, sd.log_lam, nu_d) == dense_invariance(mu_eq, f, sd.log_lam, nu_d)
+    nu_ext = ro.extend_eigenmeasure(f, sd.log_lam, nu_d)
+    assert ro.check_intertwine(kernel, sd.log_lam, nu_ext, words) == dense_intertwine(
+        kernel, sd.log_lam, nu_ext, words
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(), st.integers(1, 10))
+def test_closed_form_entropy_rows_match_enumeration(model, n_max):
+    # the equilibrium state is (k-1)-step Markov: its rows past depth
+    # max(k, 2) are those of its enumerated extension to depth n_max + 1
+    f, _ = model
+    n_max = max(n_max, f.depth - 1)
+    sd = ro.perron_eigendata(f)
+    markov = min(n_max + 1, max(f.depth, 2))
+    got = ro.markov_entropy_gap(ro.extend_equilibrium(sd, f, markov), f, sd, n_max)
+    want = ro.variational_gap(ro.extend_equilibrium(sd, f, n_max + 1), f, sd, n_max)
+    assert np.array_equal(got.n, want.n)
+    for name in ("H", "entropy_rate", "gaps"):
+        assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-11, name
+    assert abs(got.integral - want.integral) <= 1e-11
+    assert got.integral_err == want.integral_err
+    assert got.flags["invariance_defect"] <= 1e-11
+    assert got.flags["finite"] and got.flags["invariant"]
+
+
+def test_closed_form_entropy_rows_guards(two_space):
+    f = ro.builtin_ising(two_space, 1.0, 0.3)
+    sd = ro.perron_eigendata(f)
+    with pytest.raises(ValueError):
+        ro.markov_entropy_gap(ro.extend_equilibrium(sd, f, 1), f, sd, 4)
+    rep = ro.markov_entropy_gap(ro.extend_equilibrium(sd, f, 2), f, sd, 5)
+    step = rep.H[1] - rep.H[0]
+    assert np.array_equal(rep.H[2:], rep.H[1] + np.arange(1, 4) * step)
+    assert np.array_equal(rep.entropy_rate, np.full(5, -step))
+
+
+def test_extension_and_certificates_build_no_whole_deeper_level():
+    # a depth-12 table with measures at depth 16 (65,536 weights).  The
+    # repeat / tile extension peaked at 3.2 times its result, the dense
+    # invariance check at 8 times mu and the dense intertwine check at 5
+    # times the depth-17 nu it reads
+    f = ro.Potential(ro.uniform_space(2), 12, np.random.default_rng(0).uniform(-1.0, 1.0, 2**12))
+    sd = ro.perron_eigendata(f)
+    nu = sd.nu
+    while nu.depth < 16:
+        nu = ro.extend_eigenmeasure(f, sd.log_lam, nu)
+    nu17 = ro.extend_eigenmeasure(f, sd.log_lam, nu)
+    kernel = ro.build_kernel(f, 17)
+    words = [ro.index_word(i, 2, 16) for i in range(16)]
+    tracemalloc.start()
+    try:
+        mu = ro.extend_equilibrium(sd, f, 16)
+        extend_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        inv = ro.check_invariance(mu, f, sd.log_lam, nu)
+        invariance_peak = tracemalloc.get_traced_memory()[1] - mu.weights.nbytes
+        tracemalloc.reset_peak()
+        worst = ro.check_intertwine(kernel, sd.log_lam, nu17, words)
+        intertwine_peak = tracemalloc.get_traced_memory()[1] - mu.weights.nbytes
+    finally:
+        tracemalloc.stop()
+    assert inv < 1e-10 and worst < 1e-10
+    assert extend_peak <= 2 * mu.weights.nbytes
+    assert invariance_peak <= 3.5 * mu.weights.nbytes
+    assert intertwine_peak <= 0.05 * nu17.weights.nbytes
