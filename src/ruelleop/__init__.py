@@ -27,6 +27,7 @@ from .measures import (
 )
 from .potential import (
     Potential,
+    RenewalPotential,
     RenewalTail,
     builtin_constant,
     builtin_ising,
@@ -73,6 +74,7 @@ __all__ = [
     "Potential",
     "PressureCurve",
     "PressureEstimate",
+    "RenewalPotential",
     "RenewalTail",
     "ResourceCapError",
     "SpectralData",

@@ -33,14 +33,20 @@ potential's values appear there as their count and sha256 digest, from
 CPython's builtin sha256 module rather than ``hashlib``, which would
 load OpenSSL.
 
-``assemble`` builds the potential, takes the header's potential echo
-from the table it built, and applies beta to the potential once, for
-every command but scan.  A renewal potential is built at its horizon,
-depth len(payoffs), with var_bound the spread of its tail band and last
-payoff.  ``_run`` builds the report header and frees the parsed config
-before the command function ``cmd_<command>`` runs.  That function
-returns the report body as pieces (lines, and csv table rows in blocks
-of ``TABLE_BLOCK_ROWS``), which ``_run`` writes after the header one by
+``assemble`` applies the config's ``cylinder_cap`` first, then builds
+the space and the potential, which check the cap before they allocate.
+It takes the header's potential echo from a table potential's table,
+and applies beta to the potential once, for every command but scan.  A
+renewal potential has depth len(payoffs) = K and var_bound the spread of
+its tail band and last payoff; it holds its payoffs, not its 2^K table.
+``scan`` needs no renewal table at any K whose quotients squaring can
+afford, while the word-level commands (pressure, spectral, equilibrium,
+entropy, verify) still build it, under the cap.
+
+``_run`` builds the report header and frees the parsed config before
+the command function ``cmd_<command>`` runs.  That function returns the
+report body as pieces (lines, and csv table rows in blocks of
+``TABLE_BLOCK_ROWS``), which ``_run`` writes after the header one by
 one, with a newline after each.
 
 ``entropy`` reads the equilibrium state at depth D = max(k, 2), where
@@ -194,8 +200,6 @@ def _merged_params(cfg, args):
         if val is not None:
             params[key] = val
     try:
-        if "cylinder_cap" in cfg:
-            set_cylinder_cap(_integer(cfg["cylinder_cap"], "cylinder_cap"))
         params["beta"] = float(params["beta"])
         params["tol"] = float(params["tol"])
         params["max_iters"] = _integer(params["max_iters"], "max_iters")
@@ -229,9 +233,15 @@ def assemble(cfg, args):
     """
     _require("space" in cfg, "config needs a 'space' entry")
     _require("potential" in cfg, "config needs a 'potential' entry")
+    if "cylinder_cap" in cfg:
+        # before the space and the potential, which check it as they allocate
+        try:
+            set_cylinder_cap(_integer(cfg["cylinder_cap"], "cylinder_cap"))
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"bad parameter value: {exc}") from exc
     space = build_space(cfg["space"])
     f = build_potential(cfg["potential"], space)
-    echo = _potential_echo(cfg["potential"], f.table)
+    echo = _potential_echo(cfg["potential"], f)
     params = _merged_params(cfg, args)
     d0 = max(f.depth - 1, 1)
     if params["depth"] is None:
@@ -327,17 +337,18 @@ def _sha256_hex(data):
     return sha256(data).hexdigest()
 
 
-def _potential_echo(cfg, table):
-    """The potential config for the report header, given the potential's table before beta.
+def _potential_echo(cfg, f):
+    """The potential config for the report header, given the potential f before beta.
 
     A ``table`` potential is echoed without its values, which can run to
     millions of characters: their ``count`` and the ``sha256`` of their
     little-endian float64 bytes stand in for them.  Those bytes are the
-    table ``build_potential`` made from the values.
+    table ``build_potential`` made from the values.  Other kinds are
+    echoed as given, and their tables are not read.
     """
     if cfg.get("kind") != "table":
         return cfg
-    values = np.ascontiguousarray(table, dtype="<f8")  # no copy on a little-endian host
+    values = np.ascontiguousarray(f.table, dtype="<f8")  # no copy on a little-endian host
     echo = {key: val for key, val in cfg.items() if key != "values"}
     echo["count"] = values.size
     echo["sha256"] = _sha256_hex(values)  # the array's bytes, not a copy

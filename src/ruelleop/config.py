@@ -3,7 +3,10 @@
 A single cap bounds how many cylinders any operation may enumerate or
 allocate.  Every code path that materializes a vector over depth-d
 cylinders checks the cap through :func:`check_cylinder_count`, so one
-setting governs the whole package.
+setting governs the whole package.  So do the allocations that build a
+model: a uniform space's n weights, a Gauss-Legendre rule's n x n
+companion matrix, the rotor's and the renewal potential's tables, and
+the renewal scan's quotients.
 """
 
 from .errors import ResourceCapError

@@ -28,6 +28,7 @@ from .transfer import _block_sums
 
 EXTENSION_MASS_ABORT = 1e-6
 INVARIANCE_TOL = 1e-10  # variational_gap flags a test measure less invariant than this
+LOG_CHUNK = 2**16  # entries of log(rho) that relative_entropy holds at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,7 +290,8 @@ def relative_entropy(mu, rho, depth=None):
     charges a cylinder that rho does not, the result is +inf.  A measure
     stored at the depth asked for is read in place.  When mu charges
     every cylinder, a * (log a - log b) is formed in one array, with the
-    operations and summation order of the masked sum.
+    operations and summation order of the masked sum; log b is taken
+    ``LOG_CHUNK`` entries at a time, elementwise and so with the same bits.
     """
     if depth is None:
         depth = min(mu.depth, rho.depth)
@@ -300,7 +302,8 @@ def relative_entropy(mu, rho, depth=None):
         if np.any(b <= 0):
             return math.inf
         terms = np.log(a)
-        terms -= np.log(b)
+        for start in range(0, len(b), LOG_CHUNK):
+            terms[start : start + LOG_CHUNK] -= np.log(b[start : start + LOG_CHUNK])
         terms *= a
         return float(np.sum(terms))
     if np.any(b[pos] <= 0):

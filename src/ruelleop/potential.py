@@ -7,12 +7,18 @@ plus ``var_bound``, a bound on how much the true function can oscillate
 within one cylinder.  Downstream log-quantities inherit an additive
 error of var_bound per operator application, which callers surface as
 ``n * var_bound`` after n applications.
+
+A renewal potential (:class:`RenewalPotential`) is held as its K
+payoffs; its 2^K-entry table is built on first read, under the cylinder
+cap, so a scan, which reads only the payoffs, runs at any K.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_cylinder_count
 from .space import SymbolSpace, word_index
 
 TWO_PI = 2.0 * np.pi
@@ -73,9 +79,55 @@ class Potential:
         )
 
 
+class RenewalPotential(Potential):
+    """A renewal potential held as its payoffs; its table is built on first read.
+
+    The word 0^j 1 ... has value ``payoffs[j]`` (j = 0..K-1 leading
+    zeros) and the all-zeros depth-K cylinder ``payoffs[K-1]``, so the
+    depth is K = len(payoffs) and the table holds exactly the payoffs.
+    ``table`` checks 2^K against the cylinder cap before it allocates;
+    the scan reads only the payoffs, so it runs at any K.
+    """
+
+    def __init__(self, space, payoffs, var_bound=0.0):
+        if space.size != 2:
+            raise ValueError("the renewal potential needs a two-symbol space")
+        s = np.array(payoffs, dtype=float).reshape(-1)
+        if s.size < 1:
+            raise ValueError("need at least one payoff")
+        if not np.isfinite(s).all():
+            raise ValueError("potential table must be finite")
+        if not (np.isfinite(var_bound) and var_bound >= 0):
+            raise ValueError("var_bound must be finite and non-negative")
+        s.flags.writeable = False
+        for name, value in (("space", space), ("depth", s.size), ("payoffs", s), ("var_bound", var_bound)):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def table(self):
+        """The depth-K table in canonical order, built on first read under the cylinder cap."""
+        horizon = self.depth
+        check_cylinder_count(2, horizon)
+        # leading-zero count of the K-bit index: K minus the bit length
+        idx = np.arange(1, 2**horizon, dtype=np.int64)
+        leading_zeros = horizon - np.frexp(idx.astype(np.float64))[1]
+        table = np.empty(2**horizon)
+        table[0] = self.payoffs[-1]
+        table[1:] = self.payoffs[leading_zeros]
+        table.flags.writeable = False
+        return table
+
+
 def scale(f, beta):
-    """The potential beta * f; var_bound scales by |beta|."""
-    return Potential(f.space, f.depth, float(beta) * f.table, abs(float(beta)) * f.var_bound)
+    """The potential beta * f; var_bound scales by |beta|.
+
+    A renewal potential stays one: beta times its payoffs gives the
+    bits of beta times its table.
+    """
+    var_bound = abs(float(beta)) * f.var_bound
+    if isinstance(f, RenewalPotential):
+        return RenewalPotential(f.space, float(beta) * f.payoffs, var_bound)
+    return Potential(f.space, f.depth, float(beta) * f.table, var_bound)
 
 
 def builtin_constant(space, c):
@@ -96,6 +148,7 @@ def builtin_xy(space, coupling):
     """Rotor pair potential J*cos(2*pi*(t(u1) - t(u2))) on quadrature nodes t."""
     if space.nodes is None:
         raise ValueError("the rotor potential needs a quadrature space with nodes")
+    check_cylinder_count(space.size, 2)
     t = space.nodes
     table = coupling * np.cos(TWO_PI * (t[:, None] - t[None, :]))
     return Potential(space, 2, table.ravel())
@@ -118,33 +171,21 @@ def builtin_renewal(space, payoffs, tail="constant"):
 
     The word 0^j 1 ... gets payoff ``payoffs[j]`` (j = 0..K-1 zeros);
     the all-zeros depth-K cylinder gets ``payoffs[K-1]``.  The returned
-    :class:`Potential` has depth K = len(payoffs).  Only the all-zeros
-    cylinder oscillates: there the true value is the limit, something
-    in the tail band or payoffs[K-1], so ``var_bound`` is the spread of
+    :class:`RenewalPotential` has depth K = len(payoffs) and builds its
+    table only when read.  Only the all-zeros cylinder oscillates: there
+    the true value is the limit, something in the tail band or
+    payoffs[K-1], so ``var_bound`` is the spread of
     {limit - bound, limit + bound, payoffs[K-1]}.
 
     ``tail`` is ``"constant"`` (payoffs continue at their last value,
     making the depth-K table exact) or a :class:`RenewalTail`.
     """
-    if space.size != 2:
-        raise ValueError("the renewal potential needs a two-symbol space")
     s = np.asarray(payoffs, dtype=float).reshape(-1)
-    if s.size < 1:
-        raise ValueError("need at least one payoff")
-    horizon = s.size
+    last = float(s[-1]) if s.size else 0.0
     if tail == "constant":
-        tail = RenewalTail(limit=float(s[-1]), bound=0.0)
+        tail = RenewalTail(limit=last, bound=0.0)
     elif not isinstance(tail, RenewalTail):
         raise ValueError("tail must be 'constant' or a RenewalTail")
-
-    # leading-zero count of the K-bit index: K minus the bit length
-    idx = np.arange(1, 2**horizon, dtype=np.int64)
-    bit_length = np.frexp(idx.astype(np.float64))[1]
-    leading_zeros = horizon - bit_length
-    table = np.empty(2**horizon)
-    table[0] = s[-1]
-    table[1:] = s[leading_zeros]
-
     # on the all-zeros cylinder the stored table uses s[K-1]
-    vals = (tail.limit - tail.bound, tail.limit + tail.bound, float(s[-1]))
-    return Potential(space, horizon, table, max(vals) - min(vals))
+    vals = (tail.limit - tail.bound, tail.limit + tail.bound, last)
+    return RenewalPotential(space, s, max(vals) - min(vals))

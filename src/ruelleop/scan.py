@@ -3,20 +3,26 @@
 Each grid point solves for the leading eigenvalue of the operator for
 beta * f, from the kernel of beta * f minus its gauge offset at depth
 d0 = max(k-1, 1) (a deeper kernel only adds zero eigenvalues); the
-grid's offsets are computed once.  The partition of the depth-d0 words
-into exactly lumpable classes (``transfer.lumpable_partition``) and the
-kernel's product size do not depend on beta, so each scan is routed
-once.  When solving the quotient is cheaper than a few power iterations
-on the full kernel (``_quotient_pays``) and one pass over f's table
-confirms that the partition is exact (``_exact``), the quotients of a
-block of grid points are built by one scatter; repeated squaring of the
-stack gives their Perron roots and non-negative certificate vectors
-together.  Each point is certified on its own quotient, whose residual
-is that of the lifted eigenvector on the full kernel, never built there.
-A point whose certificate fails is power-iterated on its kernel,
-``build_kernel(scale(f, beta), d0)``, from the uniform start, and is
-non-converged only if that fails too.  Otherwise each point is solved
-by power iteration on that kernel, from the previous point's vectors.
+grid's offsets are computed once.  The scan is routed once, since the
+exact quotient of the depth-d0 kernel does not depend on beta
+(``_quotient_data``).  A renewal potential's quotient is known in closed
+form: its K-1 classes count leading zeros, and its entries are read from
+the payoffs, so the scan builds neither the 2^K table nor a partition,
+at any K whose quotients squaring can afford.  Any other potential is
+partitioned into exactly lumpable classes
+(``transfer.lumpable_partition``); its quotient is used when solving it
+is cheaper than a few power iterations on the full kernel
+(``_quotient_pays``) and one pass over f's table confirms that the
+partition is exact (``_exact``).  The quotients of a block of grid
+points are built by one scatter; repeated squaring of the stack gives
+their Perron roots and non-negative certificate vectors together.  Each
+point is certified on its own quotient, whose residual is that of the
+lifted eigenvector on the full kernel, never built there.  A point whose
+certificate fails is power-iterated from the uniform start on its
+renewal quotient, or else on its kernel ``build_kernel(scale(f, beta),
+d0)``, and is non-converged only if that fails too.  Without a quotient
+each point is solved by power iteration on that kernel, from the
+previous point's vectors.
 
 A genuine first-order transition would put a slope discontinuity into
 the limiting curve; at finite truncation the curve is analytic, so the
@@ -26,14 +32,23 @@ Non-converged points are surfaced as candidates too, never silently
 dropped.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potential import scale
+from .config import check_cylinder_count
+from .potential import RenewalPotential, scale
 from .spectral import DEFAULT_MAX_ITERS, SHIFT_RATIO, power_iterate
-from .transfer import _blocks, _gauge_offset, _prefix, build_kernel, lumpable_partition
+from .transfer import (
+    _blocks,
+    _gauge_offset,
+    _prefix,
+    _scatter_quotient,
+    build_kernel,
+    lumpable_partition,
+)
 
 KINK_FACTOR = 5.0
 KINK_ABS_FLOOR = 1e-8
@@ -99,25 +114,29 @@ def pressure_curve(f, betas, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
 
     m = len(betas)
     iters = np.zeros(m, dtype=np.int64)
+    renewal = isinstance(f, RenewalPotential)
     # beta f spans [beta lo, beta hi], reversed when beta < 0: scaling is monotone
-    lo, hi = float(f.table.min()), float(f.table.max())
+    values = f.payoffs if renewal else f.table  # the same set of values
+    lo, hi = float(values.min()), float(values.max())
     offsets = np.array([_gauge_offset(*sorted((beta * lo, beta * hi)), f.depth) for beta in betas])
     depth = max(f.depth - 1, 1)
-    lumping = lumpable_partition(f, depth)
-    product_size = f.space.size * math.prod(_blocks(f, depth))  # TransferKernel.product_size
-    lumped = _quotient_pays(lumping.size, product_size) and _exact(f, lumping)
-    if lumped:
-        per_point = lumping.size * max(lumping.size, f.space.size)  # quotient or weights
-        block = max(1, max(product_size, STACK_ENTRIES) // per_point)
-        roots, _, converged = _lumped_roots(f, lumping, betas, offsets, block, tol)
+    data = _quotient_data(f, depth)
+    if data is not None:
+        cols, quotient, entries = data
+        per_point = cols.shape[1] * max(cols.shape[1], f.space.size)  # quotient or weights
+        block = max(1, entries // per_point)
+        roots, _, converged = _lumped_roots(f, cols, quotient, betas, offsets, block, tol)
     else:
         roots, converged = np.empty(m), np.zeros(m, dtype=bool)
     left = right = None
     for i in np.flatnonzero(~converged):
-        kernel = build_kernel(scale(f, betas[i]), depth)
+        if renewal:
+            kernel = _Dense(quotient(f.space.weights[:, None] * np.exp(betas[i] * cols - offsets[i])))
+        else:
+            kernel = build_kernel(scale(f, betas[i]), depth)
         res = power_iterate(kernel, tol=tol, max_iters=max_iters, left0=left, right0=right)
         roots[i], converged[i], iters[i] = res.lam, res.converged, res.iterations
-        if not lumped:
+        if data is None:
             left, right = res.left, res.right
     pressures = offsets + np.log(roots)
     with np.errstate(over="ignore"):
@@ -154,6 +173,36 @@ def _quotient_pays(classes, product_size):
     return classes**3 <= QUOTIENT_WORK_RATIO * (product_size + ITERATION_OVERHEAD)
 
 
+def _quotient_data(f, depth):
+    """(cols, quotient, entries) of the depth-d kernel's exact quotient, or None.
+
+    ``cols[a, i]`` is the value of f that symbol a reads in the rows of
+    class i, ``quotient`` maps a stack (..., n, c) of rep-row weights to
+    the stack (..., c, c) of quotients, and ``entries`` bounds a stack's
+    weights or quotients.  A renewal potential's words lump by their
+    leading zeros, capped at K-2 (Hofbauer, Trans. AMS 228, 1977): class j
+    goes to class 0 on payoff s_0 under symbol 1, and to class
+    min(j+1, K-2) on payoff s_{j+1} under symbol 0.  Other potentials are
+    partitioned by ``lumpable_partition``; None when power iteration is
+    cheaper or the partition fails the table check.
+    """
+    if isinstance(f, RenewalPotential):
+        c = max(f.depth - 1, 1)
+        check_cylinder_count(c, 2)  # a quotient's entries
+        j = np.arange(c)
+        zero = np.zeros(c, dtype=np.intp)
+        cols = f.payoffs[np.array([np.minimum(j + 1, f.depth - 1), zero])]
+        targets = np.array([np.minimum(j + 1, c - 1), zero])
+        return cols, functools.partial(_scatter_quotient, targets), STACK_ENTRIES
+    n = f.space.size
+    lumping = lumpable_partition(f, depth)
+    product_size = n * math.prod(_blocks(f, depth))  # TransferKernel.product_size
+    if not (_quotient_pays(lumping.size, product_size) and _exact(f, lumping)):
+        return None
+    cols = f.table.reshape(n, -1)[:, _prefix(n, depth, f.depth, lumping.reps)]
+    return cols, lumping.quotient, max(product_size, STACK_ENTRIES)
+
+
 def _exact(f, lumping):
     """Whether M V = V Q holds for the partition, on the kernel of beta f for every beta.
 
@@ -177,27 +226,27 @@ def _exact(f, lumping):
     return True
 
 
-def _lumped_roots(f, lumping, betas, offsets, block, tol):
+def _lumped_roots(f, cols, quotient, betas, offsets, block, tol):
     """(roots, vectors, certified): each grid point's quotient Perron root and vector g.
 
     For ``block`` points at a time, the quotients Q of rep-row weights w_a
-    exp(beta f - offset) are shifted, S = Q + sigma I, and squared, S <- S S /
-    max(S S): non-negative, tending to Q's Perron projector.  g = S 1 and lam =
-    1^T S Q g / 1^T S g; a point keeps both from the first check that certifies
-    it on Q (g >= 0, max g > 0, max|Q g - lam g| <= tol lam max g) and leaves
-    the stack.  Pass 1 has sigma = 0; squares of a Q with a mode near -lam can
-    stall, so pass 2 retries the rest at sigma = SHIFT_RATIO times Q's least row sum.
+    exp(beta cols - offset) (see ``_quotient_data``) are shifted, S = Q + sigma
+    I, and squared, S <- S S / max(S S): non-negative, tending to Q's Perron
+    projector.  g = S 1 and lam = 1^T S Q g / 1^T S g; a point keeps both from
+    the first check that certifies it on Q (g >= 0, max g > 0, max|Q g - lam g|
+    <= tol lam max g) and leaves the stack.  Pass 1 has sigma = 0; squares of a
+    Q with a mode near -lam can stall, so pass 2 retries the rest at sigma =
+    SHIFT_RATIO times Q's least row sum.
     """
-    n = f.space.size
-    cols = f.table.reshape(n, -1)[:, _prefix(n, lumping.depth, f.depth, lumping.reps)]
+    c = cols.shape[1]
     w = f.space.weights[:, None]
     roots, certified = np.empty(len(betas)), np.zeros(len(betas), dtype=bool)
-    vectors = np.empty((len(betas), lumping.size))
+    vectors = np.empty((len(betas), c))
     for at in np.split(np.arange(len(betas)), range(block, len(betas), block)):
-        q = lumping.quotient(w * np.exp(betas[at, None, None] * cols - offsets[at, None, None]))
+        q = quotient(w * np.exp(betas[at, None, None] * cols - offsets[at, None, None]))
         for shift in (0.0, SHIFT_RATIO):
             s = q.copy() if not shift else (
-                q + shift * q.sum(axis=2).min(axis=1)[:, None, None] * np.eye(lumping.size))
+                q + shift * q.sum(axis=2).min(axis=1)[:, None, None] * np.eye(c))
             with np.errstate(divide="ignore", invalid="ignore"):
                 s /= s.max(axis=(1, 2), keepdims=True)
                 for k in range(1, SQUARINGS + 1):
@@ -218,6 +267,19 @@ def _lumped_roots(f, lumping, betas, offsets, block, tol):
                     if ok.any():
                         at, q, s = at[~ok], q[~ok], s[~ok]
     return roots, vectors, certified
+
+
+class _Dense:
+    """A c x c quotient as a kernel for ``power_iterate``: ``size``, ``matvec`` and ``tmatvec``."""
+
+    def __init__(self, q):
+        self.q, self.size = q, len(q)
+
+    def matvec(self, x, out=None):
+        return np.matmul(self.q, x, out=out)
+
+    def tmatvec(self, x, out=None):
+        return np.matmul(x, self.q, out=out)
 
 
 def _median(x):

@@ -77,7 +77,8 @@ def finite_space(weights):
 
 
 def uniform_space(n):
-    """Finite space on n symbols with uniform weights 1/n."""
+    """Finite space on n symbols with uniform weights 1/n, checked against the cylinder cap."""
+    check_cylinder_count(n, 1)
     return SymbolSpace(size=n, weights=np.full(n, 1.0 / n))
 
 
@@ -95,6 +96,7 @@ def gauss_legendre_space(n, a=-1.0, b=1.0):
     b = float(b)
     if not a < b:
         raise ValueError(f"empty interval [{a}, {b}]")
+    check_cylinder_count(n, 2)  # leggauss solves an n x n companion matrix
     x, w = np.polynomial.legendre.leggauss(n)
     nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
     raw = 0.5 * (b - a) * w

@@ -339,11 +339,22 @@ class Lumping:
                 f"weights of shape {weights.shape} for {self.size} classes "
                 f"of {nd} depth-{self.depth} words"
             )
-        rows = np.broadcast_to(np.arange(c), (n, c))
         preds = np.arange(n)[:, None] * (nd // n) + self.reps // n
-        q = np.zeros(weights.shape[:-2] + (c, c))
-        np.add.at(q, (..., rows, self.labels[preds]), weights)
-        return q
+        return _scatter_quotient(self.labels[preds], weights)
+
+
+def _scatter_quotient(targets, weights):
+    """Quotients from rep-row weights: Q[..., i, targets[a, i]] sums weights[..., a, i].
+
+    ``targets[a, i]`` is the class of the predecessor by symbol a of the
+    rep of class i; a stack of weights, shape (..., n, c), gives a stack
+    of quotients, shape (..., c, c), from one scatter.
+    """
+    n, c = weights.shape[-2:]
+    rows = np.broadcast_to(np.arange(c), (n, c))
+    q = np.zeros(weights.shape[:-2] + (c, c))
+    np.add.at(q, (..., rows, targets), weights)
+    return q
 
 
 def _compress(keys):

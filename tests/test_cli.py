@@ -144,6 +144,23 @@ def test_renewal_scan_matches_its_golden_text_byte_for_byte(tmp_path):
     assert text == (GOLDEN / "renewal12-scan.csv").read_text()
 
 
+@pytest.mark.parametrize("trunc", [12, 14])
+def test_renewal_scan_reports_equal_the_table_route(tmp_path, trunc):
+    # the criterion-10 payoffs rise with the leading-zero count, so the
+    # partition of the table numbers its classes as the closed form does:
+    # the same quotients, and the same report bytes in both formats
+    payoffs = renewal_payoffs(trunc)
+    table = ro.builtin_renewal(ro.uniform_space(2), payoffs).table
+    space = {"kind": "uniform", "size": 2}
+    renewal = write_cfg(tmp_path, {"space": space, "potential": {"kind": "renewal", "payoffs": payoffs}})
+    values = {"kind": "table", "depth": trunc, "values": table.tolist()}
+    path = write_cfg(tmp_path, {"space": space, "potential": values}, "table.json")
+    for fmt in ("csv", "report"):
+        _, text = run_to_file(tmp_path, ["scan", "--config", renewal, "--format", fmt])
+        _, want = run_to_file(tmp_path, ["scan", "--config", path, "--format", fmt], "table.txt")
+        assert report_body(text) == report_body(want), fmt
+
+
 def test_word_column_lists_words_in_canonical_order(tmp_path):
     n, depth = 3, 3
     values = np.random.default_rng(5).uniform(-1.0, 1.0, n ** (depth + 1))
@@ -659,6 +676,56 @@ def test_resource_cap_exits_3(tmp_path, capsys):
     path = write_cfg(tmp_path, cfg)
     assert main(["equilibrium", "--config", path]) == 3
     capsys.readouterr()
+
+
+def test_oversize_models_exit_3_before_they_allocate(tmp_path, capsys):
+    # each of these once raised MemoryError: a 10^12-weight space, a
+    # 200,000-node rule (leggauss solves an n x n companion matrix) and the
+    # 2^40-value renewal table, which the equilibrium solve still needs
+    renewal = {"kind": "renewal", "payoffs": renewal_payoffs(40)}
+    for command, space, potential in (
+        ("pressure", {"kind": "uniform", "size": 10**12}, {"kind": "constant", "value": 0.5}),
+        ("pressure", {"kind": "gauss-legendre", "count": 200_000}, {"kind": "xy"}),
+        ("equilibrium", {"kind": "uniform", "size": 2}, renewal),
+    ):
+        path = write_cfg(tmp_path, {"space": space, "potential": potential})
+        assert main([command, "--config", path]) == 3, space
+        assert "resource cap: " in capsys.readouterr().err
+
+
+def test_config_cylinder_cap_applies_before_the_model_is_built(tmp_path, monkeypatch, capsys):
+    def refused(n):
+        raise AssertionError("the rule was computed past the cap")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refused)
+    cfg = {
+        "space": {"kind": "gauss-legendre", "count": 20},
+        "potential": {"kind": "xy"},
+        "cylinder_cap": 100,
+    }
+    assert main(["pressure", "--config", write_cfg(tmp_path, cfg)]) == 3
+    assert "20^2 = 400 cylinders exceeds the cap of 100" in capsys.readouterr().err
+
+
+def test_scan_needs_no_renewal_table(tmp_path, capsys):
+    # the criterion-10 family at K = 200, whose table would hold 2^200
+    # values: the scan solves its 199-class quotient, and every point is
+    # certified there.  Its first candidate is the transition at beta_c = 0.9
+    cfg = {
+        "space": {"kind": "uniform", "size": 2},
+        "potential": {"kind": "renewal", "payoffs": renewal_payoffs(200)},
+    }
+    path = write_cfg(tmp_path, cfg)
+    code, text = run_to_file(tmp_path, ["scan", "--config", path, "--format", "csv"])
+    assert code == 0
+    rows = [line.split(",") for line in text.splitlines() if line[:1].isdigit()]
+    assert len(rows) == 101 and all(row[5] == "1" for row in rows)
+    assert scalar_from(text, "n_nonconverged") == 0
+    beta, reason = next(l for l in text.splitlines() if l.startswith("# candidate")).split()[2:]
+    assert reason == "slope-mismatch" and abs(float(beta) - 0.9) <= 0.02 + 1e-12
+    # the word-level commands still build the table, under the cap
+    assert main(["equilibrium", "--config", path]) == 3
+    assert "resource cap: " in capsys.readouterr().err
 
 
 def test_numeric_refusal_exits_4(tmp_path, capsys):

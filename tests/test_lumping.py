@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ruelleop as ro
-from conftest import models, renewal_payoffs
+from conftest import VALUES, models, renewal_payoffs
 from ruelleop import scan
 from ruelleop.cli import main
 
@@ -23,6 +23,12 @@ def indicator(lumping):
 def rep_weights(kernel, lumping):
     """The kernel's weights in the rep rows, shape (n, c): what ``Lumping.quotient`` takes."""
     return kernel._row_weights(lumping.reps)
+
+
+def rep_cols(f, lumping):
+    """The values of f that each symbol reads in the rep rows, shape (n, c): the scan's ``cols``."""
+    n = f.space.size
+    return f.table.reshape(n, -1)[:, lumping.reps // n ** (lumping.depth - f.depth + 1)]
 
 
 # the scan's roots agree with LAPACK's dense Perron roots to this relative
@@ -60,6 +66,11 @@ def renewal(trunc):
     return ro.builtin_renewal(ro.uniform_space(2), renewal_payoffs(trunc))
 
 
+def as_table(f):
+    """f as a plain table potential, which the scan partitions with ``lumpable_partition``."""
+    return ro.Potential(f.space, f.depth, f.table, f.var_bound)
+
+
 def assert_root_is_eig_root_and_g_certifies(f, depth, beta, tol=1e-12):
     """The scan's root and certificate vector at one beta, on its own quotient.
 
@@ -71,7 +82,9 @@ def assert_root_is_eig_root_and_g_certifies(f, depth, beta, tol=1e-12):
     assert scan._exact(f, lumping)
     kernel = ro.build_kernel(ro.scale(f, beta), depth)
     offsets = np.array([kernel.offset])
-    roots, vectors, certified = scan._lumped_roots(f, lumping, np.array([beta]), offsets, 1, tol)
+    roots, vectors, certified = scan._lumped_roots(
+        f, rep_cols(f, lumping), lumping.quotient, np.array([beta]), offsets, 1, tol
+    )
     lam = roots[0]
     dense = np.max(np.linalg.eig(lumping.quotient(rep_weights(kernel, lumping)))[0].real)
     assert abs(lam - dense) <= DENSE_ROOT_RTOL * dense
@@ -171,34 +184,35 @@ def test_lumped_scan_matches_the_per_point_eigensolve(trunc, betas, midpoint, mo
     f = renewal(trunc)
     depth = trunc - 1
     lumping = ro.lumpable_partition(f, depth)
-    kernel = ro.build_kernel(f, depth)
-    assert scan._quotient_pays(lumping.size, kernel.product_size)
     at_max = [ro.build_kernel(ro.scale(f, b), depth).offset == (b * f.table).max() for b in betas]
     assert all(at_max) != midpoint
     pressures, lams = per_point_curve(f, betas, depth)
 
-    quotient, calls = ro.Lumping.quotient, []
+    scatter, calls = scan._scatter_quotient, []
 
-    def counted(self, weights):
+    def counted(targets, weights):
         calls.append(weights.shape)
-        return quotient(self, weights)
+        return scatter(targets, weights)
 
-    monkeypatch.setattr(ro.Lumping, "quotient", counted)
+    monkeypatch.setattr(scan, "_scatter_quotient", counted)
     curve = ro.pressure_curve(f, betas)
     # squaring certifies every point on its quotient, also the badly graded
     # quotients at large beta; none falls back to power iteration
     assert curve.converged.all() and np.all(curve.iterations == 0)
     np.testing.assert_allclose(curve.lams, lams, rtol=DENSE_ROOT_RTOL, atol=0)
     np.testing.assert_allclose(curve.pressures, pressures, rtol=0, atol=DENSE_ROOT_RTOL)
-    # one stack of quotients per block of at most max(product_size,
-    # STACK_ENTRIES) / c**2 points: here one stack for the whole grid
-    block = max(kernel.product_size, scan.STACK_ENTRIES) // lumping.size**2
+    # one stack of quotients per block of at most STACK_ENTRIES / c**2
+    # points: here one stack for the whole grid
+    block = scan.STACK_ENTRIES // lumping.size**2
     assert block >= len(betas) and [shape[0] for shape in calls] == [len(betas)]
     # the scan's vector g of each point, lifted to g[labels], certifies the
-    # point's full-depth kernel
+    # point's full-depth kernel: the closed-form classes are numbered as
+    # lumpable_partition numbers them on these payoffs
     kernels = [ro.build_kernel(ro.scale(f, beta), depth) for beta in betas]
     offsets = np.array([k.offset for k in kernels])
-    roots, vectors, certified = scan._lumped_roots(f, lumping, betas, offsets, block, 1e-12)
+    cols, quotient, _ = scan._quotient_data(f, depth)
+    assert np.array_equal(cols, rep_cols(f, lumping))
+    roots, vectors, certified = scan._lumped_roots(f, cols, quotient, betas, offsets, block, 1e-12)
     assert certified.all() and np.array_equal(offsets + np.log(roots), curve.pressures)
     for k, lam, g in zip(kernels, roots, vectors):
         h = g[lumping.labels]
@@ -249,7 +263,7 @@ def test_certificate_reads_the_table_and_not_the_partition(monkeypatch):
     # the quotient over the coarser labels is a different matrix, and no
     # point may be certified on it.  beta = 0 is left out of the grid:
     # there every row has the weights w_a, and any partition lumps.
-    f = renewal(8)
+    f = as_table(renewal(8))
     depth = 7
     lumping = ro.lumpable_partition(f, depth)
     kernel = ro.build_kernel(f, depth)
@@ -275,7 +289,7 @@ def test_table_check_reads_the_predecessor_classes(monkeypatch):
     # split the largest class by each word's second-to-last symbol: the
     # row weights within each class stay equal, but the predecessors a q(u)
     # of one class now fall into different classes
-    f = renewal(8)
+    f = as_table(renewal(8))
     depth = 7
     lumping = ro.lumpable_partition(f, depth)
     largest = np.argmax(np.bincount(lumping.labels))
@@ -384,7 +398,9 @@ def test_lumped_roots_are_the_dense_perron_roots_in_their_collatz_wielandt_brack
     assert scan._exact(f, lumping)
     kernels = [ro.build_kernel(ro.scale(f, beta), depth) for beta in betas]
     offsets = np.array([kernel.offset for kernel in kernels])
-    roots, vectors, certified = scan._lumped_roots(f, lumping, betas, offsets, len(betas), 1e-12)
+    roots, vectors, certified = scan._lumped_roots(
+        f, rep_cols(f, lumping), lumping.quotient, betas, offsets, len(betas), 1e-12
+    )
     assert certified.all()
     for kernel, lam, g in zip(kernels, roots, vectors):
         assert g.min() >= 0
@@ -527,8 +543,9 @@ def test_uncertified_quotients_fall_back_to_power_iteration(fault, tmp_path, mon
     # certified; with a NaN in the quotient of every third point, those
     # points are not.  They are power-iterated, each bit for bit on its own
     # kernel from the uniform start; the other points of the same stack stay
-    # certified on their quotients
-    f, depth = renewal(8), 7
+    # certified on their quotients.  The table route: the renewal table read
+    # as a table potential
+    f, depth = as_table(renewal(8)), 7
     betas = np.linspace(10.0, 60.0, 21)
     quotient, calls = ro.Lumping.quotient, []
 
@@ -556,7 +573,7 @@ def test_uncertified_quotients_fall_back_to_power_iteration(fault, tmp_path, mon
     calls.clear()
     cfg = {
         "space": {"kind": "uniform", "size": 2},
-        "potential": {"kind": "renewal", "payoffs": renewal_payoffs(8)},
+        "potential": {"kind": "table", "depth": 8, "values": f.table.tolist()},
         "grid": {"start": 10.0, "stop": 60.0, "count": 21},
     }
     path = tmp_path / "cfg.json"
@@ -565,6 +582,53 @@ def test_uncertified_quotients_fall_back_to_power_iteration(fault, tmp_path, mon
     text = (tmp_path / "scan.txt").read_text()
     assert "n_nonconverged  0" in text
     assert fault == "cap" or calls == [(len(betas), 7, 7)]
+
+
+@pytest.mark.parametrize("fault", ["cap", "nan"])
+def test_uncertified_renewal_quotients_are_power_iterated_on_the_quotient(fault, monkeypatch):
+    # the renewal route's fallback: a point that no pass certifies is
+    # power-iterated on its own 199 x 199 quotient, bit for bit, and never on
+    # a 2^199-word kernel, whose depth no partition or block shape is read
+    # for.  A stack holds one such quotient; every third gets a NaN
+    payoffs = renewal_payoffs(200)
+    f = ro.builtin_renewal(ro.uniform_space(2), payoffs)
+    betas = np.linspace(0.0, 2.0, 11)
+    cols, quotient, _ = scan._quotient_data(f, 199)
+    scatter, stacks, points = scan._scatter_quotient, [], []
+
+    def faulty(targets, weights):
+        q = scatter(targets, weights)
+        if q.ndim == 3:
+            if len(stacks) % 3 == 0:
+                q[:, 0, 0] = np.nan
+            stacks.append(q.shape)
+        else:
+            points.append(q)
+        return q
+
+    def refused(*args):
+        raise AssertionError("the renewal route reads no full-depth kernel")
+
+    if fault == "cap":
+        monkeypatch.setattr(scan, "SQUARINGS", 1)
+    else:
+        monkeypatch.setattr(scan, "_scatter_quotient", faulty)
+    for name in ("build_kernel", "lumpable_partition", "_blocks", "_exact"):
+        monkeypatch.setattr(scan, name, refused)
+    curve = ro.pressure_curve(f, betas)
+    failed = np.arange(len(betas)) % (1 if fault == "cap" else 3) == 0
+    assert curve.converged.all() and np.all(curve.iterations[~failed] == 0)
+    assert fault == "cap" or (stacks == [(1, 199, 199)] * len(betas) and len(points) == failed.sum())
+    for i in np.flatnonzero(failed):
+        offset = scan._gauge_offset(betas[i] * cols.min(), betas[i] * cols.max(), 200)
+        q = quotient(f.space.weights[:, None] * np.exp(betas[i] * cols - offset))
+        res = ro.power_iterate(scan._Dense(q))
+        assert res.converged and curve.iterations[i] == res.iterations > 0
+        assert curve.pressures[i] == offset + np.log(res.lam)
+    # every point solves the renewal equation: the certified ones to 2e-15
+    want = np.array([renewal_pressure(payoffs, beta) for beta in betas])
+    assert np.all(np.abs(curve.pressures - want)[~failed] <= 2e-15)
+    assert np.max(np.abs(curve.pressures - want)) <= 1e-11
 
 
 def loop_kink_flags(curve):
@@ -614,6 +678,45 @@ def test_renewal_words_lump_by_leading_zeros(two_space):
     assert len(set(zip(lumping.labels, zeros))) == 4
     curve = ro.pressure_curve(f, np.linspace(0.0, 2.0, 11))
     assert curve.converged.all() and np.all(curve.iterations == 0)
+
+
+def leading_zero_lumping(trunc):
+    """The closed-form lumping of a truncation-K renewal kernel at depth max(K-1, 1).
+
+    Class j holds the words with j leading zeros, j capped at max(K-2, 0);
+    its rep is its first word.
+    """
+    depth = max(trunc - 1, 1)
+    words = np.arange(2**depth)
+    zeros = depth - np.frexp(words.astype(float))[1]  # frexp(0) has exponent 0
+    labels = np.minimum(zeros, max(trunc - 2, 0))
+    return ro.Lumping(depth=depth, labels=labels, reps=np.unique(labels, return_index=True)[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16).flatmap(
+    lambda k: st.lists(st.sampled_from(VALUES) | st.floats(-2.0, 2.0), min_size=k, max_size=k)
+))
+def test_closed_form_renewal_quotient_is_the_table_quotient(payoffs):
+    # the renewal route reads the payoffs alone: its lumping by leading zeros
+    # passes the table check, its quotients are Lumping.quotient's bit for
+    # bit, and its curve is the table route's, whose partition ties among the
+    # payoffs can make coarser
+    f = ro.builtin_renewal(ro.uniform_space(2), payoffs)
+    table = as_table(f)
+    depth = max(f.depth - 1, 1)
+    lumping = leading_zero_lumping(f.depth)
+    assert scan._exact(table, lumping)
+    cols, quotient, _ = scan._quotient_data(f, depth)
+    assert np.array_equal(cols, rep_cols(table, lumping))
+    betas = np.linspace(0.0, 2.0, 21)
+    offsets = np.array([ro.build_kernel(ro.scale(table, beta), depth).offset for beta in betas])
+    weights = f.space.weights[:, None] * np.exp(betas[:, None, None] * cols - offsets[:, None, None])
+    assert np.array_equal(quotient(weights), lumping.quotient(weights))
+    curve, want = ro.pressure_curve(f, betas), ro.pressure_curve(table, betas)
+    assert np.all(curve.iterations == 0) and curve.converged.all()
+    assert np.max(np.abs(curve.pressures - want.pressures)) <= 2e-15
+    assert np.array_equal(curve.kink_flags, want.kink_flags)
 
 
 def quotient_perron_pair(f, lumping, beta):

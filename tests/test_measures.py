@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import ruelleop as ro
 from conftest import deep_eigenmeasure, models
+from ruelleop import measures
 from ruelleop.measures import _extend_raw
 from ruelleop.transfer import _block_sums
 
@@ -236,6 +237,27 @@ def test_relative_entropy_equals_the_masked_sum_bit_for_bit(seed):
         pos = a > 0
         want = math.inf if np.any(b[pos] <= 0) else float(np.sum(a[pos] * (np.log(a[pos]) - np.log(b[pos]))))
         assert ro.relative_entropy(mu, rho, d) == want
+
+
+def test_relative_entropy_takes_log_rho_in_chunks():
+    # four chunks of log(rho) at depth 18 (2 MiB of weights): the bits of the
+    # one-shot formula, and no full-size log(rho) temporary.  The terms, two
+    # boolean masks and one chunk peak at 1.5 times the weights' size; a
+    # whole log(rho) adds 1 to that
+    rng = np.random.default_rng(1)
+    space = ro.uniform_space(2)
+    mu, rho = (ro.CylinderMeasure(space, 18, w / w.sum()) for w in rng.uniform(0.5, 1.5, (2, 2**18)))
+    assert mu.weights.size == 4 * measures.LOG_CHUNK
+    a, b = mu.weights, rho.weights
+    want = float(np.sum(a * (np.log(a) - np.log(b))))
+    tracemalloc.start()
+    try:
+        got = ro.relative_entropy(mu, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 1.75 * a.nbytes
 
 
 def test_specific_entropy_reads_a_deep_measure_in_place():

@@ -110,3 +110,38 @@ def test_renewal_needs_two_symbols(three_space):
     with pytest.raises(ValueError):
         ro.builtin_renewal(three_space, [0.1, 0.2])
 
+
+
+def test_renewal_potential_builds_its_table_on_first_read(two_space):
+    payoffs = [0.3, -0.7, 0.1, 0.1, -2.0]
+    f = ro.builtin_renewal(two_space, payoffs)
+    assert "table" not in vars(f)
+    want = np.array([f.evaluate(ro.index_word(i, 2, 5)) for i in range(32)])
+    assert np.array_equal(f.table, want) and f.table is f.table
+    assert not f.table.flags.writeable and not f.payoffs.flags.writeable
+    # beta times the payoffs is beta times the table, bit for bit
+    for beta in (0.37, -1.9):
+        g = ro.scale(f, beta)
+        assert isinstance(g, ro.RenewalPotential) and "table" not in vars(g)
+        assert np.array_equal(g.table, beta * f.table)
+        assert g.var_bound == abs(beta) * f.var_bound
+    # no table past the cap is built, and none is needed to hold the payoffs
+    deep = ro.builtin_renewal(two_space, np.linspace(-1.0, 0.0, 200))
+    assert deep.depth == 200
+    with pytest.raises(ro.ResourceCapError):
+        deep.table
+    with pytest.raises(ValueError, match="at least one payoff"):
+        ro.builtin_renewal(two_space, [])
+    with pytest.raises(ValueError, match="finite"):
+        ro.builtin_renewal(two_space, [0.0, np.nan])
+
+
+def test_rotor_table_respects_cap():
+    space = ro.gauss_legendre_space(20)
+    old = ro.cylinder_cap()
+    try:
+        ro.set_cylinder_cap(399)
+        with pytest.raises(ro.ResourceCapError):
+            ro.builtin_xy(space, 1.0)
+    finally:
+        ro.set_cylinder_cap(old)

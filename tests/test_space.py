@@ -102,3 +102,11 @@ def test_cap_check_uses_exact_arithmetic():
     with pytest.raises(ro.ResourceCapError):
         ro.check_cylinder_count(5, 30)
 
+
+
+def test_spaces_check_the_cap_before_they_allocate():
+    # n weights for a uniform space, and an n x n companion matrix for the rule
+    with pytest.raises(ro.ResourceCapError):
+        ro.uniform_space(10**12)
+    with pytest.raises(ro.ResourceCapError):
+        ro.gauss_legendre_space(200_000)
