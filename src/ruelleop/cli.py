@@ -26,10 +26,10 @@ top-level scalars.  Keys:
     cylinder_cap  override for the table-size guard, for this run only
 
 Exit codes: 0 success, 1 failed verification, 2 bad config, 3 resource
-cap exceeded, 4 numeric failure.  Output contains no timestamps, so a
-fixed config and environment reproduce reports byte for byte.  The
-report header echoes the space and potential configs; a table
-potential's values appear there as their count and sha256 digest, from
+cap exceeded or memory exhausted, 4 numeric failure.  Output contains
+no timestamps, so a fixed config and environment reproduce reports byte
+for byte.  The report header echoes the space and potential configs; a
+table potential's values appear there as their count and sha256 digest, from
 CPython's builtin sha256 module rather than ``hashlib``, which would
 load OpenSSL.
 
@@ -75,7 +75,6 @@ from .measures import (
     extend_equilibrium,
     invariance_defect,
     markov_entropy_gap,
-    variational_gap,
 )
 from .potential import (
     Potential,
@@ -575,11 +574,11 @@ def _verify_checks(f, params):
         checks.append(("adjoint-intertwine", worst <= res_tol, worst, res_tol))
     del nu_ext
 
-    # mu is (k-1)-step Markov, so its entropy rate is exact at n = k-1
-    n_gap = max(f.depth - 1, 1)
+    # mu is (k-1)-step Markov: read as in entropy, its rate is exact at n = depth - 1
+    depth = max(f.depth, 2)
     gap_tol = max(1e-8, 1e4 * tol)
     try:
-        rep = variational_gap(extend_equilibrium(sd, f, n_gap + 1), f, sd, n_gap)
+        rep = markov_entropy_gap(extend_equilibrium(sd, f, depth), f, sd, depth - 1)
         checks.append(("variational-gap", abs(rep.gap) <= gap_tol, rep.gap, gap_tol))
     except NumericError:
         checks.append(("variational-gap", False, float("nan"), gap_tol))
@@ -659,7 +658,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ResourceCapError as exc:
+    except (ResourceCapError, MemoryError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
     except (NumericError, ValueError) as exc:

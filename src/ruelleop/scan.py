@@ -2,27 +2,28 @@
 
 Each grid point solves for the leading eigenvalue of the operator for
 beta * f, from the kernel of beta * f minus its gauge offset at depth
-d0 = max(k-1, 1) (a deeper kernel only adds zero eigenvalues); the
-grid's offsets are computed once.  The scan is routed once, since the
-exact quotient of the depth-d0 kernel does not depend on beta
-(``_quotient_data``).  A renewal potential's quotient is known in closed
-form: its K-1 classes count leading zeros, and its entries are read from
-the payoffs, so the scan builds neither the 2^K table nor a partition,
-at any K whose quotients squaring can afford.  Any other potential is
-partitioned into exactly lumpable classes
-(``transfer.lumpable_partition``); its quotient is used when solving it
-is cheaper than a few power iterations on the full kernel
-(``_quotient_pays``) and one pass over f's table confirms that the
-partition is exact (``_exact``).  The quotients of a block of grid
-points are built by one scatter; repeated squaring of the stack gives
-their Perron roots and non-negative certificate vectors together.  Each
-point is certified on its own quotient, whose residual is that of the
-lifted eigenvector on the full kernel, never built there.  A point whose
-certificate fails is power-iterated from the uniform start on its
-renewal quotient, or else on its kernel ``build_kernel(scale(f, beta),
-d0)``, and is non-converged only if that fails too.  Without a quotient
-each point is solved by power iteration on that kernel, from the
-previous point's vectors.
+d0 = max(k-1, 1) (a deeper kernel only adds zero eigenvalues).  The
+scan is routed once, since the exact quotient of the depth-d0 kernel
+does not depend on beta (``_quotient_data``).  A renewal potential's
+quotient is known in closed form: its K-1 classes count leading zeros,
+and its entries are read from the payoffs, so the scan builds neither
+the 2^K table nor a partition.  Any other potential is partitioned into
+exactly lumpable classes (``transfer.lumpable_partition``); its quotient
+is used when solving it is cheaper than a few power iterations on the
+full kernel (``_quotient_pays``) and one pass over f's table confirms
+that the partition is exact (``_exact``).  One path follows either
+route.  The grid's offsets are computed once, from the values the
+quotient reads, which are every value of f.  The quotients of a block
+of at most ``STACK_ENTRIES`` entries are built by one scatter; repeated
+squaring of the stack gives their Perron roots and non-negative
+certificate vectors together.  Each point is certified on its own
+quotient, whose residual is that of the lifted eigenvector on the full
+kernel, never built there.  A point whose certificate fails is
+power-iterated from the uniform start on its own quotient, which has the
+kernel's Perron root, and is non-converged only if that fails too.
+Without a quotient the offsets come from f's table, and each point is
+power-iterated on its kernel ``build_kernel(scale(f, beta), d0)`` from
+the previous point's vectors.
 
 A genuine first-order transition would put a slope discontinuity into
 the limiting curve; at finite truncation the curve is analytic, so the
@@ -33,7 +34,6 @@ dropped.
 """
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +42,6 @@ from .config import check_cylinder_count
 from .potential import RenewalPotential, scale
 from .spectral import DEFAULT_MAX_ITERS, SHIFT_RATIO, power_iterate
 from .transfer import (
-    _blocks,
     _gauge_offset,
     _prefix,
     _scatter_quotient,
@@ -67,9 +66,9 @@ ITERATION_OVERHEAD = 2_000
 # root below 2**-53 of it.  Checking from the 6th, not after every squaring, cut
 # renewal-scan pressure_curve from 6.4-10.0 to 4.8-7.8 ms (medians of 40, 6 runs)
 SQUARINGS, FIRST_CHECK = 64, 6
-# a block of lumped points holds at most max(product_size, STACK_ENTRIES) entries of
-# weights (n c per point) or quotients (c**2): no more than one product broadcast or
-# 512 kB.  It bounds memory only: stacked matmul, max and sums act on each matrix alone
+# a block of lumped points holds at most STACK_ENTRIES entries of weights (n c per
+# point) or quotients (c**2), 512 kB, or one point.  It bounds memory only: stacked
+# matmul, max and sums act on each matrix alone
 STACK_ENTRIES = 2**16
 
 
@@ -114,26 +113,25 @@ def pressure_curve(f, betas, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
 
     m = len(betas)
     iters = np.zeros(m, dtype=np.int64)
-    renewal = isinstance(f, RenewalPotential)
-    # beta f spans [beta lo, beta hi], reversed when beta < 0: scaling is monotone
-    values = f.payoffs if renewal else f.table  # the same set of values
-    lo, hi = float(values.min()), float(values.max())
-    offsets = np.array([_gauge_offset(*sorted((beta * lo, beta * hi)), f.depth) for beta in betas])
     depth = max(f.depth - 1, 1)
     data = _quotient_data(f, depth)
+    # beta f spans [beta lo, beta hi], reversed when beta < 0: scaling is monotone
+    values = f.table if data is None else data[0]  # cols holds every value of f
+    lo, hi = float(values.min()), float(values.max())
+    offsets = np.array([_gauge_offset(*sorted((beta * lo, beta * hi)), f.depth) for beta in betas])
     if data is not None:
-        cols, quotient, entries = data
-        per_point = cols.shape[1] * max(cols.shape[1], f.space.size)  # quotient or weights
-        block = max(1, entries // per_point)
-        roots, _, converged = _lumped_roots(f, cols, quotient, betas, offsets, block, tol)
+        cols, quotient = data
+        w = f.space.weights
+        block = max(1, STACK_ENTRIES // (cols.shape[1] * max(cols.shape[1], len(w))))
+        roots, _, converged = _lumped_roots(w, cols, quotient, betas, offsets, block, tol)
     else:
         roots, converged = np.empty(m), np.zeros(m, dtype=bool)
     left = right = None
     for i in np.flatnonzero(~converged):
-        if renewal:
-            kernel = _Dense(quotient(f.space.weights[:, None] * np.exp(betas[i] * cols - offsets[i])))
-        else:
+        if data is None:
             kernel = build_kernel(scale(f, betas[i]), depth)
+        else:
+            kernel = _Dense(quotient(w[:, None] * np.exp(betas[i] * cols - offsets[i])))
         res = power_iterate(kernel, tol=tol, max_iters=max_iters, left0=left, right0=right)
         roots[i], converged[i], iters[i] = res.lam, res.converged, res.iterations
         if data is None:
@@ -174,17 +172,18 @@ def _quotient_pays(classes, product_size):
 
 
 def _quotient_data(f, depth):
-    """(cols, quotient, entries) of the depth-d kernel's exact quotient, or None.
+    """(cols, quotient) of the depth-d kernel's exact quotient, or None.
 
     ``cols[a, i]`` is the value of f that symbol a reads in the rows of
-    class i, ``quotient`` maps a stack (..., n, c) of rep-row weights to
-    the stack (..., c, c) of quotients, and ``entries`` bounds a stack's
-    weights or quotients.  A renewal potential's words lump by their
-    leading zeros, capped at K-2 (Hofbauer, Trans. AMS 228, 1977): class j
-    goes to class 0 on payoff s_0 under symbol 1, and to class
-    min(j+1, K-2) on payoff s_{j+1} under symbol 0.  Other potentials are
-    partitioned by ``lumpable_partition``; None when power iteration is
-    cheaper or the partition fails the table check.
+    class i, and ``quotient`` maps a stack (..., n, c) of rep-row weights
+    to the stack (..., c, c) of quotients.  Every word reads its class
+    rep's values, so ``cols`` holds every value of f.  A renewal
+    potential's words lump by their leading zeros, capped at K-2
+    (Hofbauer, Trans. AMS 228, 1977): class j goes to class 0 on payoff
+    s_0 under symbol 1, and to class min(j+1, K-2) on payoff s_{j+1} under
+    symbol 0.  Other potentials are partitioned by ``lumpable_partition``;
+    None when power iteration is cheaper or the partition fails the table
+    check.
     """
     if isinstance(f, RenewalPotential):
         c = max(f.depth - 1, 1)
@@ -193,14 +192,13 @@ def _quotient_data(f, depth):
         zero = np.zeros(c, dtype=np.intp)
         cols = f.payoffs[np.array([np.minimum(j + 1, f.depth - 1), zero])]
         targets = np.array([np.minimum(j + 1, c - 1), zero])
-        return cols, functools.partial(_scatter_quotient, targets), STACK_ENTRIES
+        return cols, functools.partial(_scatter_quotient, targets)
     n = f.space.size
     lumping = lumpable_partition(f, depth)
-    product_size = n * math.prod(_blocks(f, depth))  # TransferKernel.product_size
-    if not (_quotient_pays(lumping.size, product_size) and _exact(f, lumping)):
+    # the depth-d0 kernel's product broadcast has n**k = f.table.size entries
+    if not (_quotient_pays(lumping.size, f.table.size) and _exact(f, lumping)):
         return None
-    cols = f.table.reshape(n, -1)[:, _prefix(n, depth, f.depth, lumping.reps)]
-    return cols, lumping.quotient, max(product_size, STACK_ENTRIES)
+    return f.table.reshape(n, -1)[:, _prefix(n, depth, f.depth, lumping.reps)], lumping.quotient
 
 
 def _exact(f, lumping):
@@ -226,7 +224,7 @@ def _exact(f, lumping):
     return True
 
 
-def _lumped_roots(f, cols, quotient, betas, offsets, block, tol):
+def _lumped_roots(weights, cols, quotient, betas, offsets, block, tol):
     """(roots, vectors, certified): each grid point's quotient Perron root and vector g.
 
     For ``block`` points at a time, the quotients Q of rep-row weights w_a
@@ -239,7 +237,7 @@ def _lumped_roots(f, cols, quotient, betas, offsets, block, tol):
     SHIFT_RATIO times Q's least row sum.
     """
     c = cols.shape[1]
-    w = f.space.weights[:, None]
+    w = weights[:, None]
     roots, certified = np.empty(len(betas)), np.zeros(len(betas), dtype=bool)
     vectors = np.empty((len(betas), c))
     for at in np.split(np.arange(len(betas)), range(block, len(betas), block)):

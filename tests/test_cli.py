@@ -416,20 +416,24 @@ def test_adjoint_intertwine_holds_on_a_strongly_coupled_ising_model(tmp_path):
 
 
 def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # 16,384 words: large enough that a BLAS dot product splits its sum by thread
+    # 16,384 words: large enough that a BLAS dot product splits its sum by
+    # thread; the scan squares 63 x 63 renewal quotients by BLAS matmul
     values = np.random.default_rng(3).uniform(-1.0, 1.0, 2**15)
     cfg = {
         "space": {"kind": "uniform", "size": 2},
         "potential": {"kind": "table", "depth": 15, "values": values.tolist()},
     }
     path = write_cfg(tmp_path, cfg)
+    renewal = {"kind": "renewal", "payoffs": renewal_payoffs(64)}
+    scan_path = write_cfg(tmp_path, {"space": cfg["space"], "potential": renewal}, "scan.json")
     pythonpath = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    for argv in (["spectral"], ["entropy", "--n-max", "14"]):
+    for argv in (["spectral"], ["entropy", "--n-max", "14"], ["scan"]):
+        config = scan_path if argv == ["scan"] else path
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
             proc = subprocess.run(
-                [sys.executable, "-m", "ruelleop.cli", *argv, "--config", path, "--format", "csv"],
+                [sys.executable, "-m", "ruelleop.cli", *argv, "--config", config, "--format", "csv"],
                 capture_output=True,
                 env=env,
             )
@@ -670,12 +674,19 @@ def test_bad_config_exits_2(tmp_path, capsys):
 
 
 def test_resource_cap_exits_3(tmp_path, capsys):
-    # the equilibrium table has 2^40 rows; the eigensolve alone stays at depth 1
-    cfg = dict(ISING)
-    cfg["depth"] = 40
-    path = write_cfg(tmp_path, cfg)
-    assert main(["equilibrium", "--config", path]) == 3
-    capsys.readouterr()
+    # the equilibrium table has 2^40 rows; the eigensolve alone stays at
+    # depth 1.  An n_max or grid count of 10^15 asks for 8 PB, past any
+    # 64-bit user address space, so its allocation fails at once: exit 3,
+    # not the exit 1 of a failed verification
+    for argv, cfg in (
+        (["equilibrium"], dict(ISING, depth=40)),
+        (["pressure", "--n-max", str(10**15)], ISING),
+        (["entropy", "--n-max", str(10**15)], ISING),
+        (["scan"], dict(ISING, grid={"start": 0.0, "stop": 2.0, "count": 10**15})),
+    ):
+        assert main([*argv, "--config", write_cfg(tmp_path, cfg)]) == 3, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("resource cap: ") and err.count("\n") == 1, argv[0]
 
 
 def test_oversize_models_exit_3_before_they_allocate(tmp_path, capsys):

@@ -83,7 +83,7 @@ def assert_root_is_eig_root_and_g_certifies(f, depth, beta, tol=1e-12):
     kernel = ro.build_kernel(ro.scale(f, beta), depth)
     offsets = np.array([kernel.offset])
     roots, vectors, certified = scan._lumped_roots(
-        f, rep_cols(f, lumping), lumping.quotient, np.array([beta]), offsets, 1, tol
+        f.space.weights, rep_cols(f, lumping), lumping.quotient, np.array([beta]), offsets, 1, tol
     )
     lam = roots[0]
     dense = np.max(np.linalg.eig(lumping.quotient(rep_weights(kernel, lumping)))[0].real)
@@ -210,9 +210,11 @@ def test_lumped_scan_matches_the_per_point_eigensolve(trunc, betas, midpoint, mo
     # lumpable_partition numbers them on these payoffs
     kernels = [ro.build_kernel(ro.scale(f, beta), depth) for beta in betas]
     offsets = np.array([k.offset for k in kernels])
-    cols, quotient, _ = scan._quotient_data(f, depth)
+    cols, quotient = scan._quotient_data(f, depth)
     assert np.array_equal(cols, rep_cols(f, lumping))
-    roots, vectors, certified = scan._lumped_roots(f, cols, quotient, betas, offsets, block, 1e-12)
+    roots, vectors, certified = scan._lumped_roots(
+        f.space.weights, cols, quotient, betas, offsets, block, 1e-12
+    )
     assert certified.all() and np.array_equal(offsets + np.log(roots), curve.pressures)
     for k, lam, g in zip(kernels, roots, vectors):
         h = g[lumping.labels]
@@ -399,7 +401,7 @@ def test_lumped_roots_are_the_dense_perron_roots_in_their_collatz_wielandt_brack
     kernels = [ro.build_kernel(ro.scale(f, beta), depth) for beta in betas]
     offsets = np.array([kernel.offset for kernel in kernels])
     roots, vectors, certified = scan._lumped_roots(
-        f, rep_cols(f, lumping), lumping.quotient, betas, offsets, len(betas), 1e-12
+        f.space.weights, rep_cols(f, lumping), lumping.quotient, betas, offsets, len(betas), 1e-12
     )
     assert certified.all()
     for kernel, lam, g in zip(kernels, roots, vectors):
@@ -537,98 +539,84 @@ def test_lumped_scan_solves_the_renewal_equation(trunc):
     assert abs(beta - 0.9) <= (betas[1] - betas[0]) * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("route", ["renewal", "table"])
 @pytest.mark.parametrize("fault", ["cap", "nan"])
-def test_uncertified_quotients_fall_back_to_power_iteration(fault, tmp_path, monkeypatch):
+def test_uncertified_quotients_are_power_iterated_on_their_own_quotient(route, fault, tmp_path, monkeypatch):
     # with the squarings capped at 1, before the first check, no point is
     # certified; with a NaN in the quotient of every third point, those
-    # points are not.  They are power-iterated, each bit for bit on its own
-    # kernel from the uniform start; the other points of the same stack stay
-    # certified on their quotients.  The table route: the renewal table read
-    # as a table potential
-    f, depth = as_table(renewal(8)), 7
-    betas = np.linspace(10.0, 60.0, 21)
-    quotient, calls = ro.Lumping.quotient, []
-
-    def faulty(self, weights):
-        q = quotient(self, weights)
-        calls.append(q.shape)
-        q[::3, 0, 0] = np.nan
-        return q
-
-    if fault == "cap":
-        monkeypatch.setattr(scan, "SQUARINGS", 1)
+    # points are not.  On either route they are power-iterated, each bit for
+    # bit on its own quotient from the uniform start, and never on a
+    # full-depth kernel: on the renewal route a 2^199-word one, whose
+    # partition is not read either.  The other points of a stack stay
+    # certified.  The table route reads the renewal table as a table potential
+    if route == "renewal":
+        payoffs = renewal_payoffs(200)
+        f = ro.builtin_renewal(ro.uniform_space(2), payoffs)
+        betas = np.linspace(0.0, 2.0, 11)
+        potential = {"kind": "renewal", "payoffs": payoffs}
     else:
-        monkeypatch.setattr(ro.Lumping, "quotient", faulty)
-    curve = ro.pressure_curve(f, betas)
-    failed = np.arange(len(betas)) % (1 if fault == "cap" else 3) == 0
-    assert fault == "cap" or calls == [(len(betas), 7, 7)]
-    assert curve.converged.all() and np.all(curve.iterations[~failed] == 0)
-    for i in np.flatnonzero(failed):
-        kernel = ro.build_kernel(ro.scale(f, betas[i]), depth)
-        res = ro.power_iterate(kernel)
-        assert res.converged and curve.iterations[i] == res.iterations > 0
-        assert curve.pressures[i] == kernel.offset + np.log(res.lam)
-        assert curve.lams[i] == res.lam * np.exp(kernel.offset)
+        f = as_table(renewal(8))
+        betas = np.linspace(10.0, 60.0, 21)
+        potential = {"kind": "table", "depth": 8, "values": f.table.tolist()}
+    cols, quotient = scan._quotient_data(f, max(f.depth - 1, 1))
+    quotient_data, stacks, points = scan._quotient_data, [], []
 
-    calls.clear()
-    cfg = {
-        "space": {"kind": "uniform", "size": 2},
-        "potential": {"kind": "table", "depth": 8, "values": f.table.tolist()},
-        "grid": {"start": 10.0, "stop": 60.0, "count": 21},
-    }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["scan", "--config", str(path), "--out", str(tmp_path / "scan.txt")]) == 0
-    text = (tmp_path / "scan.txt").read_text()
-    assert "n_nonconverged  0" in text
-    assert fault == "cap" or calls == [(len(betas), 7, 7)]
-
-
-@pytest.mark.parametrize("fault", ["cap", "nan"])
-def test_uncertified_renewal_quotients_are_power_iterated_on_the_quotient(fault, monkeypatch):
-    # the renewal route's fallback: a point that no pass certifies is
-    # power-iterated on its own 199 x 199 quotient, bit for bit, and never on
-    # a 2^199-word kernel, whose depth no partition or block shape is read
-    # for.  A stack holds one such quotient; every third gets a NaN
-    payoffs = renewal_payoffs(200)
-    f = ro.builtin_renewal(ro.uniform_space(2), payoffs)
-    betas = np.linspace(0.0, 2.0, 11)
-    cols, quotient, _ = scan._quotient_data(f, 199)
-    scatter, stacks, points = scan._scatter_quotient, [], []
-
-    def faulty(targets, weights):
-        q = scatter(targets, weights)
-        if q.ndim == 3:
-            if len(stacks) % 3 == 0:
-                q[:, 0, 0] = np.nan
-            stacks.append(q.shape)
-        else:
+    def faulty(weights):
+        q = quotient(weights)
+        if q.ndim == 2:
             points.append(q)
+            return q
+        at = np.arange(len(q)) + sum(len(stack) for stack in stacks)
+        q[at % 3 == 0, 0, 0] = np.nan
+        stacks.append(q)
         return q
 
     def refused(*args):
-        raise AssertionError("the renewal route reads no full-depth kernel")
+        raise AssertionError("a quotient route reads no full-depth kernel")
 
     if fault == "cap":
         monkeypatch.setattr(scan, "SQUARINGS", 1)
     else:
-        monkeypatch.setattr(scan, "_scatter_quotient", faulty)
-    for name in ("build_kernel", "lumpable_partition", "_blocks", "_exact"):
+        monkeypatch.setattr(scan, "_quotient_data", lambda g, d: (quotient_data(g, d)[0], faulty))
+    for name in ("build_kernel",) + (("lumpable_partition", "_exact") if route == "renewal" else ()):
         monkeypatch.setattr(scan, name, refused)
     curve = ro.pressure_curve(f, betas)
     failed = np.arange(len(betas)) % (1 if fault == "cap" else 3) == 0
     assert curve.converged.all() and np.all(curve.iterations[~failed] == 0)
-    assert fault == "cap" or (stacks == [(1, 199, 199)] * len(betas) and len(points) == failed.sum())
+    assert fault == "cap" or (sum(len(q) for q in stacks) == len(betas) and len(points) == failed.sum())
     for i in np.flatnonzero(failed):
-        offset = scan._gauge_offset(betas[i] * cols.min(), betas[i] * cols.max(), 200)
+        offset = scan._gauge_offset(betas[i] * cols.min(), betas[i] * cols.max(), f.depth)
         q = quotient(f.space.weights[:, None] * np.exp(betas[i] * cols - offset))
         res = ro.power_iterate(scan._Dense(q))
         assert res.converged and curve.iterations[i] == res.iterations > 0
         assert curve.pressures[i] == offset + np.log(res.lam)
-    # every point solves the renewal equation: the certified ones to 2e-15
-    want = np.array([renewal_pressure(payoffs, beta) for beta in betas])
-    assert np.all(np.abs(curve.pressures - want)[~failed] <= 2e-15)
-    assert np.max(np.abs(curve.pressures - want)) <= 1e-11
+        assert curve.lams[i] == res.lam * np.exp(offset)
+    if route == "renewal":
+        # every point solves the renewal equation: the certified ones to 2e-15
+        want = np.array([renewal_pressure(payoffs, beta) for beta in betas])
+        assert np.all(np.abs(curve.pressures - want)[~failed] <= 2e-15)
+        assert np.max(np.abs(curve.pressures - want)) <= 1e-11
+
+    stacks.clear()
+    grid = {"start": float(betas[0]), "stop": float(betas[-1]), "count": len(betas)}
+    cfg = {"space": {"kind": "uniform", "size": 2}, "potential": potential, "grid": grid}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["scan", "--config", str(path), "--out", str(tmp_path / "scan.txt")]) == 0
+    assert "n_nonconverged  0" in (tmp_path / "scan.txt").read_text()
+    assert fault == "cap" or sum(len(q) for q in stacks) == len(betas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(), st.lists(st.sampled_from(VALUES) | st.floats(-2.0, 2.0), min_size=1, max_size=16))
+def test_quotient_cols_hold_every_value_of_f(model, payoffs):
+    # the scan's offsets read f's range from cols on a quotient route: every
+    # word reads its class rep's values, and the renewal cols all K payoffs
+    renewal_f = ro.builtin_renewal(ro.uniform_space(2), payoffs)
+    for f in (model[0], renewal_f, as_table(renewal_f)):
+        data = scan._quotient_data(f, max(f.depth - 1, 1))
+        assert data is not None
+        assert set(data[0].ravel().tolist()) == set(f.table.tolist())
 
 
 def loop_kink_flags(curve):
@@ -707,7 +695,7 @@ def test_closed_form_renewal_quotient_is_the_table_quotient(payoffs):
     depth = max(f.depth - 1, 1)
     lumping = leading_zero_lumping(f.depth)
     assert scan._exact(table, lumping)
-    cols, quotient, _ = scan._quotient_data(f, depth)
+    cols, quotient = scan._quotient_data(f, depth)
     assert np.array_equal(cols, rep_cols(table, lumping))
     betas = np.linspace(0.0, 2.0, 21)
     offsets = np.array([ro.build_kernel(ro.scale(table, beta), depth).offset for beta in betas])
@@ -823,12 +811,12 @@ def test_wide_alphabet_scan_stays_within_vector_memory():
 
 def test_blocked_lumped_scan_stays_within_product_memory(two_space):
     # 128 classes of 256 words each at the canonical depth 15: 4 points per
-    # stack, so the 41 points take 11 blocks
+    # stack of STACK_ENTRIES, so the 41 points take 11 blocks
     f = padded(ro.Potential(two_space, 8, np.random.default_rng(3).uniform(-1.0, 1.0, 256)), 8)
     betas = np.linspace(0.0, 2.0, 41)
     product_size = ro.build_kernel(f, 15).product_size
     assert ro.lumpable_partition(f, 15).size == 128
-    assert max(product_size, scan.STACK_ENTRIES) // 128**2 == 4
+    assert scan.STACK_ENTRIES // 128**2 == 4
     tracemalloc.start()
     try:
         curve = ro.pressure_curve(f, betas)
