@@ -644,8 +644,11 @@ def _run(args):
     out = globals()[f"cmd_{args.command}"](f, params, args.format)
     body, ok = out if args.command == "verify" else (out, True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write(fh, itertools.chain(header, body))
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                _write(fh, itertools.chain(header, body))
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {args.out!r}: {exc}") from exc
     else:
         _write(sys.stdout, itertools.chain(header, body))
     return 0 if ok else 1

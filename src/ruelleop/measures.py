@@ -170,18 +170,17 @@ def extend_equilibrium(spec, f, depth):
     mu0 = equilibrium_measure(spec)
     if depth < mu0.depth:
         raise ValueError(f"extension depth {depth} below stored depth {mu0.depth}")
+    if depth == mu0.depth:
+        return mu0
     nu_w = spec.nu.weights
     d = spec.nu.depth
     while d < depth:
         nu_w = _extend_raw(f, spec.log_lam, nu_w, d)
         d += 1
-    # h weights every word that extends its cylinder; an extended nu_w is reweighted in place
+    # h weights every word that extends its cylinder; the extended nu_w is reweighted in place
     h = spec.h.values[:, None]
     by_cylinder = nu_w.reshape(len(h), -1)
-    if depth == spec.nu.depth:
-        w = h * by_cylinder
-    else:
-        w = np.multiply(h, by_cylinder, out=by_cylinder)
+    w = np.multiply(h, by_cylinder, out=by_cylinder)
     return _unit_mass(f.space, depth, w.reshape(-1), "equilibrium")
 
 

@@ -13,8 +13,8 @@ in log space.
 Eigendata come from simultaneous power iteration on the kernel of
 f - offset at the canonical depth max(k-1, 1): the adjoint iteration
 renormalizes by total mass, whose limit is the kernel's root, and the
-forward iteration rescales by the same estimate; log lam is the log of
-that root plus the offset.  The iteration runs on M + sigma I with
+forward iteration rescales to peak 1, so its residual is scale-free;
+log lam is the log of that root plus the offset.  The iteration runs on M + sigma I with
 sigma > 0: for M >= 0 the root lam + sigma strictly dominates |mu + sigma|
 for every other eigenvalue mu, so an eigenvalue near -lam leaves no
 periodic mode.  The residual (M + sigma I) x - (lam + sigma) x is
@@ -36,15 +36,14 @@ DEFAULT_MAX_ITERS = 100_000
 
 # sigma = SHIFT_RATIO * lam, with lam the current adjoint mass.  Near an
 # eigenvalue -lam an error then contracts by about (1 - s) / (1 + s) per step;
-# every other kernel pays a little.  Iterations to tol 1e-12 with no shift
-# (and the former period-2 detector) / s = 0.02 / 0.05 / 0.1: the table-battery
-# table at depth 15 143 / 145 / 149 / 155; xy on 400 nodes, J=8, 283 / 289 /
-# 298 / 312; renewal 14 at beta 1 398 / 407 / 419 / 439; Ising J=-1, h=0.2 at
-# depth 8 97 / 83 / 69 / 53; Ising J=-5, h=0 from the starts (0.8, 0.2) and
-# (1, 3) 100,000 (not converged) / 708 / 284 / 143.  A sigma fixed at s times
-# the first mass stalls instead: that mass is a weighted mean of the row sums,
-# which can exceed lam by e^400 (the coboundary 400 (x0 - x1)), and M + sigma I
-# is then nearly the identity.
+# every other kernel pays a little.  Iterations to tol 1e-12 with s = 0 / 0.02
+# / 0.05 / 0.1: the table-battery table at depth 15 131 / 132 / 134 / 140; xy
+# on 400 nodes, J=8, 283 / 289 / 298 / 312; renewal 14 at beta 1 347 / 354 /
+# 364 / 382; Ising J=-1, h=0.2 at depth 8 97 / 83 / 69 / 53; Ising J=-5, h=0
+# from the starts (0.8, 0.2) and (1, 3) 100,000 (not converged) / 691 / 277 /
+# 139.  A sigma fixed at s times the first mass stalls instead: that mass is a
+# weighted mean of the row sums, which can exceed lam by e^400 (the coboundary
+# 400 (x0 - x1)), and M + sigma I is then nearly the identity.
 SHIFT_RATIO = 0.05
 
 
@@ -86,7 +85,11 @@ def pressure_bracket(f, n_max):
 
 @dataclass(frozen=True, eq=False)
 class PowerIterationResult:
-    """Raw output of the simultaneous iteration; ``lam`` is the root of the kernel of f - offset."""
+    """Raw output of the simultaneous iteration; ``lam`` is the root of the kernel of f - offset.
+
+    ``right`` has peak 1 and ``left`` mass 1, as had the last step's input
+    x, so both residuals max|M x - lam x| / lam are scale-free.
+    """
 
     lam: float
     right: np.ndarray
@@ -102,18 +105,19 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
 
     Iterates on M + sigma I, sigma = SHIFT_RATIO times the adjoint mass of
     the step; ``lam``, the eigenvalue step and both residuals are those of M.
+    The forward iterate is divided by its peak max|x| on entry and at
+    every step, so a start scaled by a power of two runs the same steps.
     Stops when the forward residual, the adjoint residual and the
     relative eigenvalue step all fall below tol.  tol bounds those, not
     the error of lam or of the vectors, which is about the residual over
     the spectral gap.  Non-convergence is reported in the result, not
-    raised.  Each side alternates between two
-    vectors: a product writes over the iterate before its input, and the
-    shift then adds in its input.  ``left0`` and ``right0`` are never
-    written.
+    raised.  Each side alternates between two vectors: a product writes
+    over the iterate before its input, and the shift then adds in its
+    input.  ``left0`` and ``right0`` are never written.
     """
     nd = kernel.size
     left = np.full(nd, 1.0 / nd) if left0 is None else np.asarray(left0, float) / np.sum(left0)
-    right = np.ones(nd) if right0 is None else np.asarray(right0, float).copy()
+    right = np.ones(nd) if right0 is None else np.asarray(right0, float) / np.max(np.abs(right0))
     prev_left, prev_right = np.empty(nd), np.empty(nd)
     lam = math.nan
     resid_l = resid_r = math.inf
@@ -133,7 +137,8 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
             resid_l = float(np.max(np.abs(t_left - mass * left))) / mass
             resid_r = float(np.max(np.abs(t_right - mass * right))) / mass
         lam = mass
-        # t = (M x + sigma x) / (lam + sigma), written over M x; x, the outgoing
+        # t = M x + sigma x, written over M x, then scaled: by 1 / (lam + sigma)
+        # on the adjoint side, to peak 1 on the forward side; x, the outgoing
         # iterate, is the spare vector from here on.  Multiplies, as a divide
         # per entry costs about 2.5 times as much
         sigma = SHIFT_RATIO * mass
@@ -141,18 +146,14 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
         left *= sigma * scale
         t_left *= scale
         t_left += left
-        right *= sigma * scale
-        t_right *= scale
+        right *= sigma
         t_right += right
+        t_right *= 1.0 / max(float(t_right.max()), -float(t_right.min()))  # 1 / max |t|
         prev_left, left = left, t_left
         prev_right, right = right, t_right
         if max(resid_l, resid_r, dlam) < tol:
             converged = True
             break
-        # keep the forward iterate in floating range; scale is fixed at the end
-        peak = max(float(right.max()), -float(right.min()))  # max |right|
-        if peak > 1e100 or (0 < peak < 1e-100):
-            right /= peak
     return PowerIterationResult(
         lam=lam,
         right=right,
@@ -218,18 +219,18 @@ def perron_eigendata(f, *, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
     lam = float(adjoint.sum())
     residual_left = float(np.max(np.abs(adjoint - lam * nu))) / lam
     del adjoint  # not held through the forward product
+    # scale-free: max |M h - lam h| / (lam max h), read while h has peak 1
     h = raw.right
+    residual_right = float(np.max(np.abs(kernel.matvec(h) - lam * h))) / lam
     scale = float((h * nu).sum())
     if not (np.isfinite(scale) and scale > 0):
         raise NumericError("eigenfunction integral against the eigenmeasure is not positive")
     h /= scale
-    # scale-free: max |M h - lam h| / (lam max h), on h / max h so the products stay in range
-    h_unit = h / h.max()
     return SpectralData(
         log_lam=math.log(lam) + kernel.offset,
         h=CylinderFunction(f.space, d0, h),
         nu=CylinderMeasure(f.space, d0, nu),
-        residual_right=float(np.max(np.abs(kernel.matvec(h_unit) - lam * h_unit))) / lam,
+        residual_right=residual_right,
         residual_left=residual_left,
         iterations=raw.iterations,
         converged=raw.converged,

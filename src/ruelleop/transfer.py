@@ -185,11 +185,6 @@ class TransferKernel:
     def nnz(self):
         return self.space.size ** (self.depth + 1)
 
-    @property
-    def product_size(self):
-        """Entries in the broadcast of one product: n**d, or n**(d+1) at the edge depth."""
-        return self.space.size * math.prod(self.blocks)
-
     def _by_predecessor(self, table, x):
         """Row weights and predecessor values, broadcast to (n, rw, p0, p1)."""
         n = self.space.size

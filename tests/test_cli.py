@@ -587,6 +587,26 @@ def test_renewal_tail_band_is_the_truncation_bound(tmp_path):
         assert scalar_from(text, "trunc_bound") == spread, command
 
 
+def test_renewal_verify_passes_at_a_tight_tol_past_the_transition(tmp_path):
+    # at beta 3 the criterion-10 eigenfunction is far from balanced; the stop
+    # reads the scale-free residual the report prints, so tol 1e-14 is reached
+    # in a few dozen steps, well inside the 1,000-step budget
+    cfg = {"space": {"kind": "uniform", "size": 2}, "potential": {"kind": "renewal", "payoffs": renewal_payoffs(12)}}
+    argv = ["verify", "--config", write_cfg(tmp_path, cfg), "--beta", "3", "--tol", "1e-14", "--max-iters", "1000"]
+    code, text = run_to_file(tmp_path, argv)
+    assert code == 0
+    assert text.splitlines()[-1] == "# 15 of 15 checks passed"
+
+
+def test_unwritable_report_path_exits_2(tmp_path, capsys):
+    # a missing directory and a directory itself: one stderr line, no traceback
+    cfg = write_cfg(tmp_path, CONST)
+    for out in (tmp_path / "missing" / "x.txt", tmp_path):
+        assert main(["pressure", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write report {str(out)!r}") and err.count("\n") == 1
+
+
 def test_commands_are_looked_up_at_call_time(tmp_path, monkeypatch):
     # a command function rebound on the module (as a tracer does) is the one that runs
     calls = []

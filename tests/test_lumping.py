@@ -760,7 +760,7 @@ def test_scan_falls_back_to_power_iteration_on_costly_quotients(two_space, monke
     betas = np.linspace(0.0, 2.0, 21)
     # 128 classes of 128 words: the eigensolve costs more than the iterations
     assert ro.lumpable_partition(f, 7).size == 128
-    assert not scan._quotient_pays(128, ro.build_kernel(f, 7).product_size)
+    assert not scan._quotient_pays(128, f.table.size)
     power = ro.pressure_curve(f, betas)
     assert np.all(power.iterations > 0)
     # the same table through the quotient path gives the same curve and kinks
@@ -781,7 +781,7 @@ def test_scan_uses_the_quotient_when_the_kernel_is_much_larger(two_space, monkey
     f = padded(table, 8)
     betas = np.array([0.0, 0.5, 1.0])
     assert ro.lumpable_partition(f, 15).size == 128
-    assert scan._quotient_pays(128, ro.build_kernel(f, 15).product_size)
+    assert scan._quotient_pays(128, f.table.size)
     lumped = ro.pressure_curve(f, betas)
     assert lumped.converged.all() and np.all(lumped.iterations == 0)
     monkeypatch.setattr(scan, "QUOTIENT_WORK_RATIO", 0)
@@ -814,7 +814,7 @@ def test_blocked_lumped_scan_stays_within_product_memory(two_space):
     # stack of STACK_ENTRIES, so the 41 points take 11 blocks
     f = padded(ro.Potential(two_space, 8, np.random.default_rng(3).uniform(-1.0, 1.0, 256)), 8)
     betas = np.linspace(0.0, 2.0, 41)
-    product_size = ro.build_kernel(f, 15).product_size
+    product_size = f.table.size
     assert ro.lumpable_partition(f, 15).size == 128
     assert scan.STACK_ENTRIES // 128**2 == 4
     tracemalloc.start()
