@@ -43,11 +43,11 @@ its tail band and last payoff; it holds its payoffs, not its 2^K table.
 afford, while the word-level commands (pressure, spectral, equilibrium,
 entropy, verify) still build it, under the cap.
 
-``_run`` builds the report header and frees the parsed config before
-the command function ``cmd_<command>`` runs.  That function returns the
-report body as pieces (lines, and csv table rows in blocks of
-``TABLE_BLOCK_ROWS``), which ``_run`` writes after the header one by
-one, with a newline after each.
+``_run`` builds the report header, frees the parsed config and opens
+``--out`` before the command function ``cmd_<command>`` runs.  That
+function returns the report body as pieces (lines, and csv table rows
+in blocks of ``TABLE_BLOCK_ROWS``), which ``_run`` writes after the
+header one by one, with a newline after each.
 
 ``entropy`` reads the equilibrium state at depth D = max(k, 2), where
 it is (k-1)-step Markov: rows up to D come from its marginals, later
@@ -55,6 +55,7 @@ rows from the closed form H_n = H_D + (n - D)(H_D - H_{D-1}).
 """
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -549,13 +550,12 @@ def _verify_checks(f, params):
         nu_ext = None
         checks.append(("extension-mass", False, float("nan"), 1e-10))
 
-    eq_tol = max(1e-8, 100.0 * tol)
     try:
-        mu = equilibrium_measure(sd, residual_tol=eq_tol)
+        mu = equilibrium_measure(sd)
     except NumericError:
         mu = None
     worst_res = max(sd.residual_right, sd.residual_left)
-    checks.append(("equilibrium-accepted", mu is not None, worst_res, eq_tol))
+    checks.append(("equilibrium-accepted", mu is not None, worst_res, res_tol))
     if mu is None:
         return checks
 
@@ -566,12 +566,13 @@ def _verify_checks(f, params):
     # the checks below read neither; freed before they build deeper levels
     del kernel, mu
 
+    worst = math.nan  # no extension to check is a failed check
     if nu_ext is not None:
         # words one level shallower than the stored measure, per the check
         n, d = f.space.size, nu_ext.depth - 1
         words = [index_word(i, n, d) for i in range(min(n**d, 16))]
         worst = check_intertwine(build_kernel(f, nu_ext.depth), sd.log_lam, nu_ext, words)
-        checks.append(("adjoint-intertwine", worst <= res_tol, worst, res_tol))
+    checks.append(("adjoint-intertwine", worst <= res_tol, worst, res_tol))
     del nu_ext
 
     # mu is (k-1)-step Markov: read as in entropy, its rate is exact at n = depth - 1
@@ -633,6 +634,19 @@ def _write(fh, pieces):
         fh.write("\n")
 
 
+@contextlib.contextmanager
+def _report_stream(path):
+    """stdout, or the file at path; failing to open or write the file is a ConfigError."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {path!r}: {exc}") from exc
+
+
 def _run(args):
     cfg = load_config(args.config)
     f, params, echo = assemble(cfg, args)
@@ -640,17 +654,13 @@ def _run(args):
     # a table config holds a Python float per value, about 32 bytes each;
     # nothing reads it past the header, so it is freed before the solve
     del cfg
-    # looked up at call time, so that whatever is bound to cmd_<command> runs
-    out = globals()[f"cmd_{args.command}"](f, params, args.format)
-    body, ok = out if args.command == "verify" else (out, True)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                _write(fh, itertools.chain(header, body))
-        except OSError as exc:
-            raise ConfigError(f"cannot write report {args.out!r}: {exc}") from exc
-    else:
-        _write(sys.stdout, itertools.chain(header, body))
+    # the report file is opened before the solve, as a shell's > opens it: an
+    # unwritable path is refused at once, and a command that fails leaves it empty
+    with _report_stream(args.out) as fh:
+        # looked up at call time, so that whatever is bound to cmd_<command> runs
+        out = globals()[f"cmd_{args.command}"](f, params, args.format)
+        body, ok = out if args.command == "verify" else (out, True)
+        _write(fh, itertools.chain(header, body))
     return 0 if ok else 1
 
 

@@ -273,11 +273,11 @@ class _Dense:
     def __init__(self, q):
         self.q, self.size = q, len(q)
 
-    def matvec(self, x, out=None):
-        return np.matmul(self.q, x, out=out)
+    def matvec(self, x):
+        return self.q @ x
 
-    def tmatvec(self, x, out=None):
-        return np.matmul(x, self.q, out=out)
+    def tmatvec(self, x):
+        return x @ self.q
 
 
 def _median(x):

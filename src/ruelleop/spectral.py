@@ -111,25 +111,22 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
     relative eigenvalue step all fall below tol.  tol bounds those, not
     the error of lam or of the vectors, which is about the residual over
     the spectral gap.  Non-convergence is reported in the result, not
-    raised.  Each side alternates between two vectors: a product writes
-    over the iterate before its input, and the shift then adds in its
-    input.  ``left0`` and ``right0`` are never written.
+    raised.  ``left0`` and ``right0`` are never written.
     """
     nd = kernel.size
     left = np.full(nd, 1.0 / nd) if left0 is None else np.asarray(left0, float) / np.sum(left0)
     right = np.ones(nd) if right0 is None else np.asarray(right0, float) / np.max(np.abs(right0))
-    prev_left, prev_right = np.empty(nd), np.empty(nd)
     lam = math.nan
     resid_l = resid_r = math.inf
     converged = False
     it = 0
     while it < max_iters:
         it += 1
-        t_left = kernel.tmatvec(left, out=prev_left)
+        t_left = kernel.tmatvec(left)
         mass = float(t_left.sum())
         if not (np.isfinite(mass) and mass > 0):
             raise NumericError(f"adjoint iteration produced mass {mass!r}")
-        t_right = kernel.matvec(right, out=prev_right)
+        t_right = kernel.matvec(right)
         dlam = abs(mass - lam) / mass if not math.isnan(lam) else math.inf
         if dlam < tol or it == max_iters:
             # the residuals matter only once the eigenvalue step is below tol;
@@ -138,9 +135,8 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
             resid_r = float(np.max(np.abs(t_right - mass * right))) / mass
         lam = mass
         # t = M x + sigma x, written over M x, then scaled: by 1 / (lam + sigma)
-        # on the adjoint side, to peak 1 on the forward side; x, the outgoing
-        # iterate, is the spare vector from here on.  Multiplies, as a divide
-        # per entry costs about 2.5 times as much
+        # on the adjoint side, to peak 1 on the forward side.  Multiplies, as a
+        # divide per entry costs about 2.5 times as much
         sigma = SHIFT_RATIO * mass
         scale = 1.0 / (mass + sigma)
         left *= sigma * scale
@@ -149,8 +145,7 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
         right *= sigma
         t_right += right
         t_right *= 1.0 / max(float(t_right.max()), -float(t_right.min()))  # 1 / max |t|
-        prev_left, left = left, t_left
-        prev_right, right = right, t_right
+        left, right = t_left, t_right
         if max(resid_l, resid_r, dlam) < tol:
             converged = True
             break

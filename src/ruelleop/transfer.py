@@ -155,10 +155,6 @@ class TransferKernel:
       * ``log_ew_arq`` is log w_a + (f - offset) in the same order.  Only
         ``log_matvec`` reads it, so it is derived (and cached) on first
         read.
-      * Each product takes an optional ``out``, a contiguous float
-        vector of ``size`` entries, and returns it; without ``out`` it
-        returns a new vector.  A product reads all of its input before
-        it writes ``out``, so ``out`` may be the input itself.
     """
 
     space: SymbolSpace
@@ -191,36 +187,27 @@ class TransferKernel:
         p0, p1, rw = self.blocks
         return table.reshape(n, rw, p0, 1), np.asarray(x, dtype=float).reshape(n, 1, p0, p1)
 
-    def _output(self, out):
-        """``out``, checked to be a contiguous float vector of ``size`` entries, or a new one."""
-        if out is None:
-            return np.empty(self.size)
-        if out.shape != (self.size,) or out.dtype != float or not out.flags.c_contiguous:
-            raise ValueError(f"out must be a contiguous float vector of {self.size} entries")
-        return out
-
-    def _forward(self, reduce, out):
+    def _forward(self, reduce):
         """A forward product in row order; ``reduce(total)`` writes its (rw, p0, p1) sums."""
         n = self.space.size
         p0, p1, rw = self.blocks
-        out = self._output(out)
         if rw == 1:
             # deep kernel: the n rows (q, r) share the sum of q
             total = np.empty(p0 * p1)
             reduce(total.reshape(1, p0, p1))
-            out.reshape(p0 * p1, n)[...] = total[:, None]
-            return out
+            return np.repeat(total, n)
+        out = np.empty(self.size)
         reduce(out.reshape(p0 * p1, rw).T.reshape(rw, p0, p1))
         return out
 
-    def matvec(self, x, out=None):
-        """Forward product M x, into ``out`` if given (see the class docstring)."""
+    def matvec(self, x):
+        """Forward product M x."""
         weights, pred = self._by_predecessor(self.ew_arq, x)
         terms = weights * pred
-        return self._forward(lambda total: terms.sum(axis=0, out=total), out)
+        return self._forward(lambda total: terms.sum(axis=0, out=total))
 
-    def log_matvec(self, lx, out=None):
-        """log(M exp(lx)), summed from each row's largest term; into ``out`` if given."""
+    def log_matvec(self, lx):
+        """log(M exp(lx)), summed from each row's largest term."""
         log_weights, log_pred = self._by_predecessor(self.log_ew_arq, lx)
         terms = log_weights + log_pred
         peak = terms.max(axis=0)
@@ -233,21 +220,18 @@ class TransferKernel:
             # a row whose largest term is not finite (all terms -inf) is -inf
             total[~np.isfinite(peak)] = -np.inf
 
-        return self._forward(log_sum, out)
+        return self._forward(log_sum)
 
-    def tmatvec(self, x, out=None):
-        """Adjoint product: (M^T x)[v] = sum_u M[u, v] x[u]; into ``out`` if given."""
+    def tmatvec(self, x):
+        """Adjoint product: (M^T x)[v] = sum_u M[u, v] x[u]."""
         n = self.space.size
         p0, p1, rw = self.blocks
-        out = self._output(out)
         if rw == 1:
             # the weight of row (q, r) does not depend on r: sum over r first
             sums = _block_sums(np.asarray(x, dtype=float), n)
-            np.multiply(self.ew_arq.reshape(n, p0, 1), sums.reshape(p0, p1), out=out.reshape(n, p0, p1))
-            return out
+            return (self.ew_arq.reshape(n, p0, 1) * sums.reshape(p0, p1)).reshape(-1)
         rows = np.asarray(x, dtype=float).reshape(-1, n)
-        (self.ew_arq * rows.T).sum(axis=1, out=out.reshape(n, p0))
-        return out
+        return (self.ew_arq * rows.T).sum(axis=1).reshape(-1)
 
     def _row_weights(self, rows):
         """Weights of the given rows, C-contiguous of shape (n,) + rows.shape: one per symbol a."""
@@ -446,18 +430,17 @@ def _iterate_ones(f, depth, steps, log_space=False):
     shifts = kernel.offset * np.arange(1, steps + 1)
     tops = np.empty(steps)
     bottoms = np.empty(steps)
-    spare = np.empty(kernel.size)  # each product writes over the iterate before its input
     if log_space or (f.depth - 1) * float(np.ptp(f.table)) > LINEAR_VALUE_CEILING:
         lv = np.zeros(kernel.size)
         for n in range(steps):
-            lv, spare = kernel.log_matvec(lv, out=spare), lv
+            lv = kernel.log_matvec(lv)
             tops[n] = lv.max()
             bottoms[n] = lv.min()
         return tops + shifts, bottoms + shifts, lv + steps * kernel.offset
     v = np.ones(kernel.size)
     log_scale = 0.0
     for n in range(steps):
-        v, spare = kernel.matvec(v, out=spare), v
+        v = kernel.matvec(v)
         peak = v.max()
         v /= peak
         log_scale += math.log(peak)

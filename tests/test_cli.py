@@ -113,13 +113,30 @@ def test_csv_and_report_formats(tmp_path):
 
 # a float at or below 1e-9 in magnitude: a residual or gap at solver noise level
 NOISE = re.compile(r"\s+-?\d(?:\.\d+)?e-(?:09|[1-9]\d)\b")
+# normalization defects: an exact 0 or an ulp or two of 1, compared by value
+ULP_LINES = ("mass_dev", "hnu_dev")
+TWO_ULPS = 4.5e-16
+
+
+def split_ulp_lines(text):
+    """The text without its ``ULP_LINES``, and those lines' values by key."""
+    kept, values = [], {}
+    for line in text.splitlines(keepends=True):
+        key, _, value = line.partition(" ")
+        if key in ULP_LINES:
+            values[key] = float(value)
+        else:
+            kept.append(line)
+    return "".join(kept), values
 
 
 def test_report_layout_matches_golden_texts(tmp_path):
     # the aligned layout: left-justified keys and column headers, right-aligned
     # cells, two spaces between columns, 6 significant digits.  Noise-level
     # values are compared as "~0": their digits (and, in the last column,
-    # their widths) follow the arithmetic of the solver, not the layout.
+    # their widths) follow the arithmetic of the solver, not the layout.  The
+    # normalization defects flip between 0 and 2.22045e-16 with the iteration
+    # count, so they are compared by value, at most two ulps of 1.
     cfg = dict(ISING, depth=3, grid={"start": 0.0, "stop": 2.0, "count": 5})
     path = write_cfg(tmp_path, cfg)
     for command in ("pressure", "spectral", "entropy", "scan"):
@@ -127,8 +144,11 @@ def test_report_layout_matches_golden_texts(tmp_path):
             tmp_path, [command, "--config", path], f"{command}.txt"
         )
         assert code == 0
-        want = (GOLDEN / f"ising-{command}.txt").read_text()
+        text, values = split_ulp_lines(text)
+        want, want_values = split_ulp_lines((GOLDEN / f"ising-{command}.txt").read_text())
         assert NOISE.sub("  ~0", text) == NOISE.sub("  ~0", want), command
+        assert values.keys() == want_values.keys(), command
+        assert all(0 <= v <= TWO_ULPS for v in values.values()), command
 
 
 def test_renewal_scan_matches_its_golden_text_byte_for_byte(tmp_path):
@@ -598,13 +618,25 @@ def test_renewal_verify_passes_at_a_tight_tol_past_the_transition(tmp_path):
     assert text.splitlines()[-1] == "# 15 of 15 checks passed"
 
 
-def test_unwritable_report_path_exits_2(tmp_path, capsys):
-    # a missing directory and a directory itself: one stderr line, no traceback
+def test_unwritable_report_path_exits_2(tmp_path, monkeypatch, capsys):
+    # a missing directory and a directory itself: one stderr line, no traceback,
+    # and the command never runs, since the report opens before the solve
+    calls = []
+    monkeypatch.setattr(cli, "cmd_pressure", lambda *args: calls.append(args))
     cfg = write_cfg(tmp_path, CONST)
     for out in (tmp_path / "missing" / "x.txt", tmp_path):
         assert main(["pressure", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write report {str(out)!r}") and err.count("\n") == 1
+    assert calls == []
+
+
+def test_a_failed_command_leaves_an_empty_report_file(tmp_path, capsys):
+    out = tmp_path / "eq.txt"
+    argv = ["equilibrium", "--config", write_cfg(tmp_path, ISING), "--max-iters", "3", "--out", str(out)]
+    assert main(argv) == 4
+    assert out.read_text() == ""
+    assert capsys.readouterr().err.startswith("numeric failure: non-converged input refused")
 
 
 def test_commands_are_looked_up_at_call_time(tmp_path, monkeypatch):
@@ -641,6 +673,41 @@ def test_scan_smooth_family_has_no_candidates(tmp_path):
     assert scalar_from(text, "n_flagged") == 0
     assert scalar_from(text, "n_nonconverged") == 0
     assert "# candidate" not in text
+
+
+def test_a_loose_tol_accepts_the_eigendata_it_converged_to(tmp_path):
+    # at tol 1e-6 the residuals land near 3e-7: above 1e-8, below the tol the
+    # solve certified them against, so the measures are built from them
+    cfg = write_cfg(tmp_path, ISING)
+    for command in ("equilibrium", "entropy"):
+        code, _ = run_to_file(tmp_path, [command, "--config", cfg, "--tol", "1e-6"], f"{command}.txt")
+        assert code == 0, command
+    for tol in (1e-6, 1e-9):
+        code, text = run_to_file(tmp_path, ["verify", "--config", cfg, "--tol", str(tol)], f"verify-{tol}.txt")
+        assert code == 0 and text.splitlines()[-1] == "# 15 of 15 checks passed", tol
+        value, bound = re.search(r"value=(\S+) bound=(\S+)", check_line(text, "equilibrium-accepted")).groups()
+        assert float(bound) == pytest.approx(100 * tol)  # res_tol, as the residual checks print
+        assert (float(value) > 1e-8) == (tol == 1e-6)
+
+
+def test_verify_lists_refused_steps_as_failed_checks(tmp_path, monkeypatch, capsys):
+    # a refused extension fails the two checks that read it; a refused gap fails its own
+    def refuse(*args):
+        raise ro.NumericError("refused")
+
+    cfg = write_cfg(tmp_path, ISING)
+    for name, failed in (
+        ("extend_eigenmeasure", ("extension-mass", "adjoint-intertwine")),
+        ("markov_entropy_gap", ("variational-gap",)),
+    ):
+        monkeypatch.setattr(cli, name, refuse)
+        code, text = run_to_file(tmp_path, ["verify", "--config", cfg], f"{name}.txt")
+        monkeypatch.undo()
+        assert code == 1
+        assert text.splitlines()[-1] == f"# {15 - len(failed)} of 15 checks passed", name
+        for check in failed:
+            assert re.match(r"FAIL .* value=nan ", check_line(text, check)), check
+        assert capsys.readouterr().err == ""
 
 
 def test_verify_passes_and_catches_starved_iteration(tmp_path):

@@ -198,17 +198,14 @@ def test_bracket_takes_log_path_past_the_ceiling(two_space, monkeypatch):
 
 
 class TwoCycleKernel:
-    """Matrix [[0, 2], [0.5, 0]]: period two, leading eigenvalue 1.
-
-    Its products ignore ``out``: power_iterate reads the vector a product returns.
-    """
+    """Matrix [[0, 2], [0.5, 0]]: period two, leading eigenvalue 1."""
 
     size = 2
 
-    def matvec(self, v, out=None):
+    def matvec(self, v):
         return np.array([2.0 * v[1], 0.5 * v[0]])
 
-    def tmatvec(self, v, out=None):
+    def tmatvec(self, v):
         return np.array([0.5 * v[1], 2.0 * v[0]])
 
 
@@ -230,10 +227,10 @@ class FlipKernel:
 
     size = 2
 
-    def matvec(self, v, out=None):
+    def matvec(self, v):
         return v[::-1].copy()
 
-    def tmatvec(self, v, out=None):
+    def tmatvec(self, v):
         return v[::-1].copy()
 
 

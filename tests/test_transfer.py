@@ -272,33 +272,3 @@ def test_products_equal_the_broadcast_expressions_bit_for_bit(model, seed):
     else:
         want = (kernel.ew_arq * rows.T).sum(axis=1).reshape(-1)
     assert same_bits(kernel.tmatvec(x), want)
-
-
-@settings(max_examples=100, deadline=None)
-@given(models(), st.integers(0, 2**32 - 1))
-def test_products_into_out_equal_the_allocating_products_bit_for_bit(model, seed):
-    # at the edge depth max(k-1, 1) and at a deep one, into a vector filled
-    # with nan and into the input itself
-    f, depth = model
-    rng = np.random.default_rng(seed)
-    for d in (max(f.depth - 1, 1), max(depth, f.depth)):
-        kernel = ro.build_kernel(f, d)
-        x = rng.choice(np.array([-0.0, 0.0, 1e-20, 1e16, 1.0]), kernel.size) * rng.uniform(-1, 1, kernel.size)
-        lx = np.where(rng.uniform(size=kernel.size) < 0.3, -np.inf, rng.uniform(-50, 50, kernel.size))
-        for product, arg in ((kernel.matvec, x), (kernel.log_matvec, lx), (kernel.tmatvec, x)):
-            want = product(arg)
-            out = np.full(kernel.size, np.nan)
-            assert product(arg, out=out) is out
-            assert same_bits(out, want)
-            inplace = arg.copy()
-            assert product(inplace, out=inplace) is inplace
-            assert same_bits(inplace, want)
-
-
-def test_products_refuse_an_out_of_the_wrong_shape(two_space):
-    kernel = ro.build_kernel(ro.builtin_ising(two_space, 1.0, 0.3), 3)
-    x = np.ones(kernel.size)
-    for out in (np.empty(kernel.size + 1), np.empty(2 * kernel.size)[::2], np.empty(kernel.size, dtype=np.float32)):
-        for product in (kernel.matvec, kernel.log_matvec, kernel.tmatvec):
-            with pytest.raises(ValueError):
-                product(x, out=out)
