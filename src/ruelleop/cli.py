@@ -1,7 +1,8 @@
 """Command line driver: JSON-configured models in, deterministic reports out.
 
-The config file is a JSON object; command line flags override its
-top-level scalars.  Keys:
+The config file is a JSON object (standard JSON, read as bytes and
+parsed by orjson); command line flags override its top-level scalars.
+Keys:
 
     space       {"kind": "uniform", "size": 2}
                 {"kind": "finite", "weights": [..]}
@@ -62,6 +63,7 @@ import math
 import sys
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .config import cylinder_cap, set_cylinder_cap
@@ -123,12 +125,13 @@ def _integer(value, key):
 
 def load_config(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        # orjson.JSONDecodeError subclasses json.JSONDecodeError
+        cfg = orjson.loads(data)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     _require(isinstance(cfg, dict), "config must be a JSON object")

@@ -26,7 +26,7 @@ from .errors import NumericError
 from .space import SymbolSpace, word_index
 from .transfer import _block_sums
 
-EXTENSION_MASS_ABORT = 1e-6
+EXTENSION_MASS_ABORT = 1e-6  # extend_eigenmeasure, whose nu is not certified, refuses a mass farther from 1
 INVARIANCE_TOL = 1e-10  # variational_gap flags a test measure less invariant than this
 LOG_CHUNK = 2**16  # entries of log(rho) that relative_entropy holds at once
 
@@ -106,15 +106,15 @@ def _extension_factors(f, log_lam):
 def _unit_mass(space, depth, w, what):
     """The measure w / sum(w), normalized in place, recording how far sum(w) is from 1.
 
-    ``w`` must be a fresh array: the measure keeps it.  A sum more than
-    1e-6 from 1 is refused.
+    ``w`` must be a fresh array: the measure keeps it.  Only a sum that
+    is not finite and positive is refused: how far from 1 converged
+    eigendata leave it is bounded by their solve's tol.
     """
     mass = w.sum()
-    dev = abs(mass - 1.0)
-    if dev > EXTENSION_MASS_ABORT:
-        raise NumericError(f"{what} mass deviates from 1 by {dev:.3e}")
+    if not (math.isfinite(mass) and mass > 0):
+        raise NumericError(f"{what} mass is {mass}, not finite and positive")
     w /= mass
-    return CylinderMeasure(space, depth, w, mass_dev=dev)
+    return CylinderMeasure(space, depth, w, mass_dev=abs(mass - 1.0))
 
 
 def check_eigenmeasure(kernel, log_lam, nu, test_depth):
@@ -140,7 +140,10 @@ def extend_eigenmeasure(f, log_lam, nu):
     relation and the extension is refused.
     """
     w = _extend_raw(f, log_lam, nu.weights, nu.depth)
-    return _unit_mass(nu.space, nu.depth + 1, w, "eigenmeasure extension")
+    ext = _unit_mass(nu.space, nu.depth + 1, w, "eigenmeasure extension")
+    if ext.mass_dev > EXTENSION_MASS_ABORT:
+        raise NumericError(f"eigenmeasure extension mass deviates from 1 by {ext.mass_dev:.3e}")
+    return ext
 
 
 def equilibrium_measure(spec):

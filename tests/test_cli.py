@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ruelleop as ro
 from conftest import renewal_payoffs
@@ -690,6 +692,18 @@ def test_a_loose_tol_accepts_the_eigendata_it_converged_to(tmp_path):
         assert (float(value) > 1e-8) == (tol == 1e-6)
 
 
+def test_a_tol_of_1e_3_builds_the_measures_from_converged_eigendata(tmp_path):
+    # residuals near 5e-4 leave the extended equilibrium mass 4e-4 from 1;
+    # the solve certified them against its tol, so no mass gate refuses them
+    cfg = write_cfg(tmp_path, ISING)
+    code, text = run_to_file(tmp_path, ["spectral", "--config", cfg, "--tol", "1e-3"], "spectral.txt")
+    assert code == 0 and scalar_from(text, "converged") == 1
+    code, text = run_to_file(tmp_path, ["entropy", "--config", cfg, "--tol", "1e-3"], "entropy.txt")
+    assert code == 0
+    code, text = run_to_file(tmp_path, ["verify", "--config", cfg, "--tol", "1e-3"], "verify.txt")
+    assert code == 0 and text.splitlines()[-1] == "# 15 of 15 checks passed"
+
+
 def test_verify_lists_refused_steps_as_failed_checks(tmp_path, monkeypatch, capsys):
     # a refused extension fails the two checks that read it; a refused gap fails its own
     def refuse(*args):
@@ -760,6 +774,55 @@ def test_bad_config_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # read as text, the undecodable byte raised UnicodeDecodeError, a
+    # ValueError, which the exit-code mapping took for a numeric failure
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"space": {"kind": "uniform", "size": 2}, "potential": {"kind": "ising\xff"}}')
+    assert main(["pressure", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config {str(path)!r} is not valid JSON") and err.count("\n") == 1
+
+
+def test_non_standard_json_literals_exit_2(tmp_path, capsys):
+    # NaN, Infinity and literals past double range are not JSON (RFC 8259)
+    for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
+        path = tmp_path / "literal.json"
+        path.write_text(
+            '{"space": {"kind": "uniform", "size": 2}, "potential": {"kind": "constant", "value": %s}}' % literal
+        )
+        assert main(["pressure", "--config", str(path)]) == 2, literal
+        assert "is not valid JSON" in capsys.readouterr().err, literal
+
+
+def test_integers_past_64_bits_are_read_as_floats(tmp_path, capsys):
+    # 10^30 parses as the double nearest it, an integer still, so the
+    # space refuses it on the cylinder cap and prints the rounded value
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"space": {"kind": "uniform", "size": %d}, "potential": {"kind": "constant", "value": 0.5}}' % 10**30
+    )
+    assert cli.load_config(str(path))["space"]["size"] == 1e30
+    assert main(["pressure", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"resource cap: {int(1e30)}^1 = ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+@example([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1.7e308, -1.7e308])
+@example([1 / 3, 0.1, 1e16, 123456.5, 9007199254740993.0, 1e-300, -2.5e-320])
+def test_load_config_reads_the_bits_json_writes(tmp_path_factory, values):
+    # configs are parsed by orjson; every finite double must come back as
+    # the float json.loads reads from the same text, bit for bit
+    text = json.dumps({"potential": {"values": values}})
+    path = tmp_path_factory.mktemp("bits") / "cfg.json"
+    path.write_text(text)
+    got = cli.load_config(str(path))["potential"]["values"]
+    want = json.loads(text)["potential"]["values"]
+    assert all(type(v) is float for v in got)
+    assert np.array_equal(np.array(got, dtype=float).view(np.uint64), np.array(want, dtype=float).view(np.uint64))
+
+
 def test_resource_cap_exits_3(tmp_path, capsys):
     # the equilibrium table has 2^40 rows; the eigensolve alone stays at
     # depth 1.  An n_max or grid count of 10^15 asks for 8 PB, past any
@@ -827,11 +890,11 @@ def test_scan_needs_no_renewal_table(tmp_path, capsys):
 
 
 def test_numeric_refusal_exits_4(tmp_path, capsys):
-    # tol 1.0 stops the power iteration immediately; the equilibrium
-    # construction refuses the uncertified eigendata instead of reporting
+    # two iterations leave the residuals far above the tol; the equilibrium
+    # construction refuses the unconverged eigendata instead of reporting
     cfg = write_cfg(tmp_path, ISING)
-    assert main(["equilibrium", "--config", cfg, "--tol", "1.0"]) == 4
-    capsys.readouterr()
+    assert main(["equilibrium", "--config", cfg, "--max-iters", "2"]) == 4
+    assert "numeric failure: non-converged input refused" in capsys.readouterr().err
 
 
 def test_config_cylinder_cap_holds_for_one_run(tmp_path, capsys):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ruelleop as ro
@@ -85,6 +85,16 @@ def test_extension_refuses_non_eigenmeasure(two_space):
     assert ro.check_eigenmeasure(ro.build_kernel(f, 1), sd.log_lam, fake, 1) > 1e-2
     with pytest.raises(ro.NumericError):
         ro.extend_eigenmeasure(f, sd.log_lam, fake)
+
+
+def test_unit_mass_refuses_only_a_mass_that_is_not_finite_and_positive(two_space):
+    # certified eigendata may leave the mass off 1 by about their tol; the
+    # deviation is recorded, and only a mass with no measure behind it is refused
+    mu = measures._unit_mass(two_space, 1, np.array([0.3, 0.2]), "test")
+    assert np.array_equal(mu.weights, [0.6, 0.4]) and mu.mass_dev == 0.5
+    for w in ([0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [-1.0, 0.5]):
+        with pytest.raises(ro.NumericError, match="not finite and positive"):
+            measures._unit_mass(two_space, 1, np.array(w), "test")
 
 
 def test_equilibrium_refuses_uncertified_data(two_space):
@@ -443,12 +453,29 @@ def test_certificates_equal_their_dense_formulas_bit_for_bit(model, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(models(), st.integers(1, 10))
+# at the default tol 1e-12 its H rows read 1.01e-11 apart: tol bounds the
+# residuals, not the error of lam, so the eigendata are solved at 1e-14
+@example(
+    model=(
+        ro.Potential(
+            ro.finite_space(np.array([0.5, 0.25, 0.25])),
+            3,
+            np.array(
+                [-1.0, -1, -1, 0, -1, -1, -1, -1, -1, -1, 0, -1, -1, -1]
+                + [-1, -1, -1, -1, -1, 0, 1, -1, -1, -1, 0, -1, 0]
+            ),
+        ),
+        2,
+    ),
+    n_max=9,
+)
 def test_closed_form_entropy_rows_match_enumeration(model, n_max):
     # the equilibrium state is (k-1)-step Markov: its rows past depth
     # max(k, 2) are those of its enumerated extension to depth n_max + 1
     f, _ = model
     n_max = max(n_max, f.depth - 1)
-    sd = ro.perron_eigendata(f)
+    sd = ro.perron_eigendata(f, tol=1e-14)
+    assert sd.converged
     markov = min(n_max + 1, max(f.depth, 2))
     got = ro.markov_entropy_gap(ro.extend_equilibrium(sd, f, markov), f, sd, n_max)
     want = ro.variational_gap(ro.extend_equilibrium(sd, f, n_max + 1), f, sd, n_max)
