@@ -19,9 +19,12 @@ Keys:
     depth       cylinder depth of the equilibrium table (default and
                 minimum: max(potential depth - 1, 1)); every solve runs
                 at that minimum, so no other report depends on it
-    tol         bound on the scale-free residuals of power iteration and
-                of the scan's quotient certificate, not on the error of
-                lam or of the eigendata (default 1e-12)
+    tol         stop of power iteration on the scale-free residuals of
+                its last input (a report prints those one step on, which
+                can exceed tol a few times, within verify's bound
+                max(100 tol, 1e-12)) and bound of the scan's quotient
+                certificate; not a bound on the error of lam or of the
+                eigendata (default 1e-12)
     max_iters   power iteration cap (default 100000)
     n_max       bracket / entropy horizon (default 8)
     cylinder_cap  override for the table-size guard, for this run only
@@ -501,13 +504,14 @@ def _negative_controls(f, sd, mu, kernel, res_tol):
     preimage of [u] is nu(u) (M h')(u) / lam for h' = m / nu, so the check
     must read max_u nu(u) |(M h')(u) / lam - h'(u)|, from one forward product.
     A control passes at half that prediction; below res_tol it does not apply.
+    Without an equilibrium measure (mu None) both fail, with value nan.
     """
+    names = ("negative-control-eigenmeasure", "negative-control-perturbed")
+    if mu is None:
+        return [(name, False, math.nan, math.nan) for name in names]
     lam = math.exp(sd.log_lam - kernel.offset)  # the eigenvalue on the kernel's scale
     w = mu.weights * (1.0 + 0.5 * (-1.0) ** np.arange(len(mu.weights)))
-    controls = (
-        ("negative-control-eigenmeasure", sd.nu),
-        ("negative-control-perturbed", CylinderMeasure(mu.space, mu.depth, w / w.sum())),
-    )
+    controls = zip(names, (sd.nu, CylinderMeasure(mu.space, mu.depth, w / w.sum())))
     checks = []
     for name, m in controls:
         h_m = m.weights / sd.nu.weights
@@ -559,10 +563,9 @@ def _verify_checks(f, params):
         mu = None
     worst_res = max(sd.residual_right, sd.residual_left)
     checks.append(("equilibrium-accepted", mu is not None, worst_res, res_tol))
-    if mu is None:
-        return checks
 
-    inv = check_invariance(mu, f, sd.log_lam, sd.nu)
+    # a refused equilibrium fails the checks that read mu, with value nan
+    inv = math.nan if mu is None else check_invariance(mu, f, sd.log_lam, sd.nu)
     checks.append(("equilibrium-invariance", inv <= res_tol, inv, res_tol))
 
     checks += _negative_controls(f, sd, mu, kernel, res_tol)

@@ -24,7 +24,6 @@ import numpy as np
 from .config import check_cylinder_count
 from .errors import NumericError
 from .space import SymbolSpace, word_index
-from .transfer import _block_sums
 
 EXTENSION_MASS_ABORT = 1e-6  # extend_eigenmeasure, whose nu is not certified, refuses a mass farther from 1
 INVARIANCE_TOL = 1e-10  # variational_gap flags a test measure less invariant than this
@@ -77,7 +76,7 @@ def marginalize(mu, depth):
     """Restrict a measure to shallower cylinders by summing trailing symbols."""
     if not 0 <= depth <= mu.depth:
         raise ValueError(f"marginal depth {depth} outside 0..{mu.depth}")
-    w = _block_sums(mu.weights, mu.space.size ** (mu.depth - depth))
+    w = mu.weights.reshape(-1, mu.space.size ** (mu.depth - depth)).sum(axis=1)
     return CylinderMeasure(mu.space, depth, w, mass_dev=mu.mass_dev)
 
 
@@ -126,8 +125,8 @@ def check_eigenmeasure(kernel, log_lam, nu, test_depth):
     lam = math.exp(log_lam - kernel.offset)  # the eigenvalue on the kernel's scale
     t = kernel.tmatvec(nu.weights)
     length = nu.space.size ** (nu.depth - test_depth)
-    lhs = _block_sums(t, length)
-    rhs = lam * _block_sums(nu.weights, length)
+    lhs = t.reshape(-1, length).sum(axis=1)
+    rhs = lam * nu.weights.reshape(-1, length).sum(axis=1)
     return float(np.max(np.abs(lhs - rhs))) / lam
 
 
@@ -260,7 +259,7 @@ def check_intertwine(kernel, log_lam, nu, words):
         lhs = kernel._row_weights(rows) * deep[rows]
         # the pointed restriction sums to nu(word) over its last symbol b; the
         # first adjoint puts it on a.word, the second on c.a.word_1..word_(d-1)
-        mass = _block_sums(deep[idx * n : (idx + 1) * n], n)
+        mass = deep[idx * n : (idx + 1) * n].reshape(-1, n).sum(axis=1)
         first = kernel._row_weights(np.array([idx * n]))[:, 0] * mass / lam
         rhs = kernel._row_weights((symbols * n ** (d - 1) + idx // n) * n) * first
         if d <= 2:
@@ -279,7 +278,7 @@ def _deep_block_sums(terms, idx, n, d):
     if d == 2:
         level = np.zeros((n, n, n))
         level[:, :, idx // n] = terms
-    return _block_sums(level.reshape(-1), n * n)
+    return level.reshape(-1, n * n).sum(axis=1)
 
 
 def relative_entropy(mu, rho, depth=None):
@@ -366,7 +365,7 @@ def invariance_defect(mu):
     """
     n = mu.space.size
     drop_first = mu.weights.reshape(n, -1).sum(axis=0)
-    drop_last = _block_sums(mu.weights, n)
+    drop_last = mu.weights.reshape(-1, n).sum(axis=1)
     return float(np.max(np.abs(drop_first - drop_last)))
 
 

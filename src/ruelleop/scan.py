@@ -231,8 +231,9 @@ def _lumped_roots(weights, cols, quotient, betas, offsets, block, tol):
     exp(beta cols - offset) (see ``_quotient_data``) are shifted, S = Q + sigma
     I, and squared, S <- S S / max(S S): non-negative, tending to Q's Perron
     projector.  g = S 1 and lam = 1^T S Q g / 1^T S g; a point keeps both from
-    the first check that certifies it on Q (g >= 0, max g > 0, max|Q g - lam g|
-    <= tol lam max g) and leaves the stack.  Pass 1 has sigma = 0; squares of a
+    the first check that certifies it on Q (lam > 0, max g > 0, max|Q g - lam g|
+    <= tol lam max g; g >= 0 holds by construction, as S >= 0, and a NaN in g
+    fails max g > 0) and leaves the stack.  Pass 1 has sigma = 0; squares of a
     Q with a mode near -lam can stall, so pass 2 retries the rest at sigma =
     SHIFT_RATIO times Q's least row sum.
     """
@@ -260,8 +261,7 @@ def _lumped_roots(weights, cols, quotient, betas, offsets, block, tol):
                     vectors[at] = g[:, :, 0]
                     defect = np.abs(qg - lam[:, None, None] * g).max(axis=(1, 2))
                     peak = g.max(axis=(1, 2))
-                    ok = (lam > 0) & (peak > 0) & (g.min(axis=(1, 2)) >= 0)
-                    ok = certified[at] = ok & (defect / (lam * peak) <= tol)
+                    ok = certified[at] = (lam > 0) & (peak > 0) & (defect / (lam * peak) <= tol)
                     if ok.any():
                         at, q, s = at[~ok], q[~ok], s[~ok]
     return roots, vectors, certified

@@ -105,17 +105,23 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
 
     Iterates on M + sigma I, sigma = SHIFT_RATIO times the adjoint mass of
     the step; ``lam``, the eigenvalue step and both residuals are those of M.
-    The forward iterate is divided by its peak max|x| on entry and at
-    every step, so a start scaled by a power of two runs the same steps.
-    Stops when the forward residual, the adjoint residual and the
-    relative eigenvalue step all fall below tol.  tol bounds those, not
-    the error of lam or of the vectors, which is about the residual over
-    the spectral gap.  Non-convergence is reported in the result, not
-    raised.  ``left0`` and ``right0`` are never written.
+    The iterates stay in the positive cone: a start ``left0`` or
+    ``right0`` with a negative or non-finite entry, or with no positive
+    entry, raises ValueError.  The forward iterate is divided by its
+    maximum on entry and at every step, so a start scaled by a power of
+    two runs the same steps.  Stops when the forward residual, the
+    adjoint residual and the relative eigenvalue step all fall below
+    tol.  tol bounds those, not the error of lam or of the vectors,
+    which is about the residual over the spectral gap.  Non-convergence
+    is reported in the result, not raised.  ``left0`` and ``right0`` are
+    never written.
     """
+    for start in (left0, right0):
+        if start is not None and not (np.min(start) >= 0 and 0 < np.max(start) < math.inf):
+            raise ValueError("a start must be finite and non-negative, with a positive entry")
     nd = kernel.size
     left = np.full(nd, 1.0 / nd) if left0 is None else np.asarray(left0, float) / np.sum(left0)
-    right = np.ones(nd) if right0 is None else np.asarray(right0, float) / np.max(np.abs(right0))
+    right = np.ones(nd) if right0 is None else np.asarray(right0, float) / np.max(right0)
     lam = math.nan
     resid_l = resid_r = math.inf
     converged = False
@@ -144,7 +150,7 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
         t_left += left
         right *= sigma
         t_right += right
-        t_right *= 1.0 / max(float(t_right.max()), -float(t_right.min()))  # 1 / max |t|
+        t_right *= 1.0 / float(t_right.max())
         left, right = t_left, t_right
         if max(resid_l, resid_r, dlam) < tol:
             converged = True

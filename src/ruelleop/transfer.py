@@ -69,23 +69,6 @@ def _arq(table, n, blocks):
     return table.reshape(n, p0, rw).transpose(0, 2, 1)
 
 
-def _block_sums(x, length):
-    """Sums of consecutive blocks of ``length`` entries of x.
-
-    Bit for bit ``x.reshape(-1, length).sum(axis=1)``, which runs one
-    inner loop per block.  numpy adds fewer than 8 terms in order from
-    +0.0, so short blocks are summed column by column from
-    ``blocks[:, 0] + 0.0``: the +0.0 start gives its signed zeros too.
-    """
-    blocks = x.reshape(-1, length)
-    if length >= 8:
-        return blocks.sum(axis=1)
-    total = blocks[:, 0] + 0.0
-    for j in range(1, length):
-        total += blocks[:, j]
-    return total
-
-
 def _same_space(a, b):
     return a is b or (
         a.size == b.size
@@ -228,7 +211,7 @@ class TransferKernel:
         p0, p1, rw = self.blocks
         if rw == 1:
             # the weight of row (q, r) does not depend on r: sum over r first
-            sums = _block_sums(np.asarray(x, dtype=float), n)
+            sums = np.asarray(x, dtype=float).reshape(-1, n).sum(axis=1)
             return (self.ew_arq.reshape(n, p0, 1) * sums.reshape(p0, p1)).reshape(-1)
         rows = np.asarray(x, dtype=float).reshape(-1, n)
         return (self.ew_arq * rows.T).sum(axis=1).reshape(-1)

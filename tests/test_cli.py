@@ -734,6 +734,13 @@ def test_verify_passes_and_catches_starved_iteration(tmp_path):
     )
     assert code == 1
     assert "FAIL" in text
+    # the refused equilibrium fails the checks that read mu; the battery still has 15 lines
+    checks = [line for line in text.splitlines() if line.startswith(("ok", "FAIL"))]
+    assert len(checks) == 15 and text.rstrip().endswith("of 15 checks passed")
+    for name in ("equilibrium-invariance", "negative-control-eigenmeasure", "negative-control-perturbed", "variational-gap"):
+        (line,) = [line for line in checks if line.split()[1] == name]
+        assert line.startswith("FAIL") and "value=nan" in line, line
+    assert any(line.split()[1] == "adjoint-intertwine" and "value=nan" not in line for line in checks)
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

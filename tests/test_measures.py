@@ -11,7 +11,6 @@ import ruelleop as ro
 from conftest import deep_eigenmeasure, models
 from ruelleop import measures
 from ruelleop.measures import _extend_raw
-from ruelleop.transfer import _block_sums
 
 
 def word_idx(word, n):
@@ -403,11 +402,11 @@ def dense_intertwine(kernel, log_lam, nu, words):
         shifted = np.zeros(n ** (d + 1))
         sel = np.arange(n) * n**d + idx
         shifted[sel] = deep[sel]
-        lhs = _block_sums(kernel.tmatvec(shifted), n * n)
+        lhs = kernel.tmatvec(shifted).reshape(-1, n * n).sum(axis=1)
         pointed = np.zeros(n ** (d + 1))
         sel = idx * n + np.arange(n)
         pointed[sel] = deep[sel]
-        rhs = _block_sums(kernel.tmatvec(kernel.tmatvec(pointed) / lam), n * n)
+        rhs = kernel.tmatvec(kernel.tmatvec(pointed) / lam).reshape(-1, n * n).sum(axis=1)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))) / lam)
     return worst
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import ruelleop as ro
 from conftest import models
-from ruelleop.transfer import _block_sums
 
 
 def log_iterate_oracle(f, n, word):
@@ -201,41 +200,8 @@ def test_mixed_spaces_rejected(two_space, three_space):
         ro.apply_transfer(f, phi)
 
 
-# summands from 1e-20 to 1e20 in magnitude, signed zeros and exact cancellations
-SUMMANDS = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16]),
-    st.builds(
-        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
-        st.sampled_from([1.0, -1.0]),
-        st.floats(1.0, 10.0),
-        st.integers(-20, 19),
-    ),
-)
-
-
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 12),
-    st.one_of(st.integers(1, 200), st.just(65_536)),
-    st.lists(SUMMANDS, min_size=1, max_size=16),
-    st.integers(0, 2**32 - 1),
-)
-def test_block_sums_equal_numpy_row_sums_bit_for_bit(length, rows, pool, seed):
-    x = np.random.default_rng(seed).choice(np.array(pool), size=rows * length)
-    assert same_bits(_block_sums(x, length), x.reshape(-1, length).sum(axis=1))
-
-
-@pytest.mark.parametrize(
-    "row",
-    [(1e16, 1.0, 1.0, -1e16), (-0.0,), (-0.0, -0.0), (-0.0, -0.0, -0.0), (1.0, -1.0, -0.0)],
-)
-def test_block_sums_keep_numpy_order_and_signed_zeros(row):
-    x = np.array(row * 3)
-    assert same_bits(_block_sums(x, len(row)), x.reshape(-1, len(row)).sum(axis=1))
 
 
 def _spread(kernel, total):
