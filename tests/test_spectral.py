@@ -344,10 +344,11 @@ def unit(v):
 
 # (-5, 0): every row sum is equal, so the mass is lam from the first step on
 @pytest.mark.parametrize("coupling, field", [(-5.0, 0.3), (-8.0, 0.3), (-12.0, 0.05), (-5.0, 0.0)])
-def test_shifted_iteration_on_antiferromagnetic_kernels_reaches_the_dense_pair(two_space, coupling, field):
-    # an antiferromagnetic depth-1 kernel has lam2 / lam1 near -1; from a skewed
-    # start the shifted iteration runs the allocating loop's steps bit for bit
-    # and reaches the dense Perron pair
+def test_period_two_averaging_reads_the_previous_iterates(two_space, coupling, field):
+    # an antiferromagnetic depth-1 kernel has lam2 / lam1 near -1; each shifted
+    # step averages the product with its previous iterate, so from a skewed
+    # start the iteration runs the allocating loop's steps bit for bit and
+    # reaches the dense Perron pair
     f = ro.builtin_ising(two_space, coupling, field)
     kernel = ro.build_kernel(f, 1)
     starts = {"left0": np.array([0.8, 0.2]), "right0": np.array([1.0, 3.0])}
