@@ -30,7 +30,9 @@ Keys:
     cylinder_cap  override for the table-size guard, for this run only
 
 Exit codes: 0 success, 1 failed verification, 2 bad config, 3 resource
-cap exceeded or memory exhausted, 4 numeric failure.  Output contains
+cap exceeded or memory exhausted, 4 numeric failure.  A scan point whose
+power iteration fails numerically does not exit 4: it prints lam and
+pressure nan and is listed as a non-converged candidate.  Output contains
 no timestamps, so a fixed config and environment reproduce reports byte
 for byte.  The report header echoes the space and potential configs; a
 table potential's values appear there as their count and sha256 digest, from

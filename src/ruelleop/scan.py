@@ -16,14 +16,18 @@ route.  The grid's offsets are computed once, from the values the
 quotient reads, which are every value of f.  The quotients of a block
 of at most ``STACK_ENTRIES`` entries are built by one scatter; repeated
 squaring of the stack gives their Perron roots and non-negative
-certificate vectors together.  Each point is certified on its own
-quotient, whose residual is that of the lifted eigenvector on the full
-kernel, never built there.  A point whose certificate fails is
-power-iterated from the uniform start on its own quotient, which has the
-kernel's Perron root, and is non-converged only if that fails too.
-Without a quotient the offsets come from f's table, and each point is
-power-iterated on its kernel ``build_kernel(scale(f, beta), d0)`` from
-the previous point's vectors.
+certificate vectors together.  After the first pass each squaring pass
+shifts a point's quotient by ``SHIFT_RATIO`` times the root the previous
+pass read, the rule power iteration shifts by, so that modes near -lam
+contract.  Each point is certified on its own quotient, whose residual
+is that of the lifted eigenvector on the full kernel, never built there.
+A point whose certificate fails is power-iterated from the uniform start
+on its own quotient, which has the kernel's Perron root, and is
+non-converged only if that fails too.  Without a quotient the offsets
+come from f's table, and each point is power-iterated on its kernel
+``build_kernel(scale(f, beta), d0)`` from the previous point's vectors.
+A point whose power iteration fails numerically (an adjoint mass that
+underflows to 0) is non-converged with root NaN and passes no start on.
 
 A genuine first-order transition would put a slope discontinuity into
 the limiting curve; at finite truncation the curve is analytic, so the
@@ -39,8 +43,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import check_cylinder_count
+from .errors import NumericError
 from .potential import RenewalPotential, scale
-from .spectral import DEFAULT_MAX_ITERS, SHIFT_RATIO, power_iterate
+from .spectral import DEFAULT_MAX_ITERS, SHIFT_RATIO, _check_stop, power_iterate
 from .transfer import (
     _gauge_offset,
     _prefix,
@@ -66,6 +71,16 @@ ITERATION_OVERHEAD = 2_000
 # root below 2**-53 of it.  Checking from the 6th, not after every squaring, cut
 # renewal-scan pressure_curve from 6.4-10.0 to 4.8-7.8 ms (medians of 40, 6 runs)
 SQUARINGS, FIRST_CHECK = 64, 6
+# squaring passes per block.  Pass p squares Q + sigma I, sigma = SHIFT_RATIO
+# times the root pass p - 1 read for the point (0 before pass 1, which is plain
+# squaring).  A pass that certifies nothing still reads a root nearer lam, so
+# the count is fixed.  Points left uncertified at tol 1e-12 of 37,797 on
+# moderate models (renewals K = 2-200, xy on 8-48 nodes, binary tables in
+# [-1, 1], spin and 3-symbol quotients) / of 23,440 on binary tables in
+# [-50, 50] and [-400, 400], most of them with entries that underflow to 0:
+# 2 passes 171 / 11,481; 3 passes 0 / 10,502; 4 passes 0 / 10,195; 5 passes
+# 0 / 10,068; passes until one certifies nothing 272 / 10,151
+PASSES = 4
 # a block of lumped points holds at most STACK_ENTRIES entries of weights (n c per
 # point) or quotients (c**2), 512 kB, or one point.  It bounds memory only: stacked
 # matmul, max and sums act on each matrix alone
@@ -101,7 +116,9 @@ def pressure_curve(f, betas, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
 
     One pass solves and certifies each lumped point on its own quotient, so no
     lumped pressure depends on the grid; one loop then power-iterates the other
-    points.  ``iterations`` is 0 at points certified on Q.
+    points.  ``iterations`` is 0 at points certified on Q, and at points whose
+    power iteration failed numerically, which read lam NaN.  tol and max_iters
+    are refused as by ``power_iterate``.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 1 or len(betas) < 2:
@@ -110,6 +127,7 @@ def pressure_curve(f, betas, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
         raise ValueError("beta grid must be finite")
     if np.any(np.diff(betas) <= 0):
         raise ValueError("beta grid must be strictly increasing")
+    _check_stop(tol, max_iters)
 
     m = len(betas)
     iters = np.zeros(m, dtype=np.int64)
@@ -132,7 +150,11 @@ def pressure_curve(f, betas, tol=1e-12, max_iters=DEFAULT_MAX_ITERS):
             kernel = build_kernel(scale(f, betas[i]), depth)
         else:
             kernel = _Dense(quotient(w[:, None] * np.exp(betas[i] * cols - offsets[i])))
-        res = power_iterate(kernel, tol=tol, max_iters=max_iters, left0=left, right0=right)
+        try:
+            res = power_iterate(kernel, tol=tol, max_iters=max_iters, left0=left, right0=right)
+        except NumericError:
+            roots[i] = np.nan  # non-converged, and no start for the next point
+            continue
         roots[i], converged[i], iters[i] = res.lam, res.converged, res.iterations
         if data is None:
             left, right = res.left, res.right
@@ -232,10 +254,13 @@ def _lumped_roots(weights, cols, quotient, betas, offsets, block, tol):
     I, and squared, S <- S S / max(S S): non-negative, tending to Q's Perron
     projector.  g = S 1 and lam = 1^T S Q g / 1^T S g; a point keeps both from
     the first check that certifies it on Q (lam > 0, max g > 0, max|Q g - lam g|
-    <= tol lam max g; g >= 0 holds by construction, as S >= 0, and a NaN in g
-    fails max g > 0) and leaves the stack.  Pass 1 has sigma = 0; squares of a
-    Q with a mode near -lam can stall, so pass 2 retries the rest at sigma =
-    SHIFT_RATIO times Q's least row sum.
+    <= tol lam max g; g >= 0 holds by construction, as S >= 0, a NaN in g
+    fails max g > 0, and a ratio that overflows fails the bound) and leaves
+    the stack.  Squares of a Q with a mode near -lam can stall, so each of
+    ``PASSES`` passes retries the rest at sigma = SHIFT_RATIO times the root
+    the previous pass read, as ``power_iterate`` shifts by SHIFT_RATIO times
+    its mass.  That root is 0 before pass 1, which is plain squaring; a NaN
+    or infinite root makes S NaN, which certifies nothing.
     """
     c = cols.shape[1]
     w = weights[:, None]
@@ -243,10 +268,10 @@ def _lumped_roots(weights, cols, quotient, betas, offsets, block, tol):
     vectors = np.empty((len(betas), c))
     for at in np.split(np.arange(len(betas)), range(block, len(betas), block)):
         q = quotient(w * np.exp(betas[at, None, None] * cols - offsets[at, None, None]))
-        for shift in (0.0, SHIFT_RATIO):
-            s = q.copy() if not shift else (
-                q + shift * q.sum(axis=2).min(axis=1)[:, None, None] * np.eye(c))
-            with np.errstate(divide="ignore", invalid="ignore"):
+        roots[at] = 0.0
+        for _ in range(PASSES):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                s = q + SHIFT_RATIO * roots[at, None, None] * np.eye(c)
                 s /= s.max(axis=(1, 2), keepdims=True)
                 for k in range(1, SQUARINGS + 1):
                     if not len(at):

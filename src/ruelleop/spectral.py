@@ -43,7 +43,9 @@ DEFAULT_MAX_ITERS = 100_000
 # from the starts (0.8, 0.2) and (1, 3) 100,000 (not converged) / 691 / 277 /
 # 139.  A sigma fixed at s times the first mass stalls instead: that mass is a
 # weighted mean of the row sums, which can exceed lam by e^400 (the coboundary
-# 400 (x0 - x1)), and M + sigma I is then nearly the identity.
+# 400 (x0 - x1)), and M + sigma I is then nearly the identity.  The scan's
+# squaring passes read the constant too: after the first they square Q + sigma I
+# with sigma = SHIFT_RATIO times the root the previous pass read (scan.PASSES)
 SHIFT_RATIO = 0.05
 
 
@@ -83,6 +85,14 @@ def pressure_bracket(f, n_max):
     )
 
 
+def _check_stop(tol, max_iters):
+    """Refuse a tol that is not positive and finite, or a max_iters below 1."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+
+
 @dataclass(frozen=True, eq=False)
 class PowerIterationResult:
     """Raw output of the simultaneous iteration; ``lam`` is the root of the kernel of f - offset.
@@ -105,7 +115,8 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
 
     Iterates on M + sigma I, sigma = SHIFT_RATIO times the adjoint mass of
     the step; ``lam``, the eigenvalue step and both residuals are those of M.
-    The iterates stay in the positive cone: a start ``left0`` or
+    A tol that is not positive and finite or a max_iters below 1 raises
+    ValueError.  The iterates stay in the positive cone: a start ``left0`` or
     ``right0`` with a negative or non-finite entry, or with no positive
     entry, raises ValueError.  The forward iterate is divided by its
     maximum on entry and at every step, so a start scaled by a power of
@@ -116,6 +127,7 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
     is reported in the result, not raised.  ``left0`` and ``right0`` are
     never written.
     """
+    _check_stop(tol, max_iters)
     for start in (left0, right0):
         if start is not None and not (np.min(start) >= 0 and 0 < np.max(start) < math.inf):
             raise ValueError("a start must be finite and non-negative, with a positive entry")

@@ -388,6 +388,31 @@ def test_scan_past_double_range_prints_lam_inf_and_exact_pressure(tmp_path):
     assert all(r[5] == "1" for r in rows)
 
 
+@pytest.mark.parametrize(
+    "seed, depth, grid, failed",
+    [
+        (303, 4, {"start": -3.0, "stop": 3.0, "count": 61}, 17),  # quotient route
+        (502, 8, {"start": 0.5, "stop": 3.0, "count": 6}, 5),  # kernel route
+    ],
+)
+def test_a_scan_point_whose_iteration_fails_is_listed_non_converged(tmp_path, seed, depth, grid, failed):
+    # past beta 2.8 these kernels' adjoint mass underflows to 0 and power
+    # iteration raises; the point prints nan and the scan goes on
+    values = np.random.default_rng(seed).uniform(-400.0, 400.0, 2**depth)
+    cfg = {
+        "space": {"kind": "uniform", "size": 2},
+        "potential": {"kind": "table", "depth": depth, "values": values.tolist()},
+        "grid": grid,
+    }
+    argv = ["scan", "--config", write_cfg(tmp_path, cfg), "--format", "csv", "--max-iters", "2000"]
+    code, text = run_to_file(tmp_path, argv)
+    assert code == 0
+    assert scalar_from(text, "n_nonconverged") == failed
+    assert text.count(" non-converged") == failed
+    rows = [l.split(",") for l in text.splitlines() if l[:1].isdigit() or l[:1] == "-"]
+    assert rows[-1][1:] == ["nan", "nan", "nan", "0", "0", "0"]
+
+
 def test_a_constant_past_double_range_runs_every_command(tmp_path):
     # lam = exp(800) prints inf; the pressure log lam = 800 stays exact
     cfg = {"space": {"kind": "uniform", "size": 2}, "potential": {"kind": "constant", "value": 800}}
@@ -439,7 +464,8 @@ def test_adjoint_intertwine_holds_on_a_strongly_coupled_ising_model(tmp_path):
 
 def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
     # 16,384 words: large enough that a BLAS dot product splits its sum by
-    # thread; the scan squares 63 x 63 renewal quotients by BLAS matmul
+    # thread; the scans square 63 x 63 renewal quotients by BLAS matmul, and
+    # the quotients of a depth-6 table in the shifted passes
     values = np.random.default_rng(3).uniform(-1.0, 1.0, 2**15)
     cfg = {
         "space": {"kind": "uniform", "size": 2},
@@ -448,9 +474,17 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
     path = write_cfg(tmp_path, cfg)
     renewal = {"kind": "renewal", "payoffs": renewal_payoffs(64)}
     scan_path = write_cfg(tmp_path, {"space": cfg["space"], "potential": renewal}, "scan.json")
+    table = {"kind": "table", "depth": 6, "values": values[:64].tolist()}
+    grid = {"start": -5.0, "stop": 60.0, "count": 131}
+    shifted_path = write_cfg(tmp_path, {"space": cfg["space"], "potential": table, "grid": grid}, "shifted.json")
     pythonpath = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    for argv in (["spectral"], ["entropy", "--n-max", "14"], ["scan"]):
-        config = scan_path if argv == ["scan"] else path
+    runs = (
+        (["spectral"], path),
+        (["entropy", "--n-max", "14"], path),
+        (["scan"], scan_path),
+        (["scan"], shifted_path),
+    )
+    for argv, config in runs:
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)

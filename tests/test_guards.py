@@ -131,6 +131,30 @@ GUARDS = [
         "power-iteration-mass",
     ),
     case(
+        lambda _: ro.power_iterate(MasslessKernel(), tol=float("nan")),
+        ValueError,
+        "tol must be positive and finite",
+        "power-iteration-tol",
+    ),
+    case(
+        lambda _: ro.power_iterate(MasslessKernel(), max_iters=0),
+        ValueError,
+        "max_iters must be at least 1",
+        "power-iteration-max-iters",
+    ),
+    case(
+        lambda _: ro.pressure_curve(CONST, [0.0, 1.0], tol=0.0),
+        ValueError,
+        "tol must be positive and finite",
+        "scan-tol",
+    ),
+    case(
+        lambda _: ro.pressure_curve(CONST, [0.0, 1.0], max_iters=0),
+        ValueError,
+        "max_iters must be at least 1",
+        "scan-max-iters",
+    ),
+    case(
         eigendata_without_integral,
         ro.NumericError,
         "eigenfunction integral against the eigenmeasure is not positive",

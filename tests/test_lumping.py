@@ -13,6 +13,7 @@ import ruelleop as ro
 from conftest import VALUES, models, renewal_payoffs
 from ruelleop import scan
 from ruelleop.cli import main
+from ruelleop.transfer import _gauge_offset
 
 
 def indicator(lumping):
@@ -358,10 +359,11 @@ def test_shifted_squaring_certifies_quotients_with_a_mode_near_minus_lam(depth, 
     # the antiferromagnetic spin quotient on a non-uniform space has
     # eigenvalues near lam and -lam.  Its squares, near a diagonal matrix,
     # round the gap away: at these betas plain squaring stalls above tol or
-    # needs more than SQUARINGS.  The second pass squares Q + sigma I, which
-    # contracts the mode near -lam, and certifies every point on its
-    # quotient: in the scan, at depth 1, and at deeper depths, whose
-    # quotient is the same 2 x 2 matrix
+    # needs more than SQUARINGS.  The passes after the first square Q + sigma
+    # I, with sigma SHIFT_RATIO times the root the previous pass read, which
+    # contracts the mode near -lam, and certify every point on its quotient:
+    # in the scan, at depth 1, and at deeper depths, whose quotient is the
+    # same 2 x 2 matrix
     f = ro.builtin_ising(ro.finite_space([0.3, 0.7]), -1.0)
     betas = np.array([8.0, 10.0, 12.0, 23.0, 30.0, 40.0])
     curve = ro.pressure_curve(f, betas)
@@ -371,6 +373,29 @@ def test_shifted_squaring_certifies_quotients_with_a_mode_near_minus_lam(depth, 
     monkeypatch.setattr(scan, "SHIFT_RATIO", 0.0)
     plain = ro.pressure_curve(f, betas)
     assert plain.converged.all() and np.all(plain.iterations > 0)
+
+
+def test_shifted_passes_certify_every_point_of_a_random_table_scan(two_space):
+    # these quotients have peripheral modes that plain squaring does not
+    # separate; a shift of SHIFT_RATIO times the previous pass's root does.  A
+    # shift of SHIFT_RATIO times Q's least row sum, 1e-34 to 7e-5 of lam at the
+    # points it failed, left 104 of the 131 points to power iteration
+    f = ro.Potential(two_space, 6, np.random.default_rng(3).uniform(-1.0, 1.0, 64))
+    curve = ro.pressure_curve(f, np.linspace(-5.0, 60.0, 131))
+    assert curve.converged.all() and np.all(curve.iterations == 0)
+
+
+def test_a_certificate_ratio_that_overflows_fails_without_a_warning():
+    # at these betas the quotient's entries reach 1e215 and its root is near
+    # 1e104: the squares underflow, the root read is near 1e-180, and the
+    # ratio defect / (lam max g) overflows.  The point fails its certificate
+    # and is left to power iteration, with no warning
+    f = ro.Potential(ro.uniform_space(2), 5, np.random.default_rng(0).uniform(-50.0, 50.0, 32))
+    cols, quotient = scan._quotient_data(f, 4)
+    betas = np.array([9.5, 10.0])
+    offsets = np.array([_gauge_offset(*sorted((b * cols.min(), b * cols.max())), 5) for b in betas])
+    _, _, certified = scan._lumped_roots(f.space.weights, cols, quotient, betas, offsets, 2, 1e-12)
+    assert not certified.any()
 
 
 @settings(max_examples=100, deadline=None)

@@ -251,10 +251,15 @@ def test_power_iteration_reports_the_residuals_of_its_last_step(two_space):
     for max_iters in (1, 5, ro.spectral.DEFAULT_MAX_ITERS):
         res = ro.power_iterate(kernel, max_iters=max_iters)
         assert res.converged == (max_iters > 5)
-        # a run one iteration shorter does the same arithmetic and ends on the last step's input
-        prev = ro.power_iterate(kernel, max_iters=res.iterations - 1)
-        right = np.max(np.abs(kernel.matvec(prev.right) - res.lam * prev.right))
-        left = np.max(np.abs(kernel.tmatvec(prev.left) - res.lam * prev.left))
+        # a run one iteration shorter does the same arithmetic and ends on the
+        # last step's input; the first step's input is the uniform start
+        if res.iterations == 1:
+            prev_right, prev_left = np.ones(kernel.size), np.full(kernel.size, 1.0 / kernel.size)
+        else:
+            prev = ro.power_iterate(kernel, max_iters=res.iterations - 1)
+            prev_right, prev_left = prev.right, prev.left
+        right = np.max(np.abs(kernel.matvec(prev_right) - res.lam * prev_right))
+        left = np.max(np.abs(kernel.tmatvec(prev_left) - res.lam * prev_left))
         assert res.residual_right == right / res.lam
         assert res.residual_left == left / res.lam
 
