@@ -75,7 +75,6 @@ from .config import cylinder_cap, set_cylinder_cap
 from .errors import ConfigError, NumericError, ResourceCapError
 from .measures import (
     CylinderMeasure,
-    check_eigenmeasure,
     check_intertwine,
     check_invariance,
     equilibrium_measure,
@@ -405,8 +404,6 @@ def _spectral_scalars(sd):
         ("iterations", sd.iterations),
         ("residual_right", sd.residual_right),
         ("residual_left", sd.residual_left),
-        ("mass_dev", sd.mass_dev),
-        ("hnu_dev", sd.hnu_dev),
         ("out_depth", sd.nu.depth),
         ("trunc_bound", sd.trunc_bound),
     ]
@@ -452,7 +449,7 @@ def cmd_entropy(f, params, fmt):
             ("pressure", sd.log_lam),
             ("integral", rep.integral),
             ("integral_err", rep.integral_err),
-            ("invariance_defect", rep.flags["invariance_defect"]),
+            ("invariance_defect", rep.invariance_defect),
             ("gap", rep.gap),
         ],
         fmt,
@@ -534,8 +531,6 @@ def _verify_checks(f, params):
     checks.append(("power-iteration-converged", bool(sd.converged), float(sd.iterations), float(params["max_iters"])))
     checks.append(("residual-right", sd.residual_right <= res_tol, sd.residual_right, res_tol))
     checks.append(("residual-left", sd.residual_left <= res_tol, sd.residual_left, res_tol))
-    checks.append(("mass-normalized", sd.mass_dev <= 1e-10, sd.mass_dev, 1e-10))
-    checks.append(("pairing-normalized", sd.hnu_dev <= 1e-10, sd.hnu_dev, 1e-10))
 
     # |log lam| <= sup f; lam and its bound exp(sup f) print inf past double range
     in_band = abs(sd.log_lam) <= f.sup_norm + 1e-12 * max(1.0, f.sup_norm)
@@ -547,41 +542,28 @@ def _verify_checks(f, params):
     bracketed = (est.p_inf[-1] - pad <= sd.log_lam <= est.p_sup[-1] + pad)
     checks.append(("bracket-contains-pressure", bracketed, sd.log_lam, float(est.p_sup[-1])))
 
-    kernel = build_kernel(f, sd.nu.depth)  # the eigenmeasure check and the controls read it
-    adj = check_eigenmeasure(kernel, sd.log_lam, sd.nu, sd.nu.depth)
-    checks.append(("eigenmeasure-fixed-point", adj <= res_tol, adj, res_tol))
-
-    try:
-        nu_ext = extend_eigenmeasure(f, sd.log_lam, sd.nu)
-        checks.append(("extension-mass", nu_ext.mass_dev <= 1e-10, nu_ext.mass_dev, 1e-10))
-    except NumericError:
-        # the extension refused outright; that is a failed check, not a crash
-        nu_ext = None
-        checks.append(("extension-mass", False, float("nan"), 1e-10))
-
+    # equilibrium_measure refuses exactly the non-converged eigendata; a refused
+    # equilibrium fails the checks that read mu, with value nan
     try:
         mu = equilibrium_measure(sd)
     except NumericError:
         mu = None
-    worst_res = max(sd.residual_right, sd.residual_left)
-    checks.append(("equilibrium-accepted", mu is not None, worst_res, res_tol))
-
-    # a refused equilibrium fails the checks that read mu, with value nan
     inv = math.nan if mu is None else check_invariance(mu, f, sd.log_lam, sd.nu)
     checks.append(("equilibrium-invariance", inv <= res_tol, inv, res_tol))
 
-    checks += _negative_controls(f, sd, mu, kernel, res_tol)
-    # the checks below read neither; freed before they build deeper levels
-    del kernel, mu
+    checks += _negative_controls(f, sd, mu, build_kernel(f, sd.nu.depth), res_tol)
+    del mu  # the checks below do not read it; freed before they build deeper levels
 
-    worst = math.nan  # no extension to check is a failed check
-    if nu_ext is not None:
+    try:
+        nu_ext = extend_eigenmeasure(f, sd.log_lam, sd.nu)
         # words one level shallower than the stored measure, per the check
         n, d = f.space.size, nu_ext.depth - 1
         words = [index_word(i, n, d) for i in range(min(n**d, 16))]
         worst = check_intertwine(build_kernel(f, nu_ext.depth), sd.log_lam, nu_ext, words)
+        del nu_ext
+    except NumericError:
+        worst = math.nan  # the extension refused outright: a failed check, not a crash
     checks.append(("adjoint-intertwine", worst <= res_tol, worst, res_tol))
-    del nu_ext
 
     # mu is (k-1)-step Markov: read as in entropy, its rate is exact at n = depth - 1
     depth = max(f.depth, 2)

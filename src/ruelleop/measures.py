@@ -17,7 +17,7 @@ minus its increment, so the pressure inequality reads
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .errors import NumericError
 from .space import SymbolSpace, word_index
 
 EXTENSION_MASS_ABORT = 1e-6  # extend_eigenmeasure, whose nu is not certified, refuses a mass farther from 1
-INVARIANCE_TOL = 1e-10  # variational_gap flags a test measure less invariant than this
 LOG_CHUNK = 2**16  # entries of log(rho) that relative_entropy holds at once
 
 
@@ -316,8 +315,11 @@ class EntropyReport:
     ``H`` is the relative entropy against the a-priori product measure
     at each depth in ``n``; ``entropy_rate`` holds the signed rates
     -(H_{n+1} - H_n) (exact for Markov measures once n reaches the
-    potential depth).  When produced by :func:`variational_gap` the
-    integral term and the gap sequence are filled in as well.
+    potential depth); an entry of ``H`` is ``inf`` where mu charges a
+    cylinder the product measure does not.  When produced by
+    :func:`variational_gap` the integral term, the gap sequence and mu's
+    own ``invariance_defect`` (:func:`invariance_defect`) are filled in
+    as well.
     """
 
     n: np.ndarray
@@ -326,7 +328,7 @@ class EntropyReport:
     integral: float = None
     integral_err: float = None
     gaps: np.ndarray = None
-    flags: dict = field(default_factory=dict)
+    invariance_defect: float = None
 
     @property
     def gap(self):
@@ -337,7 +339,8 @@ def specific_entropy(mu, n_max):
     """Relative entropies of mu against the a-priori product, depths 1..n_max.
 
     Needs mu stored at depth n_max or deeper (shallower depths come from
-    marginals).  Infinite values are legal and flagged.
+    marginals).  Infinite values are legal: the rates next to them are
+    infinite or nan.
     """
     if not 1 <= n_max <= mu.depth:
         raise ValueError(f"n_max {n_max} outside 1..{mu.depth}")
@@ -345,8 +348,7 @@ def specific_entropy(mu, n_max):
     H = np.array([relative_entropy(mu, rho, d) for d in range(1, n_max + 1)])
     with np.errstate(invalid="ignore"):
         rate = -(H[1:] - H[:-1])
-    flags = {"finite": bool(np.all(np.isfinite(H)))}
-    return EntropyReport(n=np.arange(1, n_max + 1), H=H, entropy_rate=rate, flags=flags)
+    return EntropyReport(n=np.arange(1, n_max + 1), H=H, entropy_rate=rate)
 
 
 def integral_term(f, mu):
@@ -374,13 +376,13 @@ def variational_gap(mu, f, spec, n):
 
     Non-negative for every shift-invariant test measure, zero exactly at
     the equilibrium state.  ``mu`` must be stored at depth n+1 or deeper
-    so the entropy increment at n is available.  The report flags a
-    measure whose own invariance defect exceeds ``INVARIANCE_TOL``.
+    so the entropy increment at n is available.  The report carries mu's
+    own invariance defect: the gap is non-negative only for an invariant mu.
     """
     if mu.depth < n + 1:
         raise ValueError(f"need mu at depth {n + 1} for the increment at n={n}")
     ent = specific_entropy(mu, n + 1)
-    return _gap_report(mu, f, spec, ent.H[:n], ent.entropy_rate[:n], ent.flags["finite"])
+    return _gap_report(mu, f, spec, ent.H[:n], ent.entropy_rate[:n])
 
 
 def markov_entropy_gap(mu, f, spec, n):
@@ -403,28 +405,20 @@ def markov_entropy_gap(mu, f, spec, n):
     with np.errstate(invalid="ignore"):
         H = np.concatenate([ent.H[:n], ent.H[-1] + np.arange(1, n - m + 1) * step])
         rate = np.concatenate([ent.entropy_rate[:n], np.full(max(n - m + 1, 0), -step)])
-    return _gap_report(mu, f, spec, H, rate, ent.flags["finite"])
+    return _gap_report(mu, f, spec, H, rate)
 
 
-def _gap_report(mu, f, spec, H, rate, finite):
-    """The entropy report of rows 1..len(H): the gaps, the integral and mu's invariance flags."""
+def _gap_report(mu, f, spec, H, rate):
+    """The entropy report of rows 1..len(H): the gaps, the integral and mu's invariance defect."""
     if mu.depth < f.depth:
         raise ValueError("measure too shallow to integrate the potential")
     integral, err = integral_term(f, mu)
-    gaps = spec.log_lam - (rate + integral)
-    defect = invariance_defect(mu)
-    flags = {
-        "finite": finite,
-        "invariant": bool(defect <= INVARIANCE_TOL),
-        "invariance_defect": defect,
-        "spec_converged": bool(spec.converged),
-    }
     return EntropyReport(
         n=np.arange(1, len(H) + 1),
         H=H,
         entropy_rate=rate,
         integral=integral,
         integral_err=err,
-        gaps=gaps,
-        flags=flags,
+        gaps=spec.log_lam - (rate + integral),
+        invariance_defect=invariance_defect(mu),
     )

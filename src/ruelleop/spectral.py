@@ -124,8 +124,9 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
     adjoint residual and the relative eigenvalue step all fall below
     tol.  tol bounds those, not the error of lam or of the vectors,
     which is about the residual over the spectral gap.  Non-convergence
-    is reported in the result, not raised.  ``left0`` and ``right0`` are
-    never written.
+    is reported in the result, not raised; a step whose adjoint mass or
+    forward peak has no finite positive reciprocal raises NumericError.
+    ``left0`` and ``right0`` are never written.
     """
     _check_stop(tol, max_iters)
     for start in (left0, right0):
@@ -157,12 +158,18 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
         # divide per entry costs about 2.5 times as much
         sigma = SHIFT_RATIO * mass
         scale = 1.0 / (mass + sigma)
+        right *= sigma
+        t_right += right
+        peak = float(t_right.max())
+        # a step past double range: a subnormal mass or peak has no finite
+        # reciprocal, an infinite peak a zero one, and either makes NaN iterates
+        inv_peak = 1.0 / peak if peak > 0 else math.nan
+        if not (0 < scale < math.inf and 0 < inv_peak < math.inf):
+            raise NumericError(f"power iteration left double range: mass {mass!r}, peak {peak!r}")
         left *= sigma * scale
         t_left *= scale
         t_left += left
-        right *= sigma
-        t_right += right
-        t_right *= 1.0 / float(t_right.max())
+        t_right *= inv_peak
         left, right = t_left, t_right
         if max(resid_l, resid_r, dlam) < tol:
             converged = True
@@ -184,8 +191,9 @@ class SpectralData:
 
     ``h`` is the strictly positive eigenfunction scaled so its integral
     against ``nu`` is one; ``nu`` is the probability eigenmeasure of the
-    adjoint.  ``mass_dev`` and ``hnu_dev`` certify the normalizations;
-    the residuals are scale-free sup-norm defects at the stored depth,
+    adjoint.  Both normalizations hold by construction, up to rounding:
+    nu is divided by its mass and h by <h, nu>.  The residuals are
+    scale-free sup-norm defects at the stored depth,
     max|M h - lam h| / (lam max h) and max|M^T nu - lam nu| / lam.
     ``log_lam`` is the pressure, the log of the leading eigenvalue of f.
     """
@@ -197,8 +205,6 @@ class SpectralData:
     residual_left: float
     iterations: int
     converged: bool
-    mass_dev: float
-    hnu_dev: float
     trunc_bound: float
 
     @property
@@ -224,8 +230,7 @@ def perron_eigendata(f, *, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
     raw = power_iterate(kernel, tol=tol, max_iters=max_iters)
     # pairwise sums, not BLAS dot products, so that no thread count changes the digits
     nu = raw.left
-    mass = nu.sum()
-    nu /= mass
+    nu /= nu.sum()
     # lam is the mass of M^T nu for the nu reported: one step past raw.lam, the
     # mass of nu's input, for the product that the adjoint residual reads anyway
     adjoint = kernel.tmatvec(nu)
@@ -247,8 +252,6 @@ def perron_eigendata(f, *, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
         residual_left=residual_left,
         iterations=raw.iterations,
         converged=raw.converged,
-        mass_dev=abs(mass - 1.0),
-        hnu_dev=abs(float((h * nu).sum()) - 1.0),
         trunc_bound=f.var_bound,
     )
 

@@ -278,13 +278,12 @@ def test_specific_entropy_reads_a_deep_measure_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.flags["finite"]
+    assert np.all(np.isfinite(rep.H))
     assert peak <= 5 * mu.weights.nbytes
 
 
 def test_product_measure_entropy_is_zero(three_space):
     rep = ro.specific_entropy(ro.product_measure(three_space, 4), 4)
-    assert rep.flags["finite"]
     assert np.allclose(rep.H, 0.0, rtol=0, atol=1e-13)
     assert np.allclose(rep.entropy_rate, 0.0, rtol=0, atol=1e-13)
     assert rep.gap is None
@@ -335,7 +334,7 @@ def test_variational_gap_zero_at_equilibrium(two_space):
     n = 6
     mu = ro.extend_equilibrium(sd, f, n + 1)
     rep = ro.variational_gap(mu, f, sd, n)
-    assert rep.flags["invariant"] and rep.flags["finite"]
+    assert rep.invariance_defect <= 1e-10 and np.all(np.isfinite(rep.H))
     assert rep.integral_err == 0.0
     assert np.max(np.abs(rep.gaps)) < 1e-8
     assert abs(rep.gap) < 1e-8
@@ -352,7 +351,7 @@ def test_variational_gap_nonnegative_for_markov_family(two_space):
         pi = stationary(P)
         mu = ro.CylinderMeasure(two_space, 5, markov_weights(pi, P, 5))
         rep = ro.variational_gap(mu, f, sd, 4)
-        assert rep.flags["invariant"]
+        assert rep.invariance_defect <= 1e-10
         assert rep.gaps[-1] >= -1e-10
         largest = max(largest, float(rep.gaps[-1]))
     assert largest > 0.01  # generic test measures sit strictly inside the bound
@@ -365,8 +364,7 @@ def test_variational_gap_flags_and_guards(two_space):
     w = rng.uniform(0.1, 1.0, 8)
     skew = ro.CylinderMeasure(two_space, 3, w / w.sum())
     rep = ro.variational_gap(skew, f, sd, 2)
-    assert not rep.flags["invariant"]
-    assert rep.flags["invariance_defect"] > 1e-3
+    assert rep.invariance_defect > 1e-3
     mu = ro.extend_equilibrium(sd, f, 3)
     with pytest.raises(ValueError):
         ro.variational_gap(mu, f, sd, 3)  # needs depth n+1
@@ -483,8 +481,8 @@ def test_closed_form_entropy_rows_match_enumeration(model, n_max):
         assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-11, name
     assert abs(got.integral - want.integral) <= 1e-11
     assert got.integral_err == want.integral_err
-    assert got.flags["invariance_defect"] <= 1e-11
-    assert got.flags["finite"] and got.flags["invariant"]
+    assert got.invariance_defect <= 1e-11
+    assert np.all(np.isfinite(got.H))
 
 
 def test_closed_form_entropy_rows_guards(two_space):

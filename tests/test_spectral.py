@@ -419,6 +419,18 @@ def test_nonconverged_eigendata_is_flagged(two_space):
     assert good.converged and good.iterations > 3
 
 
+def test_a_scan_whose_power_iteration_leaves_double_range_refuses_those_steps():
+    # the coboundary 800 (x1 - x0) has lam = 1; past beta 1.76 a step of the
+    # power-iteration fallback meets a subnormal mass, whose reciprocal is
+    # infinite.  The step raises NumericError and the point reads nan, not
+    # converged, with no NaN iterate and no warning (an error under pytest)
+    f = ro.Potential(ro.uniform_space(2), 2, np.array([0.0, 800.0, -800.0, 0.0]))
+    curve = ro.pressure_curve(f, np.linspace(0.0, 2.0, 101))
+    lost = np.isnan(curve.pressures)
+    assert lost.any() and not curve.converged[lost].any()
+    assert np.all(np.abs(curve.pressures[:45]) <= 1e-12)
+
+
 def rescaled_iterates(f, depth, n_max, log_lam):
     """xi_n = lam^-n L^n 1 for n = 0..n_max, from iterate_one in log space."""
     return [
