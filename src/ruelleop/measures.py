@@ -31,16 +31,11 @@ LOG_CHUNK = 2**16  # entries of log(rho) that relative_entropy holds at once
 
 @dataclass(frozen=True, eq=False)
 class CylinderMeasure:
-    """A probability weight per depth-d cylinder, in canonical order.
-
-    ``mass_dev`` records any deviation from unit mass that was absorbed
-    by renormalization when the measure was constructed.
-    """
+    """A probability weight per depth-d cylinder, in canonical order."""
 
     space: SymbolSpace
     depth: int
     weights: np.ndarray
-    mass_dev: float = 0.0
 
     def __post_init__(self):
         if self.depth < 0:
@@ -76,7 +71,7 @@ def marginalize(mu, depth):
     if not 0 <= depth <= mu.depth:
         raise ValueError(f"marginal depth {depth} outside 0..{mu.depth}")
     w = mu.weights.reshape(-1, mu.space.size ** (mu.depth - depth)).sum(axis=1)
-    return CylinderMeasure(mu.space, depth, w, mass_dev=mu.mass_dev)
+    return CylinderMeasure(mu.space, depth, w)
 
 
 def _extend_raw(f, log_lam, weights, depth):
@@ -102,17 +97,18 @@ def _extension_factors(f, log_lam):
 
 
 def _unit_mass(space, depth, w, what):
-    """The measure w / sum(w), normalized in place, recording how far sum(w) is from 1.
+    """The measure w / sum(w), normalized in place.
 
     ``w`` must be a fresh array: the measure keeps it.  Only a sum that
     is not finite and positive is refused: how far from 1 converged
-    eigendata leave it is bounded by their solve's tol.
+    eigendata leave it is bounded by their solve's tol, and the eigen
+    residuals, not the mass, certify them.
     """
     mass = w.sum()
     if not (math.isfinite(mass) and mass > 0):
         raise NumericError(f"{what} mass is {mass}, not finite and positive")
     w /= mass
-    return CylinderMeasure(space, depth, w, mass_dev=abs(mass - 1.0))
+    return CylinderMeasure(space, depth, w)
 
 
 def check_eigenmeasure(kernel, log_lam, nu, test_depth):
@@ -132,15 +128,16 @@ def check_eigenmeasure(kernel, log_lam, nu, test_depth):
 def extend_eigenmeasure(f, log_lam, nu):
     """Extend an eigenmeasure by one cylinder depth via the closed-form step.
 
-    The extension of a true eigenmeasure has unit mass; the observed
-    deviation is recorded on the result and absorbed by renormalization.
-    A deviation above 1e-6 means the input does not satisfy the eigen
-    relation and the extension is refused.
+    The extension of a true eigenmeasure has unit mass, and the result
+    is renormalized to it.  A mass farther than ``EXTENSION_MASS_ABORT``
+    (1e-6) from 1 means the input does not satisfy the eigen relation,
+    and the extension is refused.
     """
     w = _extend_raw(f, log_lam, nu.weights, nu.depth)
+    dev = abs(w.sum() - 1.0)
     ext = _unit_mass(nu.space, nu.depth + 1, w, "eigenmeasure extension")
-    if ext.mass_dev > EXTENSION_MASS_ABORT:
-        raise NumericError(f"eigenmeasure extension mass deviates from 1 by {ext.mass_dev:.3e}")
+    if dev > EXTENSION_MASS_ABORT:
+        raise NumericError(f"eigenmeasure extension mass deviates from 1 by {dev:.3e}")
     return ext
 
 

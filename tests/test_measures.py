@@ -68,9 +68,9 @@ def test_eigenmeasure_certificate_and_extension(two_space):
         f = ro.Potential(two_space, 2, rng.uniform(-1.5, 1.5, 4))
         sd = ro.perron_eigendata(f)
         assert ro.check_eigenmeasure(ro.build_kernel(f, 1), sd.log_lam, sd.nu, 1) < 1e-12
+        assert abs(_extend_raw(f, sd.log_lam, sd.nu.weights, sd.nu.depth).sum() - 1) < 1e-10
         ext = ro.extend_eigenmeasure(f, sd.log_lam, sd.nu)
         assert ext.depth == 2
-        assert ext.mass_dev < 1e-10
         assert ro.check_eigenmeasure(ro.build_kernel(f, 2), sd.log_lam, ext, 2) < 1e-11
         # the closed-form extension agrees with a direct deeper solve
         deep = deep_eigenmeasure(f, 2)
@@ -87,10 +87,10 @@ def test_extension_refuses_non_eigenmeasure(two_space):
 
 
 def test_unit_mass_refuses_only_a_mass_that_is_not_finite_and_positive(two_space):
-    # certified eigendata may leave the mass off 1 by about their tol; the
-    # deviation is recorded, and only a mass with no measure behind it is refused
+    # certified eigendata may leave the mass off 1 by about their tol; only a
+    # mass with no measure behind it is refused
     mu = measures._unit_mass(two_space, 1, np.array([0.3, 0.2]), "test")
-    assert np.array_equal(mu.weights, [0.6, 0.4]) and mu.mass_dev == 0.5
+    assert np.array_equal(mu.weights, [0.6, 0.4])
     for w in ([0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [-1.0, 0.5]):
         with pytest.raises(ro.NumericError, match="not finite and positive"):
             measures._unit_mass(two_space, 1, np.array(w), "test")
@@ -183,6 +183,34 @@ def test_intertwine_certificate_and_control(two_space):
     # a deeper stored measure is marginalized down before the comparison
     nu4 = deep_eigenmeasure(f, 4)
     assert ro.check_intertwine(kernel, sd.log_lam, nu4, [(0, 1)]) < 1e-10
+
+
+def test_intertwine_on_the_closed_form_extension_restates_the_left_residual():
+    # nu_ext[a u] = W_a(u) nu[u] / lam, so on nu's own extension every term of
+    # the check carries the scale-free left residual r_w = ((M^T nu)_w - lam nu_w) / lam
+    # of its depth-d0 word w: past d0 = 2 the check reads
+    # max over w, a, b of W_b(a w) W_a(w) |r_w| / lam^2, the residual times a
+    # factor of the kernel alone, which is why verify prints residual-left instead
+    for n, k in ((2, 4), (2, 5), (3, 4)):
+        for scale, seed, max_iters in itertools.product((5.0, 400.0), (0, 1), (1, 3)):
+            weights = np.ones(n) / n if seed == 0 else np.arange(1.0, n + 1) / (n * (n + 1) / 2)
+            f = ro.Potential(ro.finite_space(weights), k, np.random.default_rng(seed).uniform(-scale, scale, n**k))
+            sd = ro.perron_eigendata(f, max_iters=max_iters)
+            d0 = sd.nu.depth
+            words = [ro.index_word(i, n, d0) for i in range(min(n**d0, 16))]
+            got = ro.check_intertwine(
+                ro.build_kernel(f, d0 + 1), sd.log_lam, ro.extend_eigenmeasure(f, sd.log_lam, sd.nu), words
+            )
+            kernel = ro.build_kernel(f, d0)
+            r = kernel.tmatvec(sd.nu.weights) / math.exp(sd.log_lam - kernel.offset) - sd.nu.weights
+            ew = measures._extension_factors(f, sd.log_lam)  # W_a(m) / lam, m the first k-1 symbols
+            want = max(
+                float(np.max(ew[:, ro.word_index((a, *w), n) // n])) * ew[a, i] * abs(r[i])
+                for i, w in enumerate(words)
+                for a in range(n)
+            )
+            assert got == pytest.approx(want, rel=1e-6, abs=0), (n, k, scale, seed, max_iters)
+            assert got > 0 and sd.residual_left > 1e-6
 
 
 def test_certificates_reject_kernels_that_do_not_fit(two_space):
