@@ -554,7 +554,8 @@ def _verify_checks(f, params):
 
     # mu is (k-1)-step Markov: read as in entropy, its rate is exact at n = depth - 1
     depth = max(f.depth, 2)
-    gap_tol = max(1e-8, 1e4 * tol)
+    # the gap is a difference of terms the size of log lam, so its bound scales with them
+    gap_tol = max(1e-8, 1e4 * tol) * max(1.0, abs(sd.log_lam))
     try:
         rep = markov_entropy_gap(extend_equilibrium(sd, f, depth), f, sd, depth - 1)
         checks.append(("variational-gap", abs(rep.gap) <= gap_tol, rep.gap, gap_tol))

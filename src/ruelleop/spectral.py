@@ -120,9 +120,13 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
     ``right0`` with a negative or non-finite entry, or with no positive
     entry, raises ValueError.  The forward iterate is divided by its
     maximum on entry and at every step, so a start scaled by a power of
-    two runs the same steps.  Stops when the forward residual, the
-    adjoint residual and the relative eigenvalue step all fall below
-    tol.  tol bounds those, not the error of lam or of the vectors,
+    two runs the same steps; a -0.0 entry of a start is read as +0.0.
+    Stops when the relative eigenvalue step, the forward residual and the
+    adjoint residual all fall below tol.  A step reads the forward residual
+    only once its eigenvalue step is below tol, and the adjoint residual
+    only once the forward one is below tol too; the step at max_iters reads
+    both, so the result always carries the residuals of its final step.
+    tol bounds those, not the error of lam or of the vectors,
     which is about the residual over the spectral gap.  Non-convergence
     is reported in the result, not raised; a step whose adjoint mass or
     forward peak has no finite positive reciprocal raises NumericError.
@@ -133,8 +137,9 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
         if start is not None and not (np.min(start) >= 0 and 0 < np.max(start) < math.inf):
             raise ValueError("a start must be finite and non-negative, with a positive entry")
     nd = kernel.size
-    left = np.full(nd, 1.0 / nd) if left0 is None else np.asarray(left0, float) / np.sum(left0)
-    right = np.ones(nd) if right0 is None else np.asarray(right0, float) / np.max(right0)
+    # + 0.0 reads a -0.0 entry as +0.0, which the two-symbol products would keep
+    left = np.full(nd, 1.0 / nd) if left0 is None else (np.asarray(left0, float) + 0.0) / np.sum(left0)
+    right = np.ones(nd) if right0 is None else (np.asarray(right0, float) + 0.0) / np.max(right0)
     lam = math.nan
     resid_l = resid_r = math.inf
     converged = False
@@ -147,11 +152,14 @@ def power_iterate(kernel, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, left0=No
             raise NumericError(f"adjoint iteration produced mass {mass!r}")
         t_right = kernel.matvec(right)
         dlam = abs(mass - lam) / mass if not math.isnan(lam) else math.inf
-        if dlam < tol or it == max_iters:
-            # the residuals matter only once the eigenvalue step is below tol;
-            # the last iteration computes them for the result
-            resid_l = float(np.max(np.abs(t_left - mass * left))) / mass
+        last = it == max_iters
+        if dlam < tol or last:
+            # the residuals matter only once the eigenvalue step is below tol, and
+            # the adjoint one only once the forward one passes too; the last
+            # iteration computes both for the result
             resid_r = float(np.max(np.abs(t_right - mass * right))) / mass
+            if resid_r < tol or last:
+                resid_l = float(np.max(np.abs(t_left - mass * left))) / mass
         lam = mass
         # t = M x + sigma x, written over M x, then scaled: by 1 / (lam + sigma)
         # on the adjoint side, to peak 1 on the forward side.  Multiplies, as a

@@ -69,6 +69,18 @@ def _arq(table, n, blocks):
     return table.reshape(n, p0, rw).transpose(0, 2, 1)
 
 
+def _sum_over_r(terms):
+    """Sum over axis 1, the symbol r: one add for two symbols, else one reduction.
+
+    A length-2 reduction writes each sum twice and, over the last axis,
+    runs one inner loop per sum.  Both give the same bits except where
+    both terms are -0.0: numpy 2's reduction starts from +0.0.
+    """
+    if terms.shape[1] == 2:
+        return np.add(terms[:, 0], terms[:, 1])
+    return terms.sum(axis=1)
+
+
 def _same_space(a, b):
     return a is b or (
         a.size == b.size
@@ -112,8 +124,10 @@ class TransferKernel:
     when v_2..v_d = u_1..u_{d-1} and is zero otherwise: exactly one
     entry per symbol per row.  ``offset`` (see :func:`build_kernel`) keeps
     every entry finite; the operator of f is exp(offset) * M, with the
-    same eigenvectors.  M is never stored; each product is one broadcast
-    numpy expression over the per-symbol weight tables.
+    same eigenvectors.  M is never stored; each product forms its symbol
+    terms in one broadcast numpy expression over the per-symbol weight
+    tables and sums them with one more call: ``np.add`` of the two terms
+    for two symbols, a ``sum`` over the symbol axis for three or more.
 
     Index conventions (canonical word order, n symbols, working depth
     d, potential depth k):
@@ -184,9 +198,17 @@ class TransferKernel:
         return out
 
     def matvec(self, x):
-        """Forward product M x."""
+        """Forward product M x: the n symbol terms of each row, summed into the output.
+
+        Two symbols add their two terms with one ``np.add``, written straight
+        into the output (at the edge depth a strided view of it); more reduce
+        the symbol axis in one ``sum``.
+        """
         weights, pred = self._by_predecessor(self.ew_arq, x)
         terms = weights * pred
+        if len(terms) == 2:
+            # a length-2 reduction writes each sum twice
+            return self._forward(lambda total: np.add(terms[0], terms[1], out=total))
         return self._forward(lambda total: terms.sum(axis=0, out=total))
 
     def log_matvec(self, lx):
@@ -206,15 +228,19 @@ class TransferKernel:
         return self._forward(log_sum)
 
     def tmatvec(self, x):
-        """Adjoint product: (M^T x)[v] = sum_u M[u, v] x[u]."""
+        """Adjoint product: (M^T x)[v] = sum_u M[u, v] x[u].
+
+        Both depths sum over the last symbol r of u (``_sum_over_r``): deep
+        kernels sum x itself, the edge depth the weighted terms.
+        """
         n = self.space.size
         p0, p1, rw = self.blocks
+        rows = np.asarray(x, dtype=float).reshape(-1, n)
         if rw == 1:
             # the weight of row (q, r) does not depend on r: sum over r first
-            sums = np.asarray(x, dtype=float).reshape(-1, n).sum(axis=1)
+            sums = _sum_over_r(rows)
             return (self.ew_arq.reshape(n, p0, 1) * sums.reshape(p0, p1)).reshape(-1)
-        rows = np.asarray(x, dtype=float).reshape(-1, n)
-        return (self.ew_arq * rows.T).sum(axis=1).reshape(-1)
+        return _sum_over_r(self.ew_arq * rows.T).reshape(-1)
 
     def _row_weights(self, rows):
         """Weights of the given rows, C-contiguous of shape (n,) + rows.shape: one per symbol a."""

@@ -778,6 +778,25 @@ def test_verify_fails_the_checks_that_divide_by_a_nu_with_a_zero_weight(tmp_path
         assert "value=nan" in check_line(text, name), name
 
 
+@pytest.mark.parametrize("seed, pressure", [(0, 298.02), (2, 283.686)])
+def test_variational_gap_bound_scales_with_log_lam(tmp_path, seed, pressure):
+    # the gap is a difference of terms the size of log lam: these read 1.04e-8
+    # and -1.28e-8, about 4e-11 of log lam, past an absolute bound of 1e-8
+    values = np.random.default_rng(seed).uniform(-400.0, 400.0, 3**5)
+    cfg = {
+        "space": {"kind": "uniform", "size": 3},
+        "potential": {"kind": "table", "depth": 5, "values": values.tolist()},
+    }
+    code, text = run_to_file(tmp_path, ["verify", "--config", write_cfg(tmp_path, cfg)])
+    line = check_line(text, "variational-gap")
+    value, bound = (float(v) for v in re.search(r"value=(\S+) bound=(\S+)", line).groups())
+    assert line.startswith("ok ") and 1e-8 < abs(value) < 2e-8
+    assert bound == pytest.approx(1e-8 * pressure, rel=1e-5)
+    # nu underflows to 0 on these tables, so the three checks that divide by it fail
+    failed = [l.split()[1] for l in text.splitlines() if l.startswith("FAIL")]
+    assert code == 1 and failed == ["equilibrium-invariance", "negative-control-eigenmeasure", "negative-control-perturbed"]
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")

@@ -245,23 +245,56 @@ def test_power_iteration_converges_on_a_pure_flip():
     assert res.right[0] / res.right[1] == pytest.approx(1.0, rel=1e-11)
 
 
-def test_power_iteration_reports_the_residuals_of_its_last_step(two_space):
-    # residuals are computed only on steps that could converge, and always on the last one
-    kernel = ro.build_kernel(ro.builtin_ising(two_space, 1.0, 0.3), 3)
-    for max_iters in (1, 5, ro.spectral.DEFAULT_MAX_ITERS):
-        res = ro.power_iterate(kernel, max_iters=max_iters)
-        assert res.converged == (max_iters > 5)
+@settings(max_examples=40, deadline=None)
+@given(models())
+@example((ro.builtin_ising(ro.uniform_space(2), 1.0, 0.3), 3))
+def test_power_iteration_reports_the_residuals_of_its_last_step(model):
+    # a step reads the adjoint residual only once the forward one passes, yet a
+    # run returns both residuals of its final step: at the cap and on convergence
+    f, depth = model
+    kernel = ro.build_kernel(f, depth)
+    done = ro.power_iterate(kernel)
+    assert done.converged
+    for cap in sorted({min(cap, done.iterations) for cap in (1, 2, 3, 5, done.iterations)}):
+        res = ro.power_iterate(kernel, max_iters=cap)
+        assert res.iterations == cap and res.converged == (cap == done.iterations)
         # a run one iteration shorter does the same arithmetic and ends on the
         # last step's input; the first step's input is the uniform start
-        if res.iterations == 1:
+        if cap == 1:
             prev_right, prev_left = np.ones(kernel.size), np.full(kernel.size, 1.0 / kernel.size)
         else:
-            prev = ro.power_iterate(kernel, max_iters=res.iterations - 1)
+            prev = ro.power_iterate(kernel, max_iters=cap - 1)
             prev_right, prev_left = prev.right, prev.left
-        right = np.max(np.abs(kernel.matvec(prev_right) - res.lam * prev_right))
-        left = np.max(np.abs(kernel.tmatvec(prev_left) - res.lam * prev_left))
-        assert res.residual_right == right / res.lam
-        assert res.residual_left == left / res.lam
+        t_left = kernel.tmatvec(prev_left)
+        mass = float(t_left.sum())
+        assert res.lam == mass
+        assert res.residual_left == float(np.max(np.abs(t_left - mass * prev_left))) / mass
+        assert res.residual_right == float(np.max(np.abs(kernel.matvec(prev_right) - mass * prev_right))) / mass
+
+
+@pytest.mark.parametrize("table_depth", [2, 4])
+def test_power_iterate_reads_a_negative_zero_start_entry_as_positive_zero(two_space, table_depth):
+    # at working depth 3 the depth-2 table gives a deep kernel, the depth-4
+    # one the edge depth.  The zeros sit where both terms of a product read
+    # them: a -0.0 kept there would survive the two-symbol add and the shift
+    f = ro.Potential(two_space, table_depth, np.random.default_rng(5).uniform(-1.0, 1.0, 2**table_depth))
+    kernel = ro.build_kernel(f, 3)
+    idx = np.arange(kernel.size)
+    left = np.where(idx // 2 == 0, 0.0, 0.5)  # the words (0 0, r), summed into the adjoint entries of 0 0 0 and 1 0 0
+    right = np.where(idx % (kernel.size // 2) == 0, 0.0, 1.0)  # 0 0 0 and 1 0 0, the predecessors of the rows 0 0 r
+    for max_iters in (1, 2, ro.spectral.DEFAULT_MAX_ITERS):
+        want = ro.power_iterate(kernel, max_iters=max_iters, left0=left, right0=right)
+        res = ro.power_iterate(
+            kernel,
+            max_iters=max_iters,
+            left0=np.where(left == 0, -0.0, left),
+            right0=np.where(right == 0, -0.0, right),
+        )
+        assert_same_iteration(
+            res,
+            (want.lam, want.right, want.left, want.residual_right, want.residual_left, want.iterations, want.converged),
+        )
+    assert want.converged
 
 
 def allocating_power_iterate(kernel, tol, max_iters, left0=None, right0=None):

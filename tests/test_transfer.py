@@ -211,19 +211,47 @@ def _spread(kernel, total):
     return total.reshape(kernel.blocks[2], -1).T.reshape(-1)
 
 
+def _add_two(terms, axis):
+    """The two-term add over a symbol axis of length 2, else the reduction."""
+    if terms.shape[axis] != 2:
+        return np.sum(terms, axis)
+    first, second = np.moveaxis(terms, axis, 0)
+    return first + second
+
+
+def _reference_products(kernel, x, symbol_sum):
+    """M x and M^T x as broadcast expressions, each symbol axis summed by symbol_sum(terms, axis)."""
+    n = kernel.space.size
+    p0, p1, rw = kernel.blocks
+    forward = _spread(kernel, symbol_sum(kernel.ew_arq.reshape(n, rw, p0, 1) * x.reshape(n, 1, p0, p1), 0))
+    rows = x.reshape(-1, n)
+    if rw == 1:
+        adjoint = kernel.ew_arq.reshape(n, p0, 1) * symbol_sum(rows, 1).reshape(p0, p1)
+    else:
+        adjoint = symbol_sum(kernel.ew_arq * rows.T, 1)
+    return forward, adjoint.reshape(-1)
+
+
+def _signed_draw(rng, size):
+    return rng.choice(np.array([-0.0, 0.0, 1e-20, 1e16, 1.0]), size) * rng.uniform(-1, 1, size)
+
+
 @settings(max_examples=100, deadline=None)
 @given(models(), st.integers(0, 2**32 - 1))
 def test_products_equal_the_broadcast_expressions_bit_for_bit(model, seed):
+    # two symbols add their two terms: on two -0.0 terms that gives -0.0,
+    # where numpy 2's reduction, which starts from +0.0, gives +0.0
     f, depth = model
     kernel = ro.build_kernel(f, depth)
     n = kernel.space.size
     p0, p1, rw = kernel.blocks
     rng = np.random.default_rng(seed)
-    x = rng.choice(np.array([-0.0, 0.0, 1e-20, 1e16, 1.0]), kernel.size) * rng.uniform(-1, 1, kernel.size)
+    x = _signed_draw(rng, kernel.size)
     lx = np.where(rng.uniform(size=kernel.size) < 0.3, -np.inf, rng.uniform(-50, 50, kernel.size))
 
-    terms = kernel.ew_arq.reshape(n, rw, p0, 1) * x.reshape(n, 1, p0, p1)
-    assert same_bits(kernel.matvec(x), _spread(kernel, terms.sum(axis=0)))
+    forward, adjoint = _reference_products(kernel, x, _add_two)
+    assert same_bits(kernel.matvec(x), forward)
+    assert same_bits(kernel.tmatvec(x), adjoint)
 
     terms = kernel.log_ew_arq.reshape(n, rw, p0, 1) + lx.reshape(n, 1, p0, p1)
     peak = terms.max(axis=0)
@@ -232,9 +260,15 @@ def test_products_equal_the_broadcast_expressions_bit_for_bit(model, seed):
     want = _spread(kernel, np.where(np.isfinite(peak), total, -np.inf))
     assert same_bits(kernel.log_matvec(lx), want)
 
-    rows = x.reshape(-1, n)
-    if rw == 1:
-        want = (kernel.ew_arq.reshape(n, p0, 1) * rows.sum(axis=1).reshape(p0, p1)).reshape(-1)
-    else:
-        want = (kernel.ew_arq * rows.T).sum(axis=1).reshape(-1)
-    assert same_bits(kernel.tmatvec(x), want)
+
+@settings(max_examples=100, deadline=None)
+@given(models(), st.integers(0, 2**32 - 1))
+def test_products_equal_the_reductions_bit_for_bit_on_the_positive_cone(model, seed):
+    # every iterate lies in the cone x >= 0 with no -0.0 entry, where the
+    # two-symbol add gives the bits of the reduction over the symbol axis
+    f, depth = model
+    kernel = ro.build_kernel(f, depth)
+    x = np.abs(_signed_draw(np.random.default_rng(seed), kernel.size)) + 0.0
+    forward, adjoint = _reference_products(kernel, x, np.sum)
+    assert same_bits(kernel.matvec(x), forward)
+    assert same_bits(kernel.tmatvec(x), adjoint)
